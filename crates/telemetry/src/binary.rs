@@ -49,8 +49,9 @@
 //! versus v1 JSONL while round-tripping every `f64` bit-exactly.
 
 use crate::decision::DecisionRecord;
+use crate::frame::{push_frame, put_f64, put_str, put_varint, split_frame, ByteReader};
 use crate::record::{IntervalRecord, PowerBreakdown};
-use crate::trace::{TraceEvent, TraceReader};
+use crate::trace::{static_sensor_name, TraceEvent, TraceReader};
 use ppep_pmc::events::EVENT_COUNT;
 use ppep_pmc::sampler::IntervalSample;
 use ppep_pmc::EventCounts;
@@ -59,13 +60,15 @@ use ppep_types::vf::{NbVfState, VfPoint};
 use ppep_types::{
     Error, Gigahertz, Kelvin, Result, Seconds, Topology, VfStateId, VfTable, Volts, Watts,
 };
-use std::sync::OnceLock;
 
 /// The v2 document magic, the first four bytes of every binary trace.
 pub const MAGIC: [u8; 4] = *b"PPB2";
 
 /// The binary trace format version written after the magic.
 pub const BINARY_VERSION: u8 = 2;
+
+/// Error-message context of every v2 trace reader.
+const CTX: &str = "v2 trace";
 
 const FRAME_END: u8 = 0;
 const FRAME_META: u8 = 1;
@@ -77,153 +80,6 @@ const FRAME_DECISION: u8 = 5;
 /// Whether `src` starts with the v2 magic.
 pub fn is_binary(src: &[u8]) -> bool {
     src.get(..MAGIC.len()) == Some(MAGIC.as_slice())
-}
-
-// ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
-// ---------------------------------------------------------------------
-
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        table
-    })
-}
-
-/// CRC-32 (IEEE) of `bytes`, as used for per-frame checksums.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for b in bytes {
-        let idx = ((c ^ u32::from(*b)) & 0xFF) as usize;
-        c = table.get(idx).copied().unwrap_or_default() ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-// ---------------------------------------------------------------------
-// Byte-level primitives
-// ---------------------------------------------------------------------
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// A bounds-checked reader over a byte slice.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn truncated(what: &str) -> Error {
-        Error::InvalidInput(format!("v2 trace: truncated {what}"))
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| Self::truncated(what))?;
-        let slice = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| Self::truncated(what))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?.first().copied().unwrap_or_default())
-    }
-
-    fn u32_le(&mut self, what: &str) -> Result<u32> {
-        let b = self.take(4, what)?;
-        let mut v = 0u32;
-        for (i, byte) in b.iter().enumerate() {
-            v |= u32::from(*byte) << (8 * i as u32);
-        }
-        Ok(v)
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8(what)?;
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(Error::InvalidInput(format!(
-            "v2 trace: varint overflow in {what}"
-        )))
-    }
-
-    fn usize_capped(&mut self, what: &str, cap: usize) -> Result<usize> {
-        let v = self.varint(what)?;
-        let n = usize::try_from(v)
-            .map_err(|_| Error::InvalidInput(format!("v2 trace: {what} out of range")))?;
-        if n > cap {
-            return Err(Error::InvalidInput(format!(
-                "v2 trace: {what} of {n} exceeds plausible bound {cap}"
-            )));
-        }
-        Ok(n)
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        let b = self.take(8, what)?;
-        let mut bits = 0u64;
-        for (i, byte) in b.iter().enumerate() {
-            bits |= u64::from(*byte) << (8 * i as u32);
-        }
-        Ok(f64::from_bits(bits))
-    }
-
-    fn str_(&mut self, what: &str) -> Result<&'a str> {
-        let n = self.usize_capped(what, self.remaining())?;
-        let bytes = self.take(n, what)?;
-        std::str::from_utf8(bytes)
-            .map_err(|_| Error::InvalidInput(format!("v2 trace: non-UTF-8 {what}")))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -911,7 +767,7 @@ fn meta_payload(topology: &Topology) -> Vec<u8> {
 }
 
 /// The six vector lengths of an interval record, in payload order.
-fn shape_of(r: &IntervalRecord) -> [usize; 6] {
+pub(crate) fn shape_of(r: &IntervalRecord) -> [usize; 6] {
     [
         r.cu_vf.len(),
         r.core_busy.len(),
@@ -1096,33 +952,35 @@ fn interval_payload(codec: &mut Codec, r: &IntervalRecord, table: &VfTable) -> V
     p
 }
 
-fn fault_payload(index: IntervalIndex, error: &Error) -> Vec<u8> {
-    let mut p = Vec::new();
-    put_varint(&mut p, index.0);
+/// Appends a fault payload: the interval index, a variant byte and the
+/// variant's fields. Shared with the session layer's `FaultReport` and
+/// `Evicted` frames. Variants without a dedicated code travel as their
+/// rendered message and decode as [`Error::Device`].
+pub(crate) fn put_fault(p: &mut Vec<u8>, index: IntervalIndex, error: &Error) {
+    put_varint(p, index.0);
     match error {
         Error::SensorDropout { sensor } => {
             p.push(0);
-            put_str(&mut p, sensor);
+            put_str(p, sensor);
         }
         Error::SensorImplausible { sensor, value } => {
             p.push(1);
-            put_str(&mut p, sensor);
-            put_f64(&mut p, *value);
+            put_str(p, sensor);
+            put_f64(p, *value);
         }
         Error::MsrReadFailed { msr } => {
             p.push(2);
-            put_varint(&mut p, u64::from(*msr));
+            put_varint(p, u64::from(*msr));
         }
         Error::MissedInterval { missed } => {
             p.push(3);
-            put_varint(&mut p, u64::from(*missed));
+            put_varint(p, u64::from(*missed));
         }
         other => {
             p.push(4);
-            put_str(&mut p, &other.to_string());
+            put_str(p, &other.to_string());
         }
     }
-    p
 }
 
 fn apply_payload(codec: &Codec, assignment: &[VfStateId]) -> Vec<u8> {
@@ -1235,13 +1093,6 @@ fn decision_payload(codec: &mut Codec, d: &DecisionRecord, table: &VfTable) -> V
     p
 }
 
-fn push_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    out.push(kind);
-    put_varint(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-}
-
 /// Encodes a parsed trace as a v2 binary document.
 pub fn encode(trace: &TraceReader) -> Vec<u8> {
     let mut out = Vec::new();
@@ -1257,7 +1108,9 @@ pub fn encode(trace: &TraceReader) -> Vec<u8> {
                 push_frame(&mut out, FRAME_INTERVAL, &payload);
             }
             TraceEvent::Fault { index, error } => {
-                push_frame(&mut out, FRAME_FAULT, &fault_payload(*index, error));
+                let mut payload = Vec::new();
+                put_fault(&mut payload, *index, error);
+                push_frame(&mut out, FRAME_FAULT, &payload);
             }
             TraceEvent::Apply(assignment) => {
                 push_frame(&mut out, FRAME_APPLY, &apply_payload(&codec, assignment));
@@ -1279,7 +1132,7 @@ pub fn encode(trace: &TraceReader) -> Vec<u8> {
 // ---------------------------------------------------------------------
 
 fn parse_meta(payload: &[u8]) -> Result<Topology> {
-    let mut r = ByteReader::new(payload);
+    let mut r = ByteReader::new(payload, CTX);
     let name = r.str_("topology name")?.to_string();
     let cu_count = r.usize_capped("cu count", 4096)?;
     let cores_per_cu = r.usize_capped("cores per cu", 4096)?;
@@ -1310,7 +1163,7 @@ fn parse_interval(
     topology: &Topology,
 ) -> Result<IntervalRecord> {
     let table = topology.vf_table();
-    let mut r = ByteReader::new(payload);
+    let mut r = ByteReader::new(payload, CTX);
     let flags = r.u8("interval shape flags")?;
     let index = if flags & SHAPE_SEQ_INDEX != 0 {
         let prev = codec.prev.as_ref().ok_or_else(|| {
@@ -1505,10 +1358,8 @@ fn parse_interval(
     Ok(record)
 }
 
-use crate::trace::static_sensor_name;
-
-fn parse_fault(payload: &[u8]) -> Result<(IntervalIndex, Error)> {
-    let mut r = ByteReader::new(payload);
+/// Reads the fault payload [`put_fault`] wrote.
+pub(crate) fn read_fault(r: &mut ByteReader<'_>) -> Result<(IntervalIndex, Error)> {
     let index = IntervalIndex(r.varint("fault index")?);
     let error = match r.u8("fault kind")? {
         0 => Error::SensorDropout {
@@ -1519,25 +1370,19 @@ fn parse_fault(payload: &[u8]) -> Result<(IntervalIndex, Error)> {
             value: r.f64("fault value")?,
         },
         2 => Error::MsrReadFailed {
-            msr: u32::try_from(r.varint("fault msr")?)
-                .map_err(|_| Error::InvalidInput("v2 trace: msr address out of range".into()))?,
+            msr: r.u32_of("fault msr")?,
         },
         3 => Error::MissedInterval {
-            missed: u32::try_from(r.varint("fault missed count")?)
-                .map_err(|_| Error::InvalidInput("v2 trace: missed count out of range".into()))?,
+            missed: r.u32_of("fault missed count")?,
         },
         4 => Error::Device(r.str_("fault message")?.to_string()),
-        other => {
-            return Err(Error::InvalidInput(format!(
-                "v2 trace: unknown fault kind {other}"
-            )))
-        }
+        other => return Err(r.invalid(format_args!("unknown fault kind {other}"))),
     };
     Ok((index, error))
 }
 
 fn parse_apply(codec: &Codec, payload: &[u8], table: &VfTable) -> Result<Vec<VfStateId>> {
-    let mut r = ByteReader::new(payload);
+    let mut r = ByteReader::new(payload, CTX);
     if r.u8("apply flag")? == 1 {
         return codec
             .prev_decision
@@ -1557,7 +1402,7 @@ fn parse_apply(codec: &Codec, payload: &[u8], table: &VfTable) -> Result<Vec<VfS
 }
 
 fn parse_decision(codec: &mut Codec, payload: &[u8], table: &VfTable) -> Result<DecisionRecord> {
-    let mut r = ByteReader::new(payload);
+    let mut r = ByteReader::new(payload, CTX);
     let flags = r.u8("decision flags")?;
     let prev_missing =
         || Error::InvalidInput("v2 trace: decision back-reference with no predecessor".into());
@@ -1665,7 +1510,7 @@ fn parse_decision(codec: &mut Codec, payload: &[u8], table: &VfTable) -> Result<
 /// truncated document, a frame whose CRC does not match its payload,
 /// or payload values inconsistent with the recorded topology.
 pub fn decode(src: &[u8]) -> Result<TraceReader> {
-    let mut r = ByteReader::new(src);
+    let mut r = ByteReader::new(src, CTX);
     if r.take(MAGIC.len(), "magic")? != MAGIC {
         return Err(Error::InvalidInput(
             "v2 trace: bad magic (not a binary trace)".into(),
@@ -1678,22 +1523,14 @@ pub fn decode(src: &[u8]) -> Result<TraceReader> {
              (this reader speaks {BINARY_VERSION})"
         )));
     }
+    let mut rest = r.take(r.remaining(), "frames")?;
     let mut topology: Option<Topology> = None;
     let mut events = Vec::new();
     let mut codec = Codec::default();
     let mut saw_end = false;
-    while r.remaining() > 0 {
-        let kind = r.u8("frame kind")?;
-        let len = r.usize_capped("frame length", r.remaining())?;
-        let payload = r.take(len, "frame payload")?;
-        let stored_crc = r.u32_le("frame crc")?;
-        let actual = crc32(payload);
-        if stored_crc != actual {
-            return Err(Error::InvalidInput(format!(
-                "v2 trace: frame crc mismatch (stored {stored_crc:#010x}, \
-                 computed {actual:#010x})"
-            )));
-        }
+    while !rest.is_empty() {
+        let (kind, payload, consumed) = split_frame(rest, CTX)?;
+        rest = rest.get(consumed..).unwrap_or_default();
         match (kind, &topology) {
             (FRAME_END, Some(_)) => {
                 if !payload.is_empty() {
@@ -1701,7 +1538,7 @@ pub fn decode(src: &[u8]) -> Result<TraceReader> {
                         "v2 trace: end frame carries a payload".into(),
                     ));
                 }
-                if r.remaining() > 0 {
+                if !rest.is_empty() {
                     return Err(Error::InvalidInput(
                         "v2 trace: trailing bytes after the end frame".into(),
                     ));
@@ -1723,7 +1560,9 @@ pub fn decode(src: &[u8]) -> Result<TraceReader> {
                 )?));
             }
             (FRAME_FAULT, Some(_)) => {
-                let (index, error) = parse_fault(payload)?;
+                let mut r = ByteReader::new(payload, CTX);
+                let (index, error) = read_fault(&mut r)?;
+                r.finish("fault payload")?;
                 events.push(TraceEvent::Fault { index, error });
             }
             (FRAME_APPLY, Some(topo)) => {
@@ -1881,12 +1720,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn crc_matches_reference_vector() {
-        // The classic IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

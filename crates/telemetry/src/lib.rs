@@ -22,9 +22,11 @@
 //!   daemon emits per decision, and [`binary`] — the compact v2
 //!   binary trace framing (varint-delta counters, per-frame CRC);
 //!   [`TraceReader::parse_any`] reads either format.
+//! - [`frame`] — the `kind, length, payload, crc32` envelope, the
+//!   CRC-32 and the byte primitives shared by every binary stream.
 //! - [`session`] — the multi-tenant capping service's wire protocol
 //!   ([`SessionFrame`]): handshake, per-interval submit/reply, and
-//!   eviction frames riding the same v2 framing.
+//!   eviction frames riding the same envelope.
 //! - [`snapshot`] — the [`MetricsSnapshot`] frame (kind 24):
 //!   prediction-accuracy scorecards and per-tenant SLO aggregates
 //!   exported over the same v2 framing.
@@ -34,6 +36,7 @@
 
 pub mod binary;
 pub mod decision;
+pub mod frame;
 pub mod json;
 pub mod platform;
 pub mod record;

@@ -3,12 +3,13 @@
 //! The capping service (`ppep-serve`) hosts one supervised daemon per
 //! tenant; clients stream their per-interval measurements in and
 //! receive PPE projections plus DVFS decisions back. This module owns
-//! that wire protocol. Each message rides **the v2 binary framing
-//! from [`crate::binary`]** — `kind u8, payload_len varint, payload,
+//! that wire protocol. Each message rides **the shared envelope from
+//! [`crate::frame`]** — `kind u8, payload_len varint, payload,
 //! crc32(payload) u32-le` — so a session stream is checksummed and
 //! length-delimited exactly like a v2 trace document. Session kinds
-//! live in a disjoint range (16+) from trace frame kinds (0–5), so the
-//! two streams can never be confused.
+//! (16–18, 21, 22, 25–27) are disjoint from the trace frame kinds
+//! (0–5) and the metrics snapshot (24), so the streams can never be
+//! confused.
 //!
 //! ```text
 //! client -> server : Hello       (tenant id + requested power cap)
@@ -21,18 +22,34 @@
 //! client -> server : Goodbye
 //! ```
 //!
-//! Payload bodies reuse the workspace's existing, fixture-pinned
-//! codecs: `Submit` carries a v1 JSONL interval line and
-//! `FaultReport`/`Evicted` carry a v1 JSONL fault line, so every field
-//! round-trips with the same bit-exactness guarantees as the trace
-//! formats.
+//! Every payload is fixed-layout binary; no JSON rides the session
+//! path. `Submit` writes the [`IntervalRecord`] field by field: the
+//! tenant and interval index as varints, the six vector lengths as
+//! varints, each CU's VF index as a varint, one byte for the NB state
+//! and one per `core_busy` entry, then every `f64` as its raw 8 bits
+//! (little-endian) in a fixed order, so NaN payloads, `-0.0` and
+//! subnormals round-trip bit-exactly. `FaultReport` and `Evicted`
+//! carry the tenant and then the v2 trace codec's fault payload.
+//! Decoders cap every length before allocating for it and reject
+//! trailing bytes. DESIGN §11.5 lists the full layout.
+//!
+//! Kinds 19, 20 and 23 are retired: they carried JSONL interval and
+//! fault lines in an earlier version of the protocol. A peer that
+//! still sends them gets an "unknown kind" error instead of a
+//! mis-decode.
 
-use crate::binary::crc32;
-use crate::json::Json;
-use crate::record::IntervalRecord;
-use crate::trace::{parse_error, parse_interval, push_fault, push_interval};
+use crate::binary::{put_fault, read_fault, shape_of};
+use crate::frame::{push_frame, put_f64, put_varint, split_frame, ByteReader};
+use crate::record::{IntervalRecord, PowerBreakdown};
+use ppep_pmc::events::EVENT_COUNT;
+use ppep_pmc::sampler::IntervalSample;
+use ppep_pmc::EventCounts;
 use ppep_types::time::IntervalIndex;
-use ppep_types::{Error, Kelvin, RejectReason, Result, Topology, VfStateId, Watts};
+use ppep_types::vf::NbVfState;
+use ppep_types::{Error, Kelvin, RejectReason, Result, Seconds, Topology, VfStateId, Watts};
+
+/// Error-message context of every session reader.
+const CTX: &str = "session frame";
 
 /// Frame kind byte for [`SessionFrame::Hello`].
 pub const FRAME_HELLO: u8 = 16;
@@ -41,15 +58,15 @@ pub const FRAME_WELCOME: u8 = 17;
 /// Frame kind byte for [`SessionFrame::Reject`].
 pub const FRAME_REJECT: u8 = 18;
 /// Frame kind byte for [`SessionFrame::Submit`].
-pub const FRAME_SUBMIT: u8 = 19;
+pub const FRAME_SUBMIT: u8 = 25;
 /// Frame kind byte for [`SessionFrame::FaultReport`].
-pub const FRAME_FAULT_REPORT: u8 = 20;
+pub const FRAME_FAULT_REPORT: u8 = 26;
 /// Frame kind byte for [`SessionFrame::Reply`].
 pub const FRAME_REPLY: u8 = 21;
 /// Frame kind byte for [`SessionFrame::Goodbye`].
 pub const FRAME_GOODBYE: u8 = 22;
 /// Frame kind byte for [`SessionFrame::Evicted`].
-pub const FRAME_EVICTED: u8 = 23;
+pub const FRAME_EVICTED: u8 = 27;
 
 /// A tenant's health as reported on the wire (the service-side
 /// supervisor state, re-encoded so the wire format does not depend on
@@ -221,113 +238,6 @@ pub enum SessionFrame {
 }
 
 // ---------------------------------------------------------------------
-// Payload primitives (same varint/f64 spellings as the v2 codec)
-// ---------------------------------------------------------------------
-
-pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn truncated(what: &str) -> Error {
-        Error::InvalidInput(format!("session frame: truncated {what}"))
-    }
-
-    pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| Self::truncated(what))?;
-        let slice = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| Self::truncated(what))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?.first().copied().unwrap_or_default())
-    }
-
-    pub(crate) fn varint(&mut self, what: &str) -> Result<u64> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8(what)?;
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(Error::InvalidInput(format!(
-            "session frame: varint overflow in {what}"
-        )))
-    }
-
-    fn u32_of(&mut self, what: &str) -> Result<u32> {
-        u32::try_from(self.varint(what)?)
-            .map_err(|_| Error::InvalidInput(format!("session frame: {what} out of range")))
-    }
-
-    pub(crate) fn f64(&mut self, what: &str) -> Result<f64> {
-        let b = self.take(8, what)?;
-        let mut bits = 0u64;
-        for (i, byte) in b.iter().enumerate() {
-            bits |= u64::from(*byte) << (8 * i as u32);
-        }
-        Ok(f64::from_bits(bits))
-    }
-
-    fn str_(&mut self, what: &str) -> Result<&'a str> {
-        let n = self.varint(what)?;
-        let n = usize::try_from(n)
-            .map_err(|_| Error::InvalidInput(format!("session frame: {what} out of range")))?;
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(Self::truncated(what));
-        }
-        let bytes = self.take(n, what)?;
-        std::str::from_utf8(bytes)
-            .map_err(|_| Error::InvalidInput(format!("session frame: non-UTF-8 {what}")))
-    }
-
-    pub(crate) fn finish(&self, what: &str) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(Error::InvalidInput(format!(
-                "session frame: {} trailing byte(s) after {what}",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
 
@@ -357,7 +267,7 @@ fn put_reject_reason(out: &mut Vec<u8>, reason: &RejectReason) {
     }
 }
 
-fn read_reject_reason(r: &mut PayloadReader<'_>) -> Result<RejectReason> {
+fn read_reject_reason(r: &mut ByteReader<'_>) -> Result<RejectReason> {
     match r.u8("reject code")? {
         REJECT_SLOTS => Ok(RejectReason::SessionSlotsExhausted {
             active: r.u32_of("reject active")?,
@@ -376,25 +286,154 @@ fn read_reject_reason(r: &mut PayloadReader<'_>) -> Result<RejectReason> {
     }
 }
 
-/// The fault line (`{"type":"fault",...}`) as a JSONL string — the
-/// payload body shared by `FaultReport` and `Evicted`.
-fn fault_line(index: IntervalIndex, error: &Error) -> String {
-    let mut line = String::new();
-    push_fault(&mut line, index, error);
-    line
+/// Largest vector length a `Submit` payload may declare, checked
+/// before anything is allocated for it (the v2 trace codec's bound).
+const LEN_CAP: usize = 65_536;
+
+/// `f64` fields of a record outside its vectors: duration, measured
+/// power, temperature, and the NB dynamic, NB idle and base power.
+const SCALAR_F64S: usize = 6;
+
+/// Appends the fixed-layout `Submit` body of `r` (after the tenant).
+fn put_interval(out: &mut Vec<u8>, r: &IntervalRecord) {
+    put_varint(out, r.index.0);
+    for len in shape_of(r) {
+        put_varint(out, len as u64);
+    }
+    for vf in &r.cu_vf {
+        put_varint(out, vf.index() as u64);
+    }
+    out.push(u8::from(matches!(r.nb_state, NbVfState::High)));
+    out.extend(r.core_busy.iter().map(|busy| u8::from(*busy)));
+    put_f64(out, r.duration.as_secs());
+    put_f64(out, r.measured_power.as_watts());
+    put_f64(out, r.temperature.as_kelvin());
+    for s in &r.samples {
+        put_f64(out, s.duration.as_secs());
+        for v in s.counts.as_array() {
+            put_f64(out, *v);
+        }
+    }
+    for counts in &r.true_counts {
+        for v in counts.as_array() {
+            put_f64(out, *v);
+        }
+    }
+    let tp = &r.true_power;
+    for w in tp.core_dynamic.iter().chain(&tp.cu_idle) {
+        put_f64(out, w.as_watts());
+    }
+    put_f64(out, tp.nb_dynamic.as_watts());
+    put_f64(out, tp.nb_idle.as_watts());
+    put_f64(out, tp.base.as_watts());
 }
 
-fn parse_fault_line(line: &str) -> Result<(IntervalIndex, Error)> {
-    let v = Json::parse(line.trim_end())?;
-    if v.get("type")?.as_str()? != "fault" {
-        return Err(Error::InvalidInput(
-            "session frame: fault payload is not a fault line".into(),
-        ));
+/// A VF state index, refused past the end of `topology`'s ladder.
+fn read_vf(r: &mut ByteReader<'_>, topology: &Topology) -> Result<VfStateId> {
+    let table = topology.vf_table();
+    let idx = r.usize_capped("vf index", table.len().saturating_sub(1))?;
+    table.state(idx)
+}
+
+fn read_flag(r: &mut ByteReader<'_>, what: &str) -> Result<bool> {
+    match r.u8(what)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(r.invalid(format_args!("{what} byte {other} is not 0 or 1"))),
     }
-    Ok((
-        IntervalIndex(v.get("index")?.as_u64()?),
-        parse_error(v.get("error")?)?,
-    ))
+}
+
+fn read_counts(r: &mut ByteReader<'_>, what: &str) -> Result<EventCounts> {
+    let mut arr = [0.0; EVENT_COUNT];
+    for v in &mut arr {
+        *v = r.f64(what)?;
+    }
+    Ok(EventCounts::from_array(arr))
+}
+
+fn read_watts(r: &mut ByteReader<'_>, n: usize, what: &str) -> Result<Vec<Watts>> {
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(Watts::new(r.f64(what)?));
+    }
+    Ok(out)
+}
+
+/// Reads the body [`put_interval`] wrote, resolving VF indices against
+/// `topology`'s ladder.
+fn read_interval(r: &mut ByteReader<'_>, topology: &Topology) -> Result<IntervalRecord> {
+    let index = IntervalIndex(r.varint("submit index")?);
+    let [cu_vf_len, busy_len, samples_len, true_len, core_dyn_len, cu_idle_len] = [
+        r.usize_capped("cu_vf length", LEN_CAP)?,
+        r.usize_capped("core_busy length", LEN_CAP)?,
+        r.usize_capped("samples length", LEN_CAP)?,
+        r.usize_capped("true_counts length", LEN_CAP)?,
+        r.usize_capped("core_dynamic length", LEN_CAP)?,
+        r.usize_capped("cu_idle length", LEN_CAP)?,
+    ];
+    // Every VF index and flag takes at least one byte and every float
+    // eight, so a shape the payload cannot hold is refused before any
+    // vector is allocated for it.
+    let floats = SCALAR_F64S
+        + samples_len * (1 + EVENT_COUNT)
+        + true_len * EVENT_COUNT
+        + core_dyn_len
+        + cu_idle_len;
+    let least = cu_vf_len + 1 + busy_len + 8 * floats;
+    if least > r.remaining() {
+        return Err(r.invalid(format_args!(
+            "truncated submit record: shape needs {least} bytes, {} left",
+            r.remaining()
+        )));
+    }
+    let mut cu_vf = Vec::with_capacity(cu_vf_len);
+    for _ in 0..cu_vf_len {
+        cu_vf.push(read_vf(r, topology)?);
+    }
+    let nb_state = if read_flag(r, "nb_state")? {
+        NbVfState::High
+    } else {
+        NbVfState::Low
+    };
+    let mut core_busy = Vec::with_capacity(busy_len);
+    for _ in 0..busy_len {
+        core_busy.push(read_flag(r, "core_busy")?);
+    }
+    let duration = Seconds::new(r.f64("duration")?);
+    let measured_power = Watts::new(r.f64("measured power")?);
+    let temperature = Kelvin::new(r.f64("temperature")?);
+    let mut samples = Vec::with_capacity(samples_len);
+    for _ in 0..samples_len {
+        let duration = Seconds::new(r.f64("sample duration")?);
+        samples.push(IntervalSample {
+            counts: read_counts(r, "sample count")?,
+            duration,
+        });
+    }
+    let mut true_counts = Vec::with_capacity(true_len);
+    for _ in 0..true_len {
+        true_counts.push(read_counts(r, "true count")?);
+    }
+    let core_dynamic = read_watts(r, core_dyn_len, "core dynamic power")?;
+    let cu_idle = read_watts(r, cu_idle_len, "cu idle power")?;
+    Ok(IntervalRecord {
+        index,
+        duration,
+        samples,
+        true_counts,
+        measured_power,
+        true_power: PowerBreakdown {
+            core_dynamic,
+            nb_dynamic: Watts::new(r.f64("nb dynamic power")?),
+            cu_idle,
+            nb_idle: Watts::new(r.f64("nb idle power")?),
+            base: Watts::new(r.f64("base power")?),
+        },
+        temperature,
+        cu_vf,
+        nb_state,
+        core_busy,
+    })
 }
 
 /// Appends `frame` to `out` in the v2 framing
@@ -427,9 +466,7 @@ pub fn encode_frame(frame: &SessionFrame, out: &mut Vec<u8>) {
         }
         SessionFrame::Submit { tenant, record } => {
             put_varint(&mut payload, *tenant);
-            let mut line = String::new();
-            push_interval(&mut line, record);
-            put_str(&mut payload, &line);
+            put_interval(&mut payload, record);
             FRAME_SUBMIT
         }
         SessionFrame::FaultReport {
@@ -438,7 +475,7 @@ pub fn encode_frame(frame: &SessionFrame, out: &mut Vec<u8>) {
             error,
         } => {
             put_varint(&mut payload, *tenant);
-            put_str(&mut payload, &fault_line(*index, error));
+            put_fault(&mut payload, *index, error);
             FRAME_FAULT_REPORT
         }
         SessionFrame::Reply {
@@ -480,15 +517,11 @@ pub fn encode_frame(frame: &SessionFrame, out: &mut Vec<u8>) {
             error,
         } => {
             put_varint(&mut payload, *tenant);
-            put_str(&mut payload, &fault_line(*index, error));
+            put_fault(&mut payload, *index, error);
             FRAME_EVICTED
         }
     };
-    out.push(kind);
-    put_varint(out, payload.len() as u64);
-    let crc = crc32(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc.to_le_bytes());
+    push_frame(out, kind, &payload);
 }
 
 /// Encodes one frame into a fresh buffer.
@@ -512,27 +545,8 @@ pub fn frame_to_bytes(frame: &SessionFrame) -> Vec<u8> {
 /// Returns [`Error::InvalidInput`] on truncation, a CRC mismatch, an
 /// unknown frame kind, or a payload inconsistent with `topology`.
 pub fn decode_frame(src: &[u8], topology: &Topology) -> Result<(SessionFrame, usize)> {
-    let mut header = PayloadReader::new(src);
-    let kind = header.u8("frame kind")?;
-    let len = header.varint("payload length")?;
-    let len = usize::try_from(len)
-        .map_err(|_| Error::InvalidInput("session frame: payload length out of range".into()))?;
-    let payload = header.take(len, "frame payload")?;
-    let crc_stored = {
-        let b = header.take(4, "frame crc")?;
-        let mut v = 0u32;
-        for (i, byte) in b.iter().enumerate() {
-            v |= u32::from(*byte) << (8 * i as u32);
-        }
-        v
-    };
-    if crc32(payload) != crc_stored {
-        return Err(Error::InvalidInput(format!(
-            "session frame: CRC mismatch on kind {kind}"
-        )));
-    }
-    let consumed = header.pos;
-    let mut r = PayloadReader::new(payload);
+    let (kind, payload, consumed) = split_frame(src, CTX)?;
+    let mut r = ByteReader::new(payload, CTX);
     let frame = match kind {
         FRAME_HELLO => SessionFrame::Hello {
             tenant: r.varint("hello tenant")?,
@@ -547,23 +561,13 @@ pub fn decode_frame(src: &[u8], topology: &Topology) -> Result<(SessionFrame, us
             tenant: r.varint("reject tenant")?,
             reason: read_reject_reason(&mut r)?,
         },
-        FRAME_SUBMIT => {
-            let tenant = r.varint("submit tenant")?;
-            let line = r.str_("submit record")?;
-            let v = Json::parse(line.trim_end())?;
-            if v.get("type")?.as_str()? != "interval" {
-                return Err(Error::InvalidInput(
-                    "session frame: submit payload is not an interval line".into(),
-                ));
-            }
-            SessionFrame::Submit {
-                tenant,
-                record: Box::new(parse_interval(&v, topology)?),
-            }
-        }
+        FRAME_SUBMIT => SessionFrame::Submit {
+            tenant: r.varint("submit tenant")?,
+            record: Box::new(read_interval(&mut r, topology)?),
+        },
         FRAME_FAULT_REPORT => {
             let tenant = r.varint("fault tenant")?;
-            let (index, error) = parse_fault_line(r.str_("fault line")?)?;
+            let (index, error) = read_fault(&mut r)?;
             SessionFrame::FaultReport {
                 tenant,
                 index,
@@ -576,23 +580,10 @@ pub fn decode_frame(src: &[u8], topology: &Topology) -> Result<(SessionFrame, us
             let action = DecisionKind::from_code(r.u8("reply action")?)?;
             let health = TenantHealth::from_code(r.u8("reply health")?)?;
             let cap = Watts::new(r.f64("reply cap")?);
-            let n = r.varint("reply decision length")?;
-            let n = usize::try_from(n).map_err(|_| {
-                Error::InvalidInput("session frame: decision length out of range".into())
-            })?;
-            if n > topology.cu_count() {
-                return Err(Error::InvalidInput(format!(
-                    "session frame: decision names {n} CUs, chip has {}",
-                    topology.cu_count()
-                )));
-            }
+            let n = r.usize_capped("reply decision length", topology.cu_count())?;
             let mut decision = Vec::with_capacity(n);
             for _ in 0..n {
-                let idx = r.varint("reply vf index")?;
-                let idx = usize::try_from(idx).map_err(|_| {
-                    Error::InvalidInput("session frame: vf index out of range".into())
-                })?;
-                decision.push(topology.vf_table().state(idx)?);
+                decision.push(read_vf(&mut r, topology)?);
             }
             let projection = match r.u8("reply projection flag")? {
                 0 => None,
@@ -622,18 +613,14 @@ pub fn decode_frame(src: &[u8], topology: &Topology) -> Result<(SessionFrame, us
         },
         FRAME_EVICTED => {
             let tenant = r.varint("evicted tenant")?;
-            let (index, error) = parse_fault_line(r.str_("evicted line")?)?;
+            let (index, error) = read_fault(&mut r)?;
             SessionFrame::Evicted {
                 tenant,
                 index,
                 error,
             }
         }
-        other => {
-            return Err(Error::InvalidInput(format!(
-                "session frame: unknown kind {other}"
-            )))
-        }
+        other => return Err(r.invalid(format_args!("unknown kind {other}"))),
     };
     r.finish("session payload")?;
     Ok((frame, consumed))
@@ -656,9 +643,11 @@ pub fn decode_stream(src: &[u8], topology: &Topology) -> Result<Vec<SessionFrame
 }
 
 /// Maximum payload length [`read_frame_bytes`] will allocate for one
-/// frame read off a socket. Generous (a `Submit` carries one JSONL
-/// interval line, a few KB) while bounding what a corrupt or hostile
-/// length prefix can make the server allocate.
+/// frame read off a socket. The largest frame is a `Submit`, about
+/// 1.8 KB on an 8-core chip plus about 210 bytes per extra core, so
+/// the cap leaves room for chips of several thousand cores while
+/// bounding what a corrupt or hostile length prefix can make the
+/// server allocate.
 pub const MAX_WIRE_PAYLOAD: usize = 1 << 20;
 
 /// Reads exactly one length-delimited v2 session frame from `reader`,
@@ -837,7 +826,7 @@ mod tests {
             assert_eq!(consumed, bytes.len(), "whole frame consumed");
             match (&frame, &back) {
                 // `DeadlineExceeded` crosses the wire through the
-                // generic "other" fault spelling (its rendered
+                // fault payload's catch-all variant (its rendered
                 // message), so the decoded error keeps the text but
                 // not the variant; everything else must be
                 // structurally identical.
@@ -969,7 +958,7 @@ mod tests {
     fn session_kinds_stay_clear_of_trace_kinds() {
         // The v2 trace codec owns kinds 0-5; session frames must never
         // collide so a mixed-up stream fails loudly instead of parsing.
-        for kind in [
+        let kinds = [
             FRAME_HELLO,
             FRAME_WELCOME,
             FRAME_REJECT,
@@ -978,8 +967,14 @@ mod tests {
             FRAME_REPLY,
             FRAME_GOODBYE,
             FRAME_EVICTED,
-        ] {
-            assert!(kind >= 16);
+        ];
+        for (i, kind) in kinds.iter().enumerate() {
+            assert!(*kind >= 16);
+            // Distinct from each other, from the snapshot frame, and
+            // from the retired JSON-payload kinds.
+            assert!(!kinds[..i].contains(kind), "kind {kind} reused");
+            assert_ne!(*kind, crate::snapshot::FRAME_METRICS_SNAPSHOT);
+            assert!(![19, 20, 23].contains(kind), "kind {kind} is retired");
         }
     }
 }

@@ -4,25 +4,28 @@
 //! PR 8 closes the predict→actuate→measure loop with an in-process
 //! [`ppep_obs::PredictionScorer`]; this module is how those numbers
 //! leave the process. A snapshot rides the same
-//! `kind, payload_len varint, payload, crc32(payload) u32-le` framing
-//! as v2 trace frames (kinds 0–5) and session frames (kinds 16–23),
-//! in its own disjoint kind — [`FRAME_METRICS_SNAPSHOT`] (24) — so a
-//! snapshot can be appended to either stream and still fail loudly if
-//! the streams are ever confused.
+//! `kind, payload_len varint, payload, crc32(payload) u32-le` envelope
+//! ([`crate::frame`]) as v2 trace frames (kinds 0–5) and session
+//! frames (kinds 16–18, 21, 22 and 25–27), in its own disjoint kind —
+//! [`FRAME_METRICS_SNAPSHOT`] (24) — so a snapshot can be appended to
+//! either stream and still fail loudly if the streams are ever
+//! confused.
 //!
 //! The payload is a pure summary (counts, means, EWMAs, quantiles,
 //! drift flags), deliberately *not* the raw error series: a tenant's
 //! scorecard is a few hundred bytes per export regardless of run
 //! length.
 
-use crate::binary::crc32;
-use crate::session::{put_f64, put_varint, PayloadReader};
+use crate::frame::{push_frame, put_f64, put_varint, split_frame, ByteReader};
 use ppep_obs::{ErrorTrack, PredictionScorer};
 use ppep_types::{Error, Result};
 
 /// Frame kind byte for [`MetricsSnapshot`] — disjoint from the v2
-/// trace kinds (0–5) and the session kinds (16–23).
+/// trace kinds (0–5) and the session kinds (16–18, 21, 22, 25–27).
 pub const FRAME_METRICS_SNAPSHOT: u8 = 24;
+
+/// Error-message context of the snapshot reader.
+const CTX: &str = "metrics snapshot";
 
 /// Summary statistics of one tracked error series (per-core CPI APE
 /// or chip-power APE), in percent.
@@ -113,7 +116,7 @@ fn put_stat(out: &mut Vec<u8>, s: &ErrorStat) {
     out.push(u8::from(s.drifted));
 }
 
-fn read_stat(r: &mut PayloadReader<'_>) -> Result<ErrorStat> {
+fn read_stat(r: &mut ByteReader<'_>) -> Result<ErrorStat> {
     let count = r.varint("stat count")?;
     let mean_pct = r.f64("stat mean")?;
     let ewma_pct = r.f64("stat ewma")?;
@@ -123,11 +126,7 @@ fn read_stat(r: &mut PayloadReader<'_>) -> Result<ErrorStat> {
     let drifted = match r.u8("stat drift flag")? {
         0 => false,
         1 => true,
-        other => {
-            return Err(Error::InvalidInput(format!(
-                "metrics snapshot: bad drift flag {other}"
-            )))
-        }
+        other => return Err(r.invalid(format_args!("bad drift flag {other}"))),
     };
     Ok(ErrorStat {
         count,
@@ -160,11 +159,7 @@ pub fn encode_snapshot(snap: &MetricsSnapshot, out: &mut Vec<u8>) {
         }
         None => payload.push(0),
     }
-    out.push(FRAME_METRICS_SNAPSHOT);
-    put_varint(out, payload.len() as u64);
-    let crc = crc32(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc.to_le_bytes());
+    push_frame(out, FRAME_METRICS_SNAPSHOT, &payload);
 }
 
 /// Encodes one snapshot into a fresh buffer.
@@ -182,40 +177,16 @@ pub fn snapshot_to_bytes(snap: &MetricsSnapshot) -> Vec<u8> {
 /// Returns [`Error::InvalidInput`] on truncation, a CRC mismatch, a
 /// wrong frame kind, or a malformed payload.
 pub fn decode_snapshot(src: &[u8]) -> Result<(MetricsSnapshot, usize)> {
-    let mut header = PayloadReader::new(src);
-    let kind = header.u8("snapshot kind")?;
+    let (kind, payload, consumed) = split_frame(src, CTX)?;
     if kind != FRAME_METRICS_SNAPSHOT {
         return Err(Error::InvalidInput(format!(
-            "metrics snapshot: kind {kind} is not {FRAME_METRICS_SNAPSHOT}"
+            "{CTX}: kind {kind} is not {FRAME_METRICS_SNAPSHOT}"
         )));
     }
-    let len = header.varint("snapshot payload length")?;
-    let len = usize::try_from(len)
-        .map_err(|_| Error::InvalidInput("metrics snapshot: payload length out of range".into()))?;
-    let payload = header.take(len, "snapshot payload")?;
-    let crc_stored = {
-        let b = header.take(4, "snapshot crc")?;
-        let mut v = 0u32;
-        for (i, byte) in b.iter().enumerate() {
-            v |= u32::from(*byte) << (8 * i as u32);
-        }
-        v
-    };
-    if crc32(payload) != crc_stored {
-        return Err(Error::InvalidInput("metrics snapshot: CRC mismatch".into()));
-    }
-    let consumed = header.pos;
-    let mut r = PayloadReader::new(payload);
+    let mut r = ByteReader::new(payload, CTX);
     let tenant = r.varint("snapshot tenant")?;
     let interval = r.varint("snapshot interval")?;
-    let n = r.varint("snapshot core count")?;
-    let n = usize::try_from(n)
-        .map_err(|_| Error::InvalidInput("metrics snapshot: core count out of range".into()))?;
-    if n > 4096 {
-        return Err(Error::InvalidInput(format!(
-            "metrics snapshot: implausible core count {n}"
-        )));
-    }
+    let n = r.usize_capped("snapshot core count", 4096)?;
     let mut cores = Vec::with_capacity(n);
     for _ in 0..n {
         cores.push(read_stat(&mut r)?);
@@ -228,11 +199,7 @@ pub fn decode_snapshot(src: &[u8]) -> Result<(MetricsSnapshot, usize)> {
             cap_adherence: r.f64("slo cap adherence")?,
             p99_reply_us: r.f64("slo reply p99")?,
         }),
-        other => {
-            return Err(Error::InvalidInput(format!(
-                "metrics snapshot: bad slo flag {other}"
-            )))
-        }
+        other => return Err(r.invalid(format_args!("bad slo flag {other}"))),
     };
     r.finish("snapshot payload")?;
     Ok((
@@ -250,7 +217,6 @@ pub fn decode_snapshot(src: &[u8]) -> Result<(MetricsSnapshot, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{FRAME_EVICTED, FRAME_HELLO};
     use ppep_obs::ScorerConfig;
 
     fn sample() -> MetricsSnapshot {
@@ -357,12 +323,11 @@ mod tests {
 
     #[test]
     fn snapshot_kind_is_disjoint_from_trace_and_session_kinds() {
-        // Trace kinds are 0–5, session kinds 16–23; the snapshot gets
-        // its own byte so mixed streams fail loudly.
+        // Trace kinds are 0–5; the snapshot gets its own byte so mixed
+        // streams fail loudly. `session_kinds_stay_clear_of_trace_kinds`
+        // checks it against every session kind.
         const {
             assert!(FRAME_METRICS_SNAPSHOT > 5);
-            assert!(FRAME_METRICS_SNAPSHOT > FRAME_EVICTED);
-            assert!(FRAME_METRICS_SNAPSHOT >= FRAME_HELLO + 8);
         }
         // A session decoder must refuse the snapshot kind.
         let bytes = snapshot_to_bytes(&sample());

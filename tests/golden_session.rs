@@ -13,6 +13,10 @@
 //!    or the capping decisions is caught against history.
 //! 2. **Decode stability** — every frame in the fixture decodes, and
 //!    re-encoding reproduces the committed bytes.
+//! 3. **Response stability** — the server→client frames hash to a
+//!    pinned FNV-64 that predates the binary `Submit`/`FaultReport`
+//!    payloads, so re-recording the fixture for a request-encoding
+//!    change cannot hide a change in what the service answers.
 //!
 //! Regenerate (after an *intentional* behaviour change) with:
 //!
@@ -25,7 +29,10 @@ use ppep_rig::TrainingRig;
 use ppep_serve::{CappingService, ServeConfig};
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::SimPlatform;
-use ppep_telemetry::session::{decode_stream, frame_to_bytes, SessionFrame};
+use ppep_telemetry::session::{
+    decode_stream, frame_to_bytes, read_frame_bytes, SessionFrame, FRAME_EVICTED, FRAME_REJECT,
+    FRAME_REPLY, FRAME_WELCOME,
+};
 use ppep_types::{Topology, Watts};
 use ppep_workloads::combos::fig7_workload;
 use std::path::PathBuf;
@@ -34,6 +41,10 @@ use std::sync::OnceLock;
 const SEED: u64 = 42;
 const INTERVALS: u64 = 4;
 const FIXTURE: &str = "serve_session.bin";
+/// FNV-1a 64 over the transcript's server→client frames, in order,
+/// as recorded when `Submit` and `FaultReport` still carried JSONL
+/// lines.
+const RESPONSE_FNV64: u64 = 0xfce2_1101_0945_b27f;
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -208,5 +219,29 @@ fn golden_session_decodes_and_reencodes_byte_identically() {
     assert_eq!(
         reencoded, pinned,
         "decode -> re-encode drifted from the committed bytes"
+    );
+}
+
+/// FNV-1a 64 over the raw bytes of every server→client frame in
+/// `transcript`.
+fn response_digest(transcript: &[u8]) -> u64 {
+    let mut cursor = std::io::Cursor::new(transcript);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    while let Some(frame) = read_frame_bytes(&mut cursor).expect("transcript splits") {
+        if [FRAME_WELCOME, FRAME_REJECT, FRAME_REPLY, FRAME_EVICTED].contains(&frame[0]) {
+            for b in &frame {
+                h = (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn golden_session_responses_keep_their_pinned_hash() {
+    assert_eq!(
+        response_digest(&record_transcript()),
+        RESPONSE_FNV64,
+        "the service's answers changed, not just the request encoding"
     );
 }
