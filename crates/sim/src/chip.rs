@@ -13,7 +13,7 @@
 use crate::engine::{event_counts, plan_subtick, ExecutionContext};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::nb::NorthBridge;
-use crate::physics::PowerPhysics;
+use crate::physics::{PowerPhysics, VfPowerTerms};
 use crate::sensor::PowerSensor;
 use crate::thermal::ThermalModel;
 use ppep_obs::RecorderHandle;
@@ -117,6 +117,9 @@ pub struct ChipSimulator {
     slots: Vec<Option<CoreSlot>>,
     samplers: Vec<IntervalSampler>,
     cu_vf: Vec<VfStateId>,
+    /// The voltage-dependent power terms of each VF state, indexed by
+    /// state; fixed at construction like the VF table and physics.
+    vf_terms: Vec<VfPowerTerms>,
     sensor: PowerSensor,
     rng: StdRng,
     thermal: ThermalModel,
@@ -153,11 +156,18 @@ impl ChipSimulator {
             PowerSensor::new(config.seed ^ 0x5e4)
         };
         let highest = config.topology.vf_table().highest();
+        let vf_terms = config
+            .topology
+            .vf_table()
+            .iter()
+            .map(|(_, vf)| config.physics.vf_terms(vf))
+            .collect();
         let ambient = config.thermal.temperature();
         Self {
             slots: (0..cores).map(|_| None).collect(),
             samplers: (0..cores).map(make_sampler).collect(),
             cu_vf: vec![highest; config.topology.cu_count()],
+            vf_terms,
             sensor,
             rng: StdRng::seed_from_u64(config.seed ^ 0x11f),
             thermal: config.thermal,
@@ -423,11 +433,14 @@ impl ChipSimulator {
                 | FaultKind::MissedInterval { .. } => {}
             }
         }
-        let topo = self.config.topology.clone();
+        let topo = &self.config.topology;
+        let physics = &self.config.physics;
         let cores = topo.core_count();
         let cus = topo.cu_count();
-        let vf_table = topo.vf_table().clone();
+        let per_cu = topo.cores_per_cu();
+        let vf_table = topo.vf_table();
         let dt = POWER_SAMPLE_PERIOD;
+        let thermal_decay = self.thermal.decay(dt);
 
         let mut true_totals = vec![EventCounts::zero(); cores];
         let mut busy_any = vec![false; cores];
@@ -437,17 +450,21 @@ impl ChipSimulator {
         let mut acc_cu_idle = vec![0.0_f64; cus];
         let mut acc_nb_dyn = 0.0_f64;
         let mut acc_nb_idle = 0.0_f64;
+        // Per-sub-tick scratch, overwritten (counts) or reset
+        // (switching) every sub-tick.
+        let mut subtick_counts = vec![EventCounts::zero(); cores];
+        let mut switching = vec![1.0_f64; cores];
 
         for _sub in 0..SAMPLES_PER_INTERVAL {
             let temperature = self.thermal.temperature();
+            let leak_temp_factor = physics.leak_temp_factor(temperature);
             let contention = self.nb.contention_multiplier();
             let nb_latency = self.nb.latency_factor();
-            let mut subtick_counts = vec![EventCounts::zero(); cores];
-            let mut switching = vec![1.0_f64; cores];
+            switching.fill(1.0);
             let mut total_misses = 0.0;
 
             for core in 0..cores {
-                let cu = core / topo.cores_per_cu();
+                let cu = core / per_cu;
                 let ctx = ExecutionContext {
                     vf: vf_table.point(self.cu_vf[cu]),
                     issue_width: topo.issue_width(),
@@ -487,30 +504,28 @@ impl ChipSimulator {
             self.nb.observe_traffic(total_misses, dt);
 
             // True power for this sub-tick.
-            let mut subtick_power = self.config.physics.base_power;
+            let mut subtick_power = physics.base_power;
+            let mut any_cu_busy = false;
             #[allow(clippy::needless_range_loop)] // cu indexes three arrays
             for cu in 0..cus {
-                let vf = vf_table.point(self.cu_vf[cu]);
-                let idle = self.config.physics.cu_idle(vf, temperature).as_watts();
-                let gated = self.config.power_gating && !self.cu_has_busy_core(cu);
-                let w = if gated {
-                    idle * self.config.physics.pg_residual
+                let terms = &self.vf_terms[self.cu_vf[cu].index()];
+                let idle = physics.cu_idle(terms, leak_temp_factor).as_watts();
+                let busy = self.cu_has_busy_core(cu);
+                any_cu_busy |= busy;
+                let w = if self.config.power_gating && !busy {
+                    idle * physics.pg_residual
                 } else {
                     idle
                 };
                 acc_cu_idle[cu] += w;
                 subtick_power += w;
             }
-            let nb_gated =
-                self.config.power_gating && (0..cus).all(|cu| !self.cu_has_busy_core(cu));
             let nb_idle_w = {
-                let idle = self
-                    .config
-                    .physics
-                    .nb_idle(self.nb.state(), temperature)
+                let idle = physics
+                    .nb_idle(self.nb.state(), leak_temp_factor)
                     .as_watts();
-                if nb_gated {
-                    idle * self.config.physics.pg_residual
+                if self.config.power_gating && !any_cu_busy {
+                    idle * physics.pg_residual
                 } else {
                     idle
                 }
@@ -519,29 +534,26 @@ impl ChipSimulator {
             subtick_power += nb_idle_w;
 
             for core in 0..cores {
-                let cu = core / topo.cores_per_cu();
-                let v = vf_table.point(self.cu_vf[cu]).voltage;
+                let cu = core / per_cu;
+                let scales = &self.vf_terms[self.cu_vf[cu].index()].voltage_scales;
                 // Data-dependent switching intensity is invisible to
                 // any counter-based model; it only scales true power.
                 let w = switching[core]
-                    * self
-                        .config
-                        .physics
-                        .core_dynamic(&subtick_counts[core], v, temperature, dt)
+                    * physics
+                        .core_dynamic(&subtick_counts[core], scales, temperature, dt)
                         .as_watts();
                 acc_core_dyn[core] += w;
                 subtick_power += w;
             }
-            let nb_dyn = self
-                .config
-                .physics
+            let nb_dyn = physics
                 .nb_dynamic(total_misses, self.nb.state(), dt)
                 .as_watts();
             acc_nb_dyn += nb_dyn;
             subtick_power += nb_dyn;
 
             sensor_readings.push(self.sensor.sample(Watts::new(subtick_power)).as_watts());
-            self.thermal.step(Watts::new(subtick_power), dt);
+            self.thermal
+                .step_decayed(Watts::new(subtick_power), thermal_decay);
 
             // PMU sees the sub-tick.
             for core in 0..cores {

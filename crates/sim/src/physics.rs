@@ -38,10 +38,26 @@ pub struct EventEnergy {
 }
 
 impl EventEnergy {
-    /// Energy in joules for `count` events at voltage `v`.
-    pub fn energy(&self, count: f64, v: Volts) -> f64 {
+    /// Energy in joules for `count` events at voltage `v`, with the
+    /// voltage scale evaluated per call: the per-event formula that
+    /// [`PowerPhysics::core_dynamic`] must reproduce bit for bit.
+    #[cfg(test)]
+    pub(crate) fn energy(&self, count: f64, v: Volts) -> f64 {
         self.nanojoules * 1e-9 * count * (v / REFERENCE_VOLTAGE).powf(self.beta)
     }
+}
+
+/// The voltage-dependent power terms of one VF point. They depend only
+/// on the point and the physics, so a simulator computes them once per
+/// VF state instead of once per event, core and sub-tick.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VfPowerTerms {
+    /// Per-event voltage scale `(V / Vref)^β_i`, E1–E9 order.
+    pub voltage_scales: [f64; 9],
+    /// CU leakage voltage factor `exp(leak_volt_coeff · (V − Vref))`.
+    pub leak_volt_factor: f64,
+    /// CU active-idle power at this point.
+    pub active_idle: Watts,
 }
 
 /// The complete generative power model for one chip.
@@ -195,12 +211,30 @@ impl PowerPhysics {
         }
     }
 
-    /// CU leakage power at core voltage `v` and chip temperature `t`
-    /// (not gated).
-    pub fn cu_leakage(&self, v: Volts, t: Kelvin) -> Watts {
-        let vf = (self.leak_volt_coeff * (v.as_volts() - REFERENCE_VOLTAGE.as_volts())).exp();
-        let tf = (self.leak_temp_coeff * (t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin())).exp();
-        Watts::new(self.cu_leak_ref * vf * tf)
+    /// The voltage-dependent terms of operating point `vf`.
+    pub fn vf_terms(&self, vf: VfPoint) -> VfPowerTerms {
+        VfPowerTerms {
+            voltage_scales: self
+                .event_energy
+                .map(|e| (vf.voltage / REFERENCE_VOLTAGE).powf(e.beta)),
+            leak_volt_factor: (self.leak_volt_coeff
+                * (vf.voltage.as_volts() - REFERENCE_VOLTAGE.as_volts()))
+            .exp(),
+            active_idle: self.cu_active_idle(vf),
+        }
+    }
+
+    /// Leakage temperature factor `exp(leak_temp_coeff · (T − Tref))`,
+    /// shared by every CU and the NB at chip temperature `t`.
+    pub fn leak_temp_factor(&self, t: Kelvin) -> f64 {
+        (self.leak_temp_coeff * (t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin())).exp()
+    }
+
+    /// CU leakage power (not gated) from its voltage factor
+    /// ([`VfPowerTerms::leak_volt_factor`]) and the chip's
+    /// [`leak_temp_factor`](Self::leak_temp_factor).
+    pub fn cu_leakage(&self, leak_volt_factor: f64, leak_temp_factor: f64) -> Watts {
+        Watts::new(self.cu_leak_ref * leak_volt_factor * leak_temp_factor)
     }
 
     /// CU active-idle power (housekeeping clocking) at operating point
@@ -211,16 +245,17 @@ impl PowerPhysics {
         )
     }
 
-    /// Total idle power of one CU (leakage + active idle), not gated.
-    pub fn cu_idle(&self, vf: VfPoint, t: Kelvin) -> Watts {
-        self.cu_leakage(vf.voltage, t) + self.cu_active_idle(vf)
+    /// Total idle power of one CU (leakage + active idle), not gated,
+    /// at the VF point `terms` describes and leakage temperature
+    /// factor `leak_temp_factor`.
+    pub fn cu_idle(&self, terms: &VfPowerTerms, leak_temp_factor: f64) -> Watts {
+        self.cu_leakage(terms.leak_volt_factor, leak_temp_factor) + terms.active_idle
     }
 
     /// NB idle power (leakage + active idle) at NB state `nb` and
-    /// temperature `t`, not gated.
-    pub fn nb_idle(&self, nb: NbVfState, t: Kelvin) -> Watts {
-        let tf = (self.leak_temp_coeff * (t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin())).exp();
-        let stock = self.nb_leak_ref * tf + self.nb_active_idle;
+    /// leakage temperature factor `leak_temp_factor`, not gated.
+    pub fn nb_idle(&self, nb: NbVfState, leak_temp_factor: f64) -> Watts {
+        let stock = self.nb_leak_ref * leak_temp_factor + self.nb_active_idle;
         let scale = match nb {
             NbVfState::High => 1.0,
             NbVfState::Low => 1.0 - self.nb_low_idle_drop,
@@ -228,16 +263,23 @@ impl PowerPhysics {
         Watts::new(stock * scale)
     }
 
-    /// Dynamic power of one core over `dt` given its event counts,
-    /// core voltage, and chip temperature.
+    /// Dynamic power of one core over `dt` given its event counts, the
+    /// voltage scales of its CU's VF point
+    /// ([`VfPowerTerms::voltage_scales`]), and chip temperature.
     ///
     /// Counts are the nine E1–E9 totals for the period; the result is
     /// average power over the period.
-    pub fn core_dynamic(&self, counts: &EventCounts, v: Volts, t: Kelvin, dt: Seconds) -> Watts {
+    pub fn core_dynamic(
+        &self,
+        counts: &EventCounts,
+        voltage_scales: &[f64; 9],
+        t: Kelvin,
+        dt: Seconds,
+    ) -> Watts {
         let vector = counts.power_model_vector();
         let mut joules = 0.0;
-        for (energy, count) in self.event_energy.iter().zip(vector) {
-            joules += energy.energy(count, v);
+        for ((energy, count), scale) in self.event_energy.iter().zip(vector).zip(voltage_scales) {
+            joules += energy.nanojoules * 1e-9 * count * scale;
         }
         let temp_factor =
             1.0 + self.dyn_temp_coeff * (t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin());
@@ -265,6 +307,7 @@ mod tests {
     use super::*;
     use ppep_pmc::events::EventId;
     use ppep_types::{Gigahertz, VfTable};
+    use proptest::prelude::*;
 
     fn vf5() -> VfPoint {
         VfTable::fx8320().point(VfTable::fx8320().highest())
@@ -274,12 +317,34 @@ mod tests {
         VfTable::fx8320().point(VfTable::fx8320().lowest())
     }
 
+    /// A point at voltage `v`; only the voltage matters to leakage and
+    /// dynamic energy.
+    fn at(v: f64) -> VfPoint {
+        VfPoint::new(Volts::new(v), Gigahertz::new(1.0))
+    }
+
+    fn cu_idle(p: &PowerPhysics, vf: VfPoint, t: Kelvin) -> Watts {
+        p.cu_idle(&p.vf_terms(vf), p.leak_temp_factor(t))
+    }
+
+    fn nb_idle(p: &PowerPhysics, nb: NbVfState, t: Kelvin) -> Watts {
+        p.nb_idle(nb, p.leak_temp_factor(t))
+    }
+
+    fn leakage(p: &PowerPhysics, v: f64, t: Kelvin) -> Watts {
+        p.cu_leakage(p.vf_terms(at(v)).leak_volt_factor, p.leak_temp_factor(t))
+    }
+
+    fn core_dynamic(p: &PowerPhysics, c: &EventCounts, v: f64, t: Kelvin, dt: Seconds) -> Watts {
+        p.core_dynamic(c, &p.vf_terms(at(v)).voltage_scales, t, dt)
+    }
+
     #[test]
     fn chip_idle_magnitude_is_fx8320_like() {
         let p = PowerPhysics::fx8320();
         let t = Kelvin::new(315.0);
-        let idle = 4.0 * p.cu_idle(vf5(), t).as_watts()
-            + p.nb_idle(NbVfState::High, t).as_watts()
+        let idle = 4.0 * cu_idle(&p, vf5(), t).as_watts()
+            + nb_idle(&p, NbVfState::High, t).as_watts()
             + p.base_power;
         assert!((25.0..=45.0).contains(&idle), "chip idle at VF5 = {idle} W");
     }
@@ -288,9 +353,8 @@ mod tests {
     fn leakage_monotonic_in_voltage_and_temperature() {
         let p = PowerPhysics::fx8320();
         let t = Kelvin::new(320.0);
-        assert!(p.cu_leakage(Volts::new(1.32), t) > p.cu_leakage(Volts::new(0.888), t));
-        let v = Volts::new(1.1);
-        assert!(p.cu_leakage(v, Kelvin::new(340.0)) > p.cu_leakage(v, Kelvin::new(305.0)));
+        assert!(leakage(&p, 1.32, t) > leakage(&p, 0.888, t));
+        assert!(leakage(&p, 1.1, Kelvin::new(340.0)) > leakage(&p, 1.1, Kelvin::new(305.0)));
     }
 
     #[test]
@@ -299,10 +363,9 @@ mod tests {
         // close to linear over 300-340 K (within a few percent of a
         // secant-line interpolation).
         let p = PowerPhysics::fx8320();
-        let v = Volts::new(1.32);
-        let lo = p.cu_leakage(v, Kelvin::new(300.0)).as_watts();
-        let hi = p.cu_leakage(v, Kelvin::new(340.0)).as_watts();
-        let mid_true = p.cu_leakage(v, Kelvin::new(320.0)).as_watts();
+        let lo = leakage(&p, 1.32, Kelvin::new(300.0)).as_watts();
+        let hi = leakage(&p, 1.32, Kelvin::new(340.0)).as_watts();
+        let mid_true = leakage(&p, 1.32, Kelvin::new(320.0)).as_watts();
         let mid_linear = (lo + hi) / 2.0;
         let deviation = (mid_true - mid_linear).abs() / mid_true;
         assert!(deviation < 0.05, "leakage deviates {deviation} from linear");
@@ -313,8 +376,8 @@ mod tests {
     fn vf1_idle_is_much_cheaper_than_vf5() {
         let p = PowerPhysics::fx8320();
         let t = Kelvin::new(310.0);
-        let hi = p.cu_idle(vf5(), t).as_watts();
-        let lo = p.cu_idle(vf1(), t).as_watts();
+        let hi = cu_idle(&p, vf5(), t).as_watts();
+        let lo = cu_idle(&p, vf1(), t).as_watts();
         assert!(lo < 0.5 * hi, "VF1 CU idle {lo} vs VF5 {hi}");
     }
 
@@ -334,7 +397,7 @@ mod tests {
         c.set(EventId::RetiredMispredictedBranches, 0.005 * inst);
         c.set(EventId::L2CacheMisses, 0.001 * inst);
         c.set(EventId::DispatchStalls, 0.3 * inst);
-        let w = p.core_dynamic(&c, Volts::new(1.32), Kelvin::new(325.0), dt);
+        let w = core_dynamic(&p, &c, 1.32, Kelvin::new(325.0), dt);
         assert!(
             (8.0..=20.0).contains(&w.as_watts()),
             "busy core dynamic = {} W",
@@ -348,8 +411,8 @@ mod tests {
         let dt = Seconds::new(0.2);
         let mut c = EventCounts::zero();
         c.set(EventId::RetiredUops, 1e9);
-        let hi = p.core_dynamic(&c, Volts::new(1.32), REFERENCE_TEMPERATURE, dt);
-        let lo = p.core_dynamic(&c, Volts::new(0.888), REFERENCE_TEMPERATURE, dt);
+        let hi = core_dynamic(&p, &c, 1.32, REFERENCE_TEMPERATURE, dt);
+        let lo = core_dynamic(&p, &c, 0.888, REFERENCE_TEMPERATURE, dt);
         let ratio = hi / lo;
         let v_ratio: f64 = 1.32 / 0.888;
         assert!((ratio - v_ratio.powf(2.0)).abs() / ratio < 0.05);
@@ -361,8 +424,8 @@ mod tests {
         let dt = Seconds::new(0.2);
         let mut c = EventCounts::zero();
         c.set(EventId::RetiredUops, 1e9);
-        let cold = p.core_dynamic(&c, Volts::new(1.32), Kelvin::new(305.0), dt);
-        let hot = p.core_dynamic(&c, Volts::new(1.32), Kelvin::new(340.0), dt);
+        let cold = core_dynamic(&p, &c, 1.32, Kelvin::new(305.0), dt);
+        let hot = core_dynamic(&p, &c, 1.32, Kelvin::new(340.0), dt);
         let rel = (hot - cold) / cold;
         assert!(rel > 0.0 && rel < 0.08, "temperature effect {rel}");
     }
@@ -371,8 +434,8 @@ mod tests {
     fn nb_low_state_saves_what_the_study_assumes() {
         let p = PowerPhysics::fx8320();
         let t = Kelvin::new(320.0);
-        let idle_hi = p.nb_idle(NbVfState::High, t).as_watts();
-        let idle_lo = p.nb_idle(NbVfState::Low, t).as_watts();
+        let idle_hi = nb_idle(&p, NbVfState::High, t).as_watts();
+        let idle_lo = nb_idle(&p, NbVfState::Low, t).as_watts();
         assert!((idle_lo / idle_hi - 0.6).abs() < 1e-9, "idle drops 40%");
         let dt = Seconds::new(0.2);
         let dyn_hi = p.nb_dynamic(1e7, NbVfState::High, dt).as_watts();
@@ -396,9 +459,115 @@ mod tests {
         let t = Kelvin::new(315.0);
         let table = VfTable::phenom_ii_x6();
         let top = table.point(table.highest());
-        let idle = 6.0 * p.cu_idle(top, t).as_watts()
-            + p.nb_idle(NbVfState::High, t).as_watts()
+        let idle = 6.0 * cu_idle(&p, top, t).as_watts()
+            + nb_idle(&p, NbVfState::High, t).as_watts()
             + p.base_power;
         assert!((25.0..=60.0).contains(&idle), "Phenom idle = {idle} W");
+    }
+
+    /// The per-call formulas the factored terms replaced, verbatim:
+    /// every `powf` and `exp` evaluated at its point of use.
+    mod oracle {
+        use super::super::*;
+
+        pub fn core_dynamic(
+            p: &PowerPhysics,
+            counts: &EventCounts,
+            v: Volts,
+            t: Kelvin,
+            dt: Seconds,
+        ) -> Watts {
+            let vector = counts.power_model_vector();
+            let mut joules = 0.0;
+            for (energy, count) in p.event_energy.iter().zip(vector) {
+                joules += energy.energy(count, v);
+            }
+            let temp_factor =
+                1.0 + p.dyn_temp_coeff * (t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin());
+            Watts::new(joules * temp_factor / dt.as_secs())
+        }
+
+        pub fn cu_idle(p: &PowerPhysics, vf: VfPoint, t: Kelvin) -> Watts {
+            let v = vf.voltage;
+            let vfac = (p.leak_volt_coeff * (v.as_volts() - REFERENCE_VOLTAGE.as_volts())).exp();
+            let tf =
+                (p.leak_temp_coeff * (t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin())).exp();
+            Watts::new(p.cu_leak_ref * vfac * tf)
+                + Watts::new(p.cu_active_idle_coeff * v.as_volts().powi(2) * vf.frequency.as_ghz())
+        }
+
+        pub fn nb_idle(p: &PowerPhysics, nb: NbVfState, t: Kelvin) -> Watts {
+            let tf =
+                (p.leak_temp_coeff * (t.as_kelvin() - REFERENCE_TEMPERATURE.as_kelvin())).exp();
+            let stock = p.nb_leak_ref * tf + p.nb_active_idle;
+            let scale = match nb {
+                NbVfState::High => 1.0,
+                NbVfState::Low => 1.0 - p.nb_low_idle_drop,
+            };
+            Watts::new(stock * scale)
+        }
+    }
+
+    /// One event count: zero, a subnormal, 1e12, or an ordinary value.
+    fn count(kind: u8, u: f64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => f64::from_bits(1 + (u * 4.0e15) as u64),
+            2 => 1e12,
+            _ => u * 1e9,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The table-driven dynamic power and the factored idle terms
+        /// equal the per-call formulas bit for bit, at every VF point
+        /// of every preset.
+        #[test]
+        fn factored_terms_match_the_per_call_oracle(
+            kinds in prop::collection::vec(0u8..4, 9),
+            draws in prop::collection::vec(0.0f64..1.0, 9),
+            kelvin in 290.0f64..=380.0,
+        ) {
+            let mut values = [0.0; ppep_pmc::events::EVENT_COUNT];
+            for (slot, (k, u)) in values.iter_mut().zip(kinds.iter().zip(&draws)) {
+                *slot = count(*k, *u);
+            }
+            let counts = EventCounts::from_array(values);
+            let t = Kelvin::new(kelvin);
+            let dt = ppep_types::time::POWER_SAMPLE_PERIOD;
+            for config in [
+                crate::SimConfig::fx8320(0),
+                crate::SimConfig::fx8320_boost(0),
+                crate::SimConfig::phenom_ii_x6(0),
+            ] {
+                let p = &config.physics;
+                let temp_factor = p.leak_temp_factor(t);
+                for (_, vf) in config.topology.vf_table().iter() {
+                    let terms = p.vf_terms(vf);
+                    let fast = p.core_dynamic(&counts, &terms.voltage_scales, t, dt);
+                    let slow = oracle::core_dynamic(p, &counts, vf.voltage, t, dt);
+                    prop_assert_eq!(
+                        fast.as_watts().to_bits(),
+                        slow.as_watts().to_bits()
+                    );
+                    let fast = p.cu_idle(&terms, temp_factor);
+                    let slow = oracle::cu_idle(p, vf, t);
+                    prop_assert_eq!(
+                        fast.as_watts().to_bits(),
+                        slow.as_watts().to_bits()
+                    );
+                }
+                for nb in [NbVfState::High, NbVfState::Low] {
+                    let fast = p.nb_idle(nb, temp_factor);
+                    let slow = oracle::nb_idle(p, nb, t);
+                    prop_assert_eq!(
+                        fast.as_watts().to_bits(),
+                        slow.as_watts().to_bits()
+                    );
+                }
+            }
+        }
     }
 }

@@ -85,8 +85,21 @@ impl ThermalModel {
     /// exact exponential solution of the linear ODE (stable for any
     /// step size).
     pub fn step(&mut self, p: Watts, dt: Seconds) {
+        self.step_decayed(p, self.decay(dt));
+    }
+
+    /// The factor `exp(−dt / RC)` by which the distance to steady state
+    /// shrinks over a step of `dt`. Constant for a fixed step, so a
+    /// caller stepping repeatedly can compute it once and use
+    /// [`step_decayed`](Self::step_decayed).
+    pub(crate) fn decay(&self, dt: Seconds) -> f64 {
+        (-dt.as_secs() / self.time_constant().as_secs()).exp()
+    }
+
+    /// [`step`](Self::step) with its [`decay`](Self::decay) factor
+    /// precomputed.
+    pub(crate) fn step_decayed(&mut self, p: Watts, decay: f64) {
         let target = self.steady_state(p).as_kelvin();
-        let decay = (-dt.as_secs() / self.time_constant().as_secs()).exp();
         let t = target + (self.temperature.as_kelvin() - target) * decay;
         self.temperature = Kelvin::new(t);
     }
