@@ -364,13 +364,12 @@ impl Ppep {
                 dynamic += core.at(vf).dynamic_power;
             }
         }
-        let cu_active: Vec<bool> = projection
+        let cu_active = projection
             .cores
             .chunks(cores_per_cu)
-            .map(|cu| cu.iter().any(|c| c.busy))
-            .collect();
+            .map(|cu| cu.iter().any(|c| c.busy));
         let idle = match self.models.chip_power().pg_model() {
-            Some(pg) => pg.chip_idle_pg_enabled(&cu_active, cu_vf)?,
+            Some(pg) => pg.chip_idle_pg_enabled_with(cu_active, cu_vf)?,
             None => {
                 // Without per-CU rails the Eq. 2 model needs one
                 // voltage; use the highest assigned state, as the

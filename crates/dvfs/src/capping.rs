@@ -78,7 +78,7 @@ impl OneStepCapping {
     ///
     /// Propagates projection-evaluation errors.
     pub fn choose(&self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
-        let table = self.ppep.models().vf_table().clone();
+        let table = self.ppep.models().vf_table();
         let cu_count = projection.source_vf.len();
         let target = self.cap * (1.0 - self.guard_band);
 
@@ -89,25 +89,28 @@ impl OneStepCapping {
         let mut assignment = vec![uniform; cu_count];
 
         // Greedy refinement: repeatedly raise the CU whose step-up
-        // still fits and adds the most predicted throughput.
+        // still fits and adds the most predicted throughput. Each
+        // step-up is tried in place and undone before the next.
         loop {
             let current_power = self
                 .ppep
                 .chip_power_with_assignment(projection, &assignment)?;
             let mut best: Option<(usize, VfStateId, f64)> = None;
             for cu in 0..cu_count {
-                let Some(up) = table.step_up(assignment[cu]) else {
+                let from = assignment[cu];
+                let Some(up) = table.step_up(from) else {
                     continue;
                 };
-                let mut candidate = assignment.clone();
-                candidate[cu] = up;
+                assignment[cu] = up;
                 let power = self
                     .ppep
-                    .chip_power_with_assignment(projection, &candidate)?;
+                    .chip_power_with_assignment(projection, &assignment);
+                assignment[cu] = from;
+                let power = power?;
                 if power > target {
                     continue;
                 }
-                let gain = self.cu_throughput_gain(projection, cu, assignment[cu], up);
+                let gain = self.cu_throughput_gain(projection, cu, from, up);
                 if gain <= 0.0 {
                     // Idle (possibly gated) CUs gain nothing from a
                     // faster state; promoting them only misstates the

@@ -27,7 +27,7 @@ pub const CTL_ENABLE_BIT: u64 = 1 << 22;
 
 /// Encodes a 12-bit event select into a `PERF_CTL` value with the
 /// enable bit set.
-pub fn encode_ctl(event_code: u16, enabled: bool) -> u64 {
+pub const fn encode_ctl(event_code: u16, enabled: bool) -> u64 {
     encode_ctl_masked(event_code, 0, enabled)
 }
 
@@ -36,7 +36,7 @@ pub fn encode_ctl(event_code: u16, enabled: bool) -> u64 {
 /// (`Cycles_Retiring_1 … Issue_Width`) are selected through unit-mask
 /// values at the cost of extra counter multiplexing; this is the
 /// register-level support for that refinement.
-pub fn encode_ctl_masked(event_code: u16, unit_mask: u8, enabled: bool) -> u64 {
+pub const fn encode_ctl_masked(event_code: u16, unit_mask: u8, enabled: bool) -> u64 {
     let code = event_code as u64;
     let low = code & 0xff;
     let high = (code >> 8) & 0xf;
@@ -201,6 +201,42 @@ impl MsrDevice {
             return Err(Error::Device(format!("no PMC slot {slot}")));
         }
         Ok(self.ctr[slot].read())
+    }
+
+    /// Loads all six `PERF_CTL` registers at once, as six `wrmsr`s to
+    /// CTL0..CTL5 would. Counter values are untouched.
+    pub(crate) fn program_all(&mut self, ctl: &[u64; SLOT_COUNT]) {
+        self.ctl = *ctl;
+    }
+
+    /// Writes `raw` (masked to 48 bits) into every counter, as six
+    /// `wrmsr`s to CTR0..CTR5 would.
+    pub(crate) fn write_all(&mut self, raw: u64) {
+        for c in self.ctr.iter_mut() {
+            c.write(raw);
+        }
+    }
+
+    /// Every slot's raw counter value, bypassing fault injection like
+    /// [`MsrDevice::peek_slot`].
+    pub(crate) fn peek_all(&self) -> [u64; SLOT_COUNT] {
+        self.ctr.map(HwCounter::read)
+    }
+
+    /// [`MsrDevice::count_events`] then [`MsrDevice::read_slot`] for a
+    /// slot the caller knows is in range: an enabled slot advances by
+    /// `events`, then the counter is read through the modelled
+    /// `msr-tools` path, so an armed read failure fails this read with
+    /// the slot's `PERF_CTR` address.
+    #[inline]
+    pub(crate) fn count_and_read(&mut self, slot: usize, events: u64) -> Result<u64> {
+        let counter = &mut self.ctr[slot];
+        if self.ctl[slot] & CTL_ENABLE_BIT != 0 {
+            counter.advance(events);
+        }
+        let now = counter.read();
+        self.check_read_fault(PERF_CTR_BASE + 2 * slot as u32)?;
+        Ok(now)
     }
 
     fn classify(address: u32) -> Result<Register> {

@@ -16,8 +16,8 @@
 
 use crate::counter::COUNTER_MASK;
 use crate::counts::EventCounts;
-use crate::events::{EventId, ALL_EVENTS, EVENT_COUNT};
-use crate::msr::{MsrDevice, PERF_CTR_BASE, SLOT_COUNT};
+use crate::events::{EventId, EVENT_COUNT};
+use crate::msr::{encode_ctl, MsrDevice, SLOT_COUNT};
 use ppep_types::{Error, Result, Seconds};
 
 /// Multiplexing group membership: which events share counter slots.
@@ -34,7 +34,7 @@ pub enum MuxGroup {
 
 impl MuxGroup {
     /// The events in this group, in slot order.
-    pub fn events(self) -> [EventId; SLOT_COUNT] {
+    pub const fn events(self) -> [EventId; SLOT_COUNT] {
         match self {
             MuxGroup::A => [
                 EventId::RetiredUops,
@@ -63,6 +63,70 @@ impl MuxGroup {
             MuxGroup::B => MuxGroup::A,
         }
     }
+
+    fn layout(self) -> &'static SlotLayout {
+        match self {
+            MuxGroup::A => &LAYOUT_A,
+            MuxGroup::B => &LAYOUT_B,
+        }
+    }
+}
+
+/// A group's slot programming, worked out at compile time so that
+/// reprogramming every sub-tick is a six-word copy.
+struct SlotLayout {
+    /// The event each slot counts.
+    event: [EventId; SLOT_COUNT],
+    /// The `PERF_CTL` value of each slot: event select, enable bit set.
+    ctl: [u64; SLOT_COUNT],
+}
+
+impl SlotLayout {
+    const fn of(group: MuxGroup) -> Self {
+        let event = group.events();
+        let [e0, e1, e2, e3, e4, e5] = event;
+        const fn ctl(e: EventId) -> u64 {
+            encode_ctl(e.code(), true)
+        }
+        Self {
+            event,
+            ctl: [ctl(e0), ctl(e1), ctl(e2), ctl(e3), ctl(e4), ctl(e5)],
+        }
+    }
+}
+
+static LAYOUT_A: SlotLayout = SlotLayout::of(MuxGroup::A);
+static LAYOUT_B: SlotLayout = SlotLayout::of(MuxGroup::B);
+
+/// `x.round().max(0.0) as u64`, exactly, for a count [`Pmu::tick`] has
+/// validated (finite, `>= 0`), without the call `round` compiles to or
+/// a data-dependent branch.
+///
+/// Below 2⁵², `t = x as i64` truncates and the fraction `x - t` is
+/// exact (Sterbenz: `t <= x <= 2t` once `x >= 1`), so comparing it with
+/// 0.5 rounds half away from zero like `round`. From 2⁵² up every
+/// double is an integer and `x as u64` is already the answer (it
+/// saturates past `u64::MAX`, as the cast of the rounded value does).
+/// Simulated counts are fractional, so a branch on the fraction would
+/// mispredict about half the time; the branch on the magnitude never
+/// does.
+#[inline]
+fn round_count(x: f64) -> u64 {
+    /// 2⁵²: from here up, doubles have no fractional part.
+    const INTEGRAL: f64 = 4_503_599_627_370_496.0;
+    if x >= INTEGRAL {
+        return integral_count(x);
+    }
+    let t = x as i64;
+    (t + i64::from(x - t as f64 >= 0.5)) as u64
+}
+
+/// The cast of an already integral count, out of line so the common
+/// path stays short.
+#[cold]
+#[inline(never)]
+fn integral_count(x: f64) -> u64 {
+    x as u64
 }
 
 /// A per-core PMU multiplexing twelve events over six hardware slots.
@@ -93,8 +157,10 @@ pub struct Pmu {
     active_group: MuxGroup,
     /// Raw counts accumulated per event since the last drain.
     accumulated: [u64; EVENT_COUNT],
-    /// Seconds each event's group was live since the last drain.
-    active_time: [f64; EVENT_COUNT],
+    /// Seconds each group (indexed by `MuxGroup as usize`) held the
+    /// slots since the last drain; without multiplexing both groups are
+    /// live every tick. Every event of a group shares its live time.
+    active_time: [f64; 2],
     /// Total wall time since the last drain.
     total_time: f64,
     /// Counter values at the start of the current programming, used to
@@ -110,7 +176,7 @@ impl Pmu {
             device: MsrDevice::new(),
             active_group: MuxGroup::A,
             accumulated: [0; EVENT_COUNT],
-            active_time: [0.0; EVENT_COUNT],
+            active_time: [0.0; 2],
             total_time: 0.0,
             slot_baseline: [0; SLOT_COUNT],
             multiplexing: true,
@@ -156,17 +222,8 @@ impl Pmu {
     /// from the preloaded value. Fault injection uses this to place
     /// counters just below the 48-bit wrap point.
     pub fn preload_counters(&mut self, raw: u64) {
-        for slot in 0..SLOT_COUNT {
-            self.device
-                .wrmsr(PERF_CTR_BASE + 2 * slot as u32, raw)
-                // ppep-lint: allow(expect) — slot < SLOT_COUNT by loop bound
-                .expect("slot index within SLOT_COUNT");
-            self.slot_baseline[slot] = self
-                .device
-                .peek_slot(slot)
-                // ppep-lint: allow(expect) — slot < SLOT_COUNT by loop bound
-                .expect("slot index within SLOT_COUNT");
-        }
+        self.device.write_all(raw);
+        self.slot_baseline = self.device.peek_all();
     }
 
     /// Discards any partially accumulated interval and re-syncs the
@@ -175,26 +232,17 @@ impl Pmu {
     /// supervisor calls this before resuming sampling.
     pub fn reset_interval(&mut self) {
         self.accumulated = [0; EVENT_COUNT];
-        self.active_time = [0.0; EVENT_COUNT];
+        self.active_time = [0.0; 2];
         self.total_time = 0.0;
         self.program_active_group();
     }
 
     fn program_active_group(&mut self) {
-        for (slot, event) in self.active_group.events().into_iter().enumerate() {
-            self.device
-                .program_slot(slot, event.code(), true)
-                // ppep-lint: allow(expect) — group size == SLOT_COUNT by construction
-                .expect("slot index within SLOT_COUNT");
-            // Backstage peek: baseline re-sync is simulator bookkeeping,
-            // not a modelled msr-tools read, so injected read failures
-            // must not corrupt it.
-            self.slot_baseline[slot] = self
-                .device
-                .peek_slot(slot)
-                // ppep-lint: allow(expect) — group size == SLOT_COUNT by construction
-                .expect("slot index within SLOT_COUNT");
-        }
+        self.device.program_all(&self.active_group.layout().ctl);
+        // Backstage peek: baseline re-sync is simulator bookkeeping,
+        // not a modelled msr-tools read, so injected read failures
+        // must not corrupt it.
+        self.slot_baseline = self.device.peek_all();
     }
 
     /// Feeds one sub-tick of ground-truth event counts into the PMU.
@@ -209,24 +257,34 @@ impl Pmu {
     /// Returns [`Error::InvalidInput`] for non-positive `dt` or
     /// non-finite/negative counts.
     pub fn tick(&mut self, true_counts: &EventCounts, dt: Seconds) -> Result<()> {
-        if dt.as_secs() <= 0.0 {
+        let dt = dt.as_secs();
+        if dt <= 0.0 {
             return Err(Error::InvalidInput("PMU tick needs positive dt".into()));
         }
-        if !true_counts.is_finite() || !true_counts.is_non_negative() {
+        // Finite and non-negative is `0 <= x <= MAX` (NaN fails both,
+        // -0.0 passes), checked in one pass without short-circuiting so
+        // that it compiles to packed compares. (`x < INFINITY` would
+        // compile to a per-element bit-pattern class test.)
+        let counts = true_counts.as_array();
+        if !counts
+            .iter()
+            .fold(true, |ok, x| ok & (0.0..=f64::MAX).contains(x))
+        {
             return Err(Error::InvalidInput(
                 "PMU tick counts must be finite and non-negative".into(),
             ));
         }
-        self.total_time += dt.as_secs();
+        self.total_time += dt;
 
         if self.multiplexing {
             // Only the active group's slots count this sub-tick.
-            let events = self.active_group.events();
-            for (slot, event) in events.into_iter().enumerate() {
-                let n = true_counts.get(event).round().max(0.0) as u64;
-                self.device.count_events(slot, n)?;
-                // Read back through the MSR interface, as msr-tools would.
-                let now = self.device.read_slot(slot)?;
+            let layout = self.active_group.layout();
+            for (slot, &event) in layout.event.iter().enumerate() {
+                // Count, then read back through the MSR interface, as
+                // msr-tools would.
+                let now = self
+                    .device
+                    .count_and_read(slot, round_count(true_counts.get(event)))?;
                 // Counters are 48 bits wide: a mid-interval wrap makes
                 // `now < baseline`, and the delta must be taken modulo
                 // 2⁴⁸ (a plain u64 subtraction would inflate it by
@@ -234,15 +292,19 @@ impl Pmu {
                 let delta = now.wrapping_sub(self.slot_baseline[slot]) & COUNTER_MASK;
                 self.slot_baseline[slot] = now;
                 self.accumulated[event.index()] += delta;
-                self.active_time[event.index()] += dt.as_secs();
             }
+            self.active_time[self.active_group as usize] += dt;
+            // Reprogram the slots for the other group. Every baseline
+            // was just set to its counter's value and programming does
+            // not move counters, so no re-sync is needed.
             self.active_group = self.active_group.toggled();
-            self.program_active_group();
+            self.device.program_all(&self.active_group.layout().ctl);
         } else {
-            for event in ALL_EVENTS {
-                let n = true_counts.get(event).round().max(0.0) as u64;
-                self.accumulated[event.index()] += n;
-                self.active_time[event.index()] += dt.as_secs();
+            for (acc, &x) in self.accumulated.iter_mut().zip(counts) {
+                *acc += round_count(x);
+            }
+            for time in self.active_time.iter_mut() {
+                *time += dt;
             }
         }
         Ok(())
@@ -266,17 +328,16 @@ impl Pmu {
             ));
         }
         let mut out = EventCounts::zero();
-        for event in ALL_EVENTS {
-            let i = event.index();
-            let estimate = if self.active_time[i] > 0.0 {
-                self.accumulated[i] as f64 * (self.total_time / self.active_time[i])
-            } else {
-                0.0
-            };
-            out.set(event, estimate);
+        for group in [MuxGroup::A, MuxGroup::B] {
+            let active = self.active_time[group as usize];
+            let scale = (active > 0.0).then(|| self.total_time / active);
+            for event in group.events() {
+                let estimate = scale.map_or(0.0, |s| self.accumulated[event.index()] as f64 * s);
+                out.set(event, estimate);
+            }
         }
         self.accumulated = [0; EVENT_COUNT];
-        self.active_time = [0.0; EVENT_COUNT];
+        self.active_time = [0.0; 2];
         self.total_time = 0.0;
         Ok(out)
     }
@@ -291,6 +352,8 @@ impl Default for Pmu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::ALL_EVENTS;
+    use proptest::prelude::*;
 
     fn steady_counts(per_tick: f64) -> EventCounts {
         let mut c = EventCounts::zero();
@@ -391,12 +454,18 @@ mod tests {
     fn tick_validates_inputs() {
         let mut pmu = Pmu::new();
         assert!(pmu.tick(&steady_counts(1.0), Seconds::new(0.0)).is_err());
-        let mut bad = steady_counts(1.0);
-        bad.set(EventId::RetiredUops, f64::NAN);
-        assert!(pmu.tick(&bad, Seconds::new(0.02)).is_err());
-        let mut neg = steady_counts(1.0);
-        neg.set(EventId::RetiredUops, -5.0);
-        assert!(pmu.tick(&neg, Seconds::new(0.02)).is_err());
+        for (value, valid) in [
+            (f64::NAN, false),
+            (-5.0, false),
+            (f64::INFINITY, false),
+            (-0.0, true),
+            (f64::MAX, true),
+        ] {
+            let mut counts = steady_counts(1.0);
+            counts.set(EventId::MabWaitCycles, value);
+            let ticked = pmu.tick(&counts, Seconds::new(0.02));
+            assert_eq!(ticked.is_ok(), valid, "count {value}");
+        }
     }
 
     #[test]
@@ -461,11 +530,35 @@ mod tests {
 
     #[test]
     fn msr_device_reflects_programming() {
-        let pmu = Pmu::new();
+        let mut pmu = Pmu::new();
         // Slot 0 of group A must be programmed to Retired UOP.
         let (code, enabled) = pmu.msr().slot_config(0).unwrap();
         assert_eq!(code, EventId::RetiredUops.code());
         assert!(enabled);
+        // Every tick reprograms all six slots for the other group.
+        for group in [MuxGroup::B, MuxGroup::A] {
+            pmu.tick(&steady_counts(1.0), Seconds::new(0.02)).unwrap();
+            for (slot, event) in group.events().into_iter().enumerate() {
+                assert_eq!(pmu.msr().slot_config(slot).unwrap(), (event.code(), true));
+            }
+        }
+    }
+
+    #[test]
+    fn disabled_slot_counts_nothing() {
+        // A slot disabled through the MSR interface neither counts nor
+        // disturbs its neighbours until the next reprogramming.
+        let mut pmu = Pmu::new();
+        pmu.msr_mut()
+            .program_slot(0, EventId::RetiredUops.code(), false)
+            .unwrap();
+        pmu.tick(&steady_counts(1000.0), Seconds::new(0.02))
+            .unwrap();
+        pmu.tick(&steady_counts(1000.0), Seconds::new(0.02))
+            .unwrap();
+        let est = pmu.drain_interval().unwrap();
+        assert_eq!(est.get(EventId::RetiredUops), 0.0);
+        assert!((est.get(EventId::FpuPipeAssignment) - 2000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -476,5 +569,83 @@ mod tests {
         assert_eq!(pmu.active_group(), MuxGroup::B);
         pmu.tick(&steady_counts(1.0), Seconds::new(0.02)).unwrap();
         assert_eq!(pmu.active_group(), MuxGroup::A);
+    }
+
+    /// The rounding `round_count` replaces, verbatim.
+    fn rounded(x: f64) -> u64 {
+        x.round().max(0.0) as u64
+    }
+
+    /// What `tick` lets through to the rounding: finite and `>= 0`.
+    fn validated(x: f64) -> bool {
+        x.is_finite() && x >= 0.0
+    }
+
+    /// Points where rounding to an integer count is easy to get wrong:
+    /// exact halves, the double just below one half, subnormals, -0.0,
+    /// and where doubles stop having fractions (2⁵²) or leave the
+    /// range of `i64` (2⁶³) and `u64` (2⁶⁴, saturating).
+    const CORNERS: [f64; 13] = [
+        0.0,
+        -0.0,
+        0.5,
+        0.499_999_999_999_999_94,
+        1.5,
+        2.5,
+        f64::MIN_POSITIVE,
+        5e-324,
+        4_503_599_627_370_496.0,
+        9_223_372_036_854_775_808.0,
+        18_446_744_073_709_551_616.0,
+        f64::MAX,
+        1e12 + 0.5,
+    ];
+
+    /// The double `steps` representable values past `x` (towards larger
+    /// magnitude for positive steps).
+    fn nudge(x: f64, steps: i64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add_signed(steps))
+    }
+
+    #[test]
+    fn round_count_matches_round_at_the_corners() {
+        assert_eq!(round_count(0.499_999_999_999_999_94), 0);
+        assert_eq!(round_count(2.5), 3);
+        assert_eq!(round_count(-0.0), 0);
+        assert_eq!(round_count(18_446_744_073_709_551_616.0), u64::MAX);
+        for x in CORNERS {
+            for y in (-3..=3)
+                .map(|steps| nudge(x, steps))
+                .filter(|&y| validated(y))
+            {
+                assert_eq!(round_count(y), rounded(y), "{y:e} ({:#x})", y.to_bits());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `round_count` equals `round().max(0.0) as u64` bit for bit on
+        /// every validated count: arbitrary non-negative bit patterns,
+        /// values near every corner, fractional counts of simulated
+        /// magnitude, and their exact halves.
+        #[test]
+        fn round_count_matches_round(
+            bits in any::<u64>(),
+            corner in 0usize..CORNERS.len(),
+            steps in -4096i64..=4096,
+            count in 0.0f64..1e10,
+        ) {
+            let candidates = [
+                f64::from_bits(bits >> 1),
+                nudge(CORNERS[corner], steps),
+                count,
+                count.trunc() + 0.5,
+            ];
+            for x in candidates.into_iter().filter(|&x| validated(x)) {
+                prop_assert_eq!(round_count(x), rounded(x), "x = {:e} ({:#x})", x, x.to_bits());
+            }
+        }
     }
 }

@@ -134,6 +134,11 @@ pub struct ChipSimulator {
     /// Observability sink for injected-fault counters; no-op unless
     /// installed via [`ChipSimulator::set_recorder`].
     recorder: RecorderHandle,
+    /// Per-core scratch of the interval step, overwritten every
+    /// sub-tick: true event counts, and the switching factor of each
+    /// core that counted anything (`None` for the rest).
+    subtick_counts: Vec<EventCounts>,
+    subtick_switching: Vec<Option<f64>>,
 }
 
 impl ChipSimulator {
@@ -177,6 +182,8 @@ impl ChipSimulator {
             last_sensor_reading: 0.0,
             last_reported_temperature: ambient,
             recorder: RecorderHandle::noop(),
+            subtick_counts: vec![EventCounts::zero(); cores],
+            subtick_switching: vec![None; cores],
             config,
         }
     }
@@ -444,23 +451,25 @@ impl ChipSimulator {
 
         let mut true_totals = vec![EventCounts::zero(); cores];
         let mut busy_any = vec![false; cores];
-        let mut sensor_readings = Vec::with_capacity(SAMPLES_PER_INTERVAL);
-        let mut samples: Vec<Option<IntervalSample>> = vec![None; cores];
+        let mut sensor_readings = [0.0_f64; SAMPLES_PER_INTERVAL];
+        // A core whose sampler closes no interval reports zero counts.
+        let mut samples = vec![
+            IntervalSample {
+                counts: EventCounts::zero(),
+                duration: ppep_types::time::DECISION_INTERVAL,
+            };
+            cores
+        ];
         let mut acc_core_dyn = vec![0.0_f64; cores];
         let mut acc_cu_idle = vec![0.0_f64; cus];
         let mut acc_nb_dyn = 0.0_f64;
         let mut acc_nb_idle = 0.0_f64;
-        // Per-sub-tick scratch, overwritten (counts) or reset
-        // (switching) every sub-tick.
-        let mut subtick_counts = vec![EventCounts::zero(); cores];
-        let mut switching = vec![1.0_f64; cores];
 
-        for _sub in 0..SAMPLES_PER_INTERVAL {
+        for reading in sensor_readings.iter_mut() {
             let temperature = self.thermal.temperature();
             let leak_temp_factor = physics.leak_temp_factor(temperature);
             let contention = self.nb.contention_multiplier();
             let nb_latency = self.nb.latency_factor();
-            switching.fill(1.0);
             let mut total_misses = 0.0;
 
             for core in 0..cores {
@@ -472,19 +481,22 @@ impl ChipSimulator {
                     contention,
                     nb_latency_factor: nb_latency,
                 };
+                // Cores that execute nothing count nothing, and their
+                // dynamic power is exactly zero.
+                self.subtick_switching[core] = None;
                 let counts = if let Some(slot) = self.slots[core].as_mut() {
                     if slot.cursor.is_finished() {
                         EventCounts::zero()
                     } else {
-                        let fp = *slot.cursor.fingerprint(&slot.program);
-                        switching[core] = fp.switching_factor;
-                        let plan = plan_subtick(&fp, &ctx, dt);
+                        let fp = slot.cursor.fingerprint(&slot.program);
+                        let plan = plan_subtick(fp, &ctx, dt);
                         let executed = slot.cursor.advance(&slot.program, plan.instructions);
                         if executed > 0.0 {
                             busy_any[core] = true;
+                            self.subtick_switching[core] = Some(fp.switching_factor);
                             event_counts(
-                                &fp,
-                                &ctx,
+                                fp,
+                                &plan,
                                 executed,
                                 self.config.jitter_sigma,
                                 &mut self.rng,
@@ -498,7 +510,7 @@ impl ChipSimulator {
                 };
                 total_misses += counts.get(EventId::L2CacheMisses);
                 true_totals[core] += counts;
-                subtick_counts[core] = counts;
+                self.subtick_counts[core] = counts;
             }
 
             self.nb.observe_traffic(total_misses, dt);
@@ -533,16 +545,24 @@ impl ChipSimulator {
             acc_nb_idle += nb_idle_w;
             subtick_power += nb_idle_w;
 
-            for core in 0..cores {
+            for (core, (acc, counts)) in acc_core_dyn
+                .iter_mut()
+                .zip(&self.subtick_counts)
+                .enumerate()
+            {
+                // All-zero counts would add exactly +0.0 W.
+                let Some(switching) = self.subtick_switching[core] else {
+                    continue;
+                };
                 let cu = core / per_cu;
                 let scales = &self.vf_terms[self.cu_vf[cu].index()].voltage_scales;
                 // Data-dependent switching intensity is invisible to
                 // any counter-based model; it only scales true power.
-                let w = switching[core]
+                let w = switching
                     * physics
-                        .core_dynamic(&subtick_counts[core], scales, temperature, dt)
+                        .core_dynamic(counts, scales, temperature, dt)
                         .as_watts();
-                acc_core_dyn[core] += w;
+                *acc += w;
                 subtick_power += w;
             }
             let nb_dyn = physics
@@ -551,27 +571,32 @@ impl ChipSimulator {
             acc_nb_dyn += nb_dyn;
             subtick_power += nb_dyn;
 
-            sensor_readings.push(self.sensor.sample(Watts::new(subtick_power)).as_watts());
+            *reading = self.sensor.sample(Watts::new(subtick_power)).as_watts();
             self.thermal
                 .step_decayed(Watts::new(subtick_power), thermal_decay);
 
             // PMU sees the sub-tick.
-            for core in 0..cores {
-                match self.samplers[core].tick(&subtick_counts[core]) {
-                    Ok(Some(sample)) => samples[core] = Some(sample),
-                    Ok(None) => {}
-                    Err(e) => {
-                        // A mid-interval MSR failure poisons the whole
-                        // measurement: every core's partial sample is
-                        // discarded so nothing stale leaks into the
-                        // next interval, and the fault surfaces.
-                        for s in self.samplers.iter_mut() {
-                            s.reset();
-                        }
-                        self.interval = self.interval.next();
-                        return Err(e);
+            let ticked = self
+                .samplers
+                .iter_mut()
+                .zip(&self.subtick_counts)
+                .zip(samples.iter_mut())
+                .try_for_each(|((sampler, counts), sample)| {
+                    if let Some(closed) = sampler.tick(counts)? {
+                        *sample = closed;
                     }
+                    Ok(())
+                });
+            if let Err(e) = ticked {
+                // A mid-interval MSR failure poisons the whole
+                // measurement: every core's partial sample is
+                // discarded so nothing stale leaks into the next
+                // interval, and the fault surfaces.
+                for s in self.samplers.iter_mut() {
+                    s.reset();
                 }
+                self.interval = self.interval.next();
+                return Err(e);
             }
         }
 
@@ -641,15 +666,7 @@ impl ChipSimulator {
         Ok(IntervalRecord {
             index,
             duration: ppep_types::time::DECISION_INTERVAL,
-            samples: samples
-                .into_iter()
-                .map(|s| {
-                    s.unwrap_or(ppep_pmc::sampler::IntervalSample {
-                        counts: ppep_pmc::counts::EventCounts::zero(),
-                        duration: ppep_types::time::DECISION_INTERVAL,
-                    })
-                })
-                .collect(),
+            samples,
             true_counts: true_totals,
             measured_power: Watts::new(sensor_readings.iter().sum::<f64>() / n),
             true_power: PowerBreakdown {

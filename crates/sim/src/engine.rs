@@ -35,6 +35,8 @@ pub struct ExecutionContext {
 pub struct TickPlan {
     /// Total CPI at these conditions.
     pub cpi: f64,
+    /// The memory (MAB wait) part of [`cpi`](Self::cpi).
+    pub memory_cpi: f64,
     /// Instructions the core can retire in the sub-tick.
     pub instructions: f64,
     /// Unhalted cycles available in the sub-tick.
@@ -49,30 +51,27 @@ pub struct TickPlan {
 /// Panics (debug) if the fingerprint fails validation.
 pub fn plan_subtick(fp: &PhaseFingerprint, ctx: &ExecutionContext, dt: Seconds) -> TickPlan {
     debug_assert!(fp.validate().is_ok());
-    let cpi = fp.total_cpi(
-        ctx.vf.frequency,
-        ctx.issue_width,
-        ctx.mispredict_penalty,
-        ctx.contention,
-        ctx.nb_latency_factor,
-    );
+    let memory_cpi = fp.memory_cpi(ctx.vf.frequency, ctx.contention, ctx.nb_latency_factor);
+    // `PhaseFingerprint::total_cpi`, reusing the memory term.
+    let cpi = fp.core_cpi(ctx.issue_width, ctx.mispredict_penalty) + memory_cpi;
     let cycles = ctx.vf.frequency.cycles_in(dt);
     TickPlan {
         cpi,
+        memory_cpi,
         instructions: cycles / cpi,
         cycles,
     }
 }
 
 /// Computes the event counts produced by retiring `instructions`
-/// instructions of this fingerprint under `ctx`.
+/// instructions of this fingerprint at the CPIs of `plan`.
 ///
 /// `jitter` adds per-event multiplicative noise (σ as a fraction;
 /// pass 0 for exact counts) modelling cycle-level variability that the
 /// fingerprint abstraction averages away.
 pub fn event_counts(
     fp: &PhaseFingerprint,
-    ctx: &ExecutionContext,
+    plan: &TickPlan,
     instructions: f64,
     jitter_sigma: f64,
     rng: &mut StdRng,
@@ -84,15 +83,9 @@ pub fn event_counts(
             v
         }
     };
-    let mcpi = fp.memory_cpi(ctx.vf.frequency, ctx.contention, ctx.nb_latency_factor);
-    let stall_cpi = fp.dispatch_stall_cpi(ctx.vf.frequency, ctx.contention, ctx.nb_latency_factor);
-    let total_cpi = fp.total_cpi(
-        ctx.vf.frequency,
-        ctx.issue_width,
-        ctx.mispredict_penalty,
-        ctx.contention,
-        ctx.nb_latency_factor,
-    );
+    let mcpi = plan.memory_cpi;
+    let stall_cpi = fp.dispatch_stall_cpi_with(mcpi);
+    let total_cpi = plan.cpi;
 
     let mut c = EventCounts::zero();
     c.set(
@@ -141,6 +134,18 @@ mod tests {
     use super::*;
     use ppep_types::{Gigahertz, Volts};
     use rand::SeedableRng;
+
+    /// `event_counts` at the CPIs `plan_subtick` plans for `ctx`.
+    fn counts_at(
+        fp: &PhaseFingerprint,
+        ctx: &ExecutionContext,
+        instructions: f64,
+        jitter_sigma: f64,
+        rng: &mut StdRng,
+    ) -> EventCounts {
+        let plan = plan_subtick(fp, ctx, Seconds::new(0.02));
+        event_counts(fp, &plan, instructions, jitter_sigma, rng)
+    }
 
     fn ctx(f: f64) -> ExecutionContext {
         ExecutionContext {
@@ -210,7 +215,7 @@ mod tests {
         };
         let c = ctx(2.3);
         let mut rng = StdRng::seed_from_u64(1);
-        let counts = event_counts(&fp, &c, 1.0e6, 0.0, &mut rng);
+        let counts = counts_at(&fp, &c, 1.0e6, 0.0, &mut rng);
         let inst = counts.get(EventId::RetiredInstructions);
         let unhalted = counts.get(EventId::CpuClocksNotHalted);
         let stalls = counts.get(EventId::DispatchStalls);
@@ -233,8 +238,8 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(2);
-        let hi = event_counts(&fp, &ctx(3.5), 1e6, 0.0, &mut rng);
-        let lo = event_counts(&fp, &ctx(1.7), 2e6, 0.0, &mut rng);
+        let hi = counts_at(&fp, &ctx(3.5), 1e6, 0.0, &mut rng);
+        let lo = counts_at(&fp, &ctx(1.7), 2e6, 0.0, &mut rng);
         let hi_pi = hi.per_instruction().unwrap();
         let lo_pi = lo.per_instruction().unwrap();
         for e in [
@@ -262,7 +267,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(3);
         let mut gap = |f: f64| {
-            let counts = event_counts(&fp, &ctx(f), 1e6, 0.0, &mut rng);
+            let counts = counts_at(&fp, &ctx(f), 1e6, 0.0, &mut rng);
             counts.cpi().unwrap() - counts.dispatch_stalls_per_inst().unwrap()
         };
         let drift = (gap(3.5) - gap(1.7)).abs() / gap(3.5);
@@ -274,8 +279,8 @@ mod tests {
         let fp = PhaseFingerprint::default();
         let c = ctx(3.5);
         let mut rng = StdRng::seed_from_u64(4);
-        let exact = event_counts(&fp, &c, 1e6, 0.0, &mut rng);
-        let noisy = event_counts(&fp, &c, 1e6, 0.01, &mut rng);
+        let exact = counts_at(&fp, &c, 1e6, 0.0, &mut rng);
+        let noisy = counts_at(&fp, &c, 1e6, 0.01, &mut rng);
         // Architectural counts stay exact.
         assert_eq!(
             exact.get(EventId::RetiredInstructions),

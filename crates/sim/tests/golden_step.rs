@@ -5,12 +5,15 @@
 //! `Low` partway through, and folds every f64 of every record
 //! (samples, true counts, measured power, the true-power breakdown,
 //! temperature), the busy flags, and every error into one FNV-1a 64
-//! digest. The digests were recorded before the simulator's power
-//! terms were factored into per-VF-state tables, so any change to an
-//! operand or to the evaluation order of the physics shows up here.
+//! digest. The first four digests were recorded before the simulator's
+//! power terms were factored into per-VF-state tables, and the last two
+//! (an ideal PMU without count jitter, and a storm that faults every
+//! other interval) before the PMU tick was rewritten, so any change to
+//! an operand or to the evaluation order of the physics, or to how the
+//! PMU rounds, wraps or fails, shows up here.
 
 use ppep_sim::chip::{ChipSimulator, IntervalRecord, SimConfig};
-use ppep_sim::fault::FaultPlan;
+use ppep_sim::fault::{FaultKind, FaultPlan};
 use ppep_types::vf::NbVfState;
 use ppep_types::{CuId, Result};
 use ppep_workloads::combos::{fig7_workload, instances};
@@ -138,4 +141,38 @@ fn phenom_ii_x6_steps_are_pinned() {
         FaultPlan::none(),
     );
     check("phenom_ii_x6", d, 0x7a49_048a_fe98_b599);
+}
+
+#[test]
+fn fx8320_ideal_pmu_without_jitter_is_pinned() {
+    let config = SimConfig {
+        ideal_pmu: true,
+        jitter_sigma: 0.0,
+        ..SimConfig::fx8320(21)
+    };
+    let d = digest(config, &instances("429.mcf", 6, 21), FaultPlan::none());
+    check("fx8320 ideal pmu, no jitter", d, 0xf02a_41cf_0937_8df6);
+}
+
+#[test]
+fn fx8320_under_a_dense_fault_storm_is_pinned() {
+    // Half the intervals fault, so counter wraps and failed MSR reads
+    // land on busy, partially accumulated intervals many times over.
+    let storm = FaultPlan::storm(17, INTERVALS, 0.5, 8);
+    let (mut wraps, mut failed_reads) = (0, 0);
+    for i in 0..INTERVALS {
+        for k in storm.kinds_at(i) {
+            match k {
+                FaultKind::CounterWrap => wraps += 1,
+                FaultKind::MsrReadFailure { .. } => failed_reads += 1,
+                _ => {}
+            }
+        }
+    }
+    assert!(
+        wraps >= 10 && failed_reads >= 10,
+        "{wraps} wraps, {failed_reads} failed reads"
+    );
+    let d = digest(SimConfig::fx8320(17), &fig7_workload(17), storm);
+    check("fx8320 dense storm", d, 0x25da_967d_cfe4_794a);
 }

@@ -174,8 +174,13 @@ impl PhaseFingerprint {
     /// Dispatch-stall cycles per instruction: core stalls plus the
     /// visible fraction of memory-wait cycles.
     pub fn dispatch_stall_cpi(&self, f: Gigahertz, contention: f64, nb_latency_factor: f64) -> f64 {
-        self.core_stall_cpi
-            + MEMORY_STALL_OVERLAP * self.memory_cpi(f, contention, nb_latency_factor)
+        self.dispatch_stall_cpi_with(self.memory_cpi(f, contention, nb_latency_factor))
+    }
+
+    /// [`dispatch_stall_cpi`](Self::dispatch_stall_cpi) from a memory
+    /// CPI already computed for the operating point.
+    pub fn dispatch_stall_cpi_with(&self, memory_cpi: f64) -> f64 {
+        self.core_stall_cpi + MEMORY_STALL_OVERLAP * memory_cpi
     }
 
     /// A linear blend `(1−t)·self + t·other`, used to synthesise phase
