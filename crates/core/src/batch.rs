@@ -31,7 +31,7 @@ use ppep_models::CpiObservation;
 use ppep_obs::{Stage, StageClock};
 use ppep_pmc::EventId;
 use ppep_telemetry::IntervalRecord;
-use ppep_types::{CoreId, Error, Gigahertz, Result};
+use ppep_types::{CoreId, Error, Gigahertz, Result, Watts};
 
 /// Which projection kernel a [`crate::framework::Ppep`] routes
 /// [`crate::framework::Ppep::project_nb`] through.
@@ -142,9 +142,6 @@ impl BatchProjector {
 
         let mut cores = Vec::with_capacity(record.samples.len());
         let mut nb_dynamic_by_vf = vec![0.0; n_vf];
-        // Row buffers, reused across cores.
-        let mut cpi_row = vec![0.0_f64; n_vf];
-        let mut ips_row = vec![0.0_f64; n_vf];
 
         for (i, sample) in record.samples.iter().enumerate() {
             let cu = i / cores_per_cu;
@@ -169,6 +166,17 @@ impl BatchProjector {
                     }
                 };
             let busy = sample.counts.get(EventId::RetiredInstructions) > 0.0;
+            // The row's cells: stage 1 writes each cell's CPI/IPS,
+            // stage 3 its dynamic power.
+            let mut per_vf: Vec<CoreAtVf> = table
+                .states()
+                .map(|vf| CoreAtVf {
+                    vf,
+                    dynamic_power: Watts::ZERO,
+                    ips: 0.0,
+                    cpi: 0.0,
+                })
+                .collect();
 
             // Stage 1 (Eq. 1): validate in the scalar order, then fill
             // the row's CPI/IPS lanes in one branch-free pass.
@@ -192,17 +200,16 @@ impl BatchProjector {
                 let unhalted_rate =
                     sample.counts.get(EventId::CpuClocksNotHalted) / sample.duration.as_secs();
                 let utilization = (unhalted_rate / from_hz).min(1.0);
-                let lanes = cpi_row
+                let lanes = per_vf
                     .iter_mut()
-                    .zip(ips_row.iter_mut())
                     .zip(coeffs.to_ghz().iter().zip(coeffs.to_hz()));
-                for ((cpi_t, ips), (to_ghz, to_hz)) in lanes {
+                for (cell, (to_ghz, to_hz)) in lanes {
                     // Eq. 1: CPI(f') = CCPI + (MCPI · f'/f) · mf, then
                     // IPS = util · f'(Hz) / CPI(f') — op-for-op the
                     // scalar `project_cpi` sequence.
                     let pm_mf = mcpi * (to_ghz / from_ghz) * memory_factor;
-                    *cpi_t = ccpi + pm_mf;
-                    *ips = utilization * to_hz / *cpi_t;
+                    cell.cpi = ccpi + pm_mf;
+                    cell.ips = utilization * to_hz / cell.cpi;
                 }
                 Ok(Some(CpiRow {
                     source_cpi: obs.cpi(),
@@ -228,53 +235,47 @@ impl BatchProjector {
 
             // Stage 3 (Eq. 3): reconstruct each cell's E1–E9 rates and
             // price them against the pre-scaled weight rows.
-            let mut per_vf = Vec::with_capacity(n_vf);
             clock.time(Stage::Pdyn, || -> Result<()> {
-                let lanes = table
-                    .states()
+                let lanes = per_vf
+                    .iter_mut()
                     .zip(coeffs.scaled_weight_rows())
-                    .zip(cpi_row.iter().zip(ips_row.iter()))
                     .zip(nb_dynamic_by_vf.iter_mut());
-                for (((vf, scaled_row), (&cpi_t, &ips)), nb_slot) in lanes {
+                for ((cell, scaled_row), nb_slot) in lanes {
+                    let ips = cell.ips;
                     // The scalar idle test is `ips <= 0.0`; NaN is
                     // *not* idle and must flow into the finite guard,
                     // hence the explicit `is_nan` disjunct.
-                    let (cell_cpi, cell_ips, rates) = match fingerprint {
+                    let rates = match fingerprint {
                         Some(fp) if ips.is_nan() || ips > 0.0 => {
-                            let dspi_t = (cpi_t - fp.gap).max(0.0);
+                            let dspi_t = (cell.cpi - fp.gap).max(0.0);
                             let pi = &fp.per_inst;
-                            (
-                                cpi_t,
-                                ips,
-                                [
-                                    pi[0] * ips,
-                                    pi[1] * ips,
-                                    pi[2] * ips,
-                                    pi[3] * ips,
-                                    pi[4] * ips,
-                                    pi[5] * ips,
-                                    pi[6] * ips,
-                                    pi[7] * ips,
-                                    dspi_t * ips,
-                                ],
-                            )
+                            [
+                                pi[0] * ips,
+                                pi[1] * ips,
+                                pi[2] * ips,
+                                pi[3] * ips,
+                                pi[4] * ips,
+                                pi[5] * ips,
+                                pi[6] * ips,
+                                pi[7] * ips,
+                                dspi_t * ips,
+                            ]
                         }
-                        // An idle cell prices a zero rate vector, like
-                        // the scalar path (the multiply-adds still run
-                        // so a degenerate weight poisons both paths
-                        // identically).
-                        _ => (0.0, 0.0, [0.0; 9]),
+                        // An idle cell reports zero CPI/IPS and prices a
+                        // zero rate vector, like the scalar path (the
+                        // multiply-adds still run so a degenerate weight
+                        // poisons both paths identically).
+                        _ => {
+                            cell.cpi = 0.0;
+                            cell.ips = 0.0;
+                            [0.0; 9]
+                        }
                     };
                     let (core_dyn, nb_dyn) =
                         dynamic.estimate_core_split_prescaled(&rates, scaled_row, nb_weights)?;
                     let nb_dyn = nb_dyn * nb_dyn_scale;
                     *nb_slot += nb_dyn.as_watts();
-                    per_vf.push(CoreAtVf {
-                        vf,
-                        dynamic_power: core_dyn + nb_dyn,
-                        ips: cell_ips,
-                        cpi: cell_cpi,
-                    });
+                    cell.dynamic_power = core_dyn + nb_dyn;
                 }
                 Ok(())
             })?;

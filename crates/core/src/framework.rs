@@ -151,8 +151,8 @@ impl Ppep {
         kernel: ProjectionKernel,
     ) -> Result<PpeProjection> {
         self.validate_record(record)?;
-        let table = self.models.vf_table().clone();
-        let topo = self.models.topology().clone();
+        let table = self.models.vf_table();
+        let topo = self.models.topology();
         let cores_per_cu = topo.cores_per_cu();
         let (memory_factor, nb_idle_scale, nb_dyn_scale) = match nb_target {
             NbVfState::High => (1.0, 1.0, 1.0),
@@ -184,11 +184,15 @@ impl Ppep {
             .sum();
 
         // CU activity pattern for the PG idle path.
-        let cu_active: Vec<bool> = cores
-            .chunks(cores_per_cu)
-            .map(|cu| cu.iter().any(|c| c.busy))
-            .collect();
-        let any_active = cu_active.iter().any(|b| *b);
+        let cu_active = || {
+            cores
+                .chunks(cores_per_cu)
+                .map(|cu| cu.iter().any(|c| c.busy))
+        };
+        let any_active = cores.iter().any(|c| c.busy);
+        // The uniform per-CU assignment the PG path prices, refilled
+        // for each VF state.
+        let mut uniform_vf = Vec::new();
 
         let mut chip = Vec::with_capacity(table.len());
         for vf in table.states() {
@@ -205,8 +209,9 @@ impl Ppep {
                     };
                     let idle_total = match self.models.chip_power().pg_model() {
                         Some(pg) => {
-                            let stock =
-                                pg.chip_idle_pg_enabled(&cu_active, &vec![vf; topo.cu_count()])?;
+                            uniform_vf.clear();
+                            uniform_vf.resize(topo.cu_count(), vf);
+                            let stock = pg.chip_idle_pg_enabled_with(cu_active(), &uniform_vf)?;
                             // Replace the stock NB idle contribution with
                             // the scaled one.
                             if any_active {

@@ -38,6 +38,7 @@ impl CpiObservation {
     ///
     /// Returns [`Error::InvalidInput`] when values are non-finite,
     /// non-positive (CPI), negative (MCPI), or `mcpi > cpi`.
+    #[inline]
     pub fn new(cpi: f64, mcpi: f64, frequency: Gigahertz) -> Result<Self> {
         if !cpi.is_finite() || cpi <= 0.0 {
             return Err(Error::InvalidInput(format!(
@@ -73,6 +74,7 @@ impl CpiObservation {
     /// estimates are inconsistent (MCPI > CPI is clamped instead — the
     /// extrapolation can slightly overshoot — so only a zero
     /// instruction count errors here).
+    #[inline]
     pub fn from_sample(sample: &IntervalSample, frequency: Gigahertz) -> Result<Self> {
         let cpi = sample
             .cpi()
@@ -82,16 +84,19 @@ impl CpiObservation {
     }
 
     /// Total CPI at the measurement frequency.
+    #[inline]
     pub fn cpi(&self) -> f64 {
         self.cpi
     }
 
     /// Memory CPI at the measurement frequency.
+    #[inline]
     pub fn mcpi(&self) -> f64 {
         self.mcpi
     }
 
     /// Core CPI (frequency-invariant part).
+    #[inline]
     pub fn ccpi(&self) -> f64 {
         self.cpi - self.mcpi
     }

@@ -217,6 +217,7 @@ impl DynamicPowerModel {
     /// Returns [`Error::NonFinite`] when either part is NaN/∞, and
     /// [`Error::InvalidInput`] when `scaled_core` is not the seven
     /// core-event weights.
+    #[inline]
     pub fn estimate_core_split_prescaled(
         &self,
         rates: &[f64; DYN_EVENT_COUNT],

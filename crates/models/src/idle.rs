@@ -135,6 +135,7 @@ impl IdlePowerModel {
     ///
     /// Returns [`Error::NonFinite`] when the projection is NaN/∞
     /// (e.g. a poisoned temperature reading).
+    #[inline]
     pub fn estimate(&self, v: Volts, t: Kelvin) -> Result<Watts> {
         Watts::new(self.w1.eval(v.as_volts()) * t.as_kelvin() + self.w0.eval(v.as_volts()))
             .finite("eq2 idle power")

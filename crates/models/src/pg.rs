@@ -156,6 +156,7 @@ impl PgIdleModel {
 
     /// The fitted entry for a VF state, or [`Error::NotTrained`] when
     /// that state was absent from the sweep.
+    #[inline]
     fn entry(&self, vf: VfStateId) -> Result<PgIdleEntry> {
         self.entries
             .get(vf.index())
@@ -170,6 +171,7 @@ impl PgIdleModel {
     ///
     /// Returns [`Error::NotTrained`] for a VF state that was not part
     /// of the fitted sweep.
+    #[inline]
     pub fn pidle_cu(&self, vf: VfStateId) -> Result<Watts> {
         self.entry(vf)?.pidle_cu.finite("Pidle(CU)")
     }
@@ -180,6 +182,7 @@ impl PgIdleModel {
     ///
     /// Returns [`Error::NotTrained`] for a VF state that was not part
     /// of the fitted sweep.
+    #[inline]
     pub fn pidle_nb(&self, vf: VfStateId) -> Result<Watts> {
         self.entry(vf)?.pidle_nb.finite("Pidle(NB)")
     }

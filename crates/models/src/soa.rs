@@ -86,6 +86,7 @@ impl SoaCoeffs {
     }
 
     /// Number of VF states covered.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -96,11 +97,13 @@ impl SoaCoeffs {
     }
 
     /// Target frequencies in GHz, ladder order.
+    #[inline]
     pub fn to_ghz(&self) -> &[f64] {
         &self.to_ghz
     }
 
     /// Target frequencies in Hz, ladder order.
+    #[inline]
     pub fn to_hz(&self) -> &[f64] {
         &self.to_hz
     }
@@ -123,11 +126,13 @@ impl SoaCoeffs {
     }
 
     /// Iterates the pre-scaled E1–E7 weight rows in ladder order.
+    #[inline]
     pub fn scaled_weight_rows(&self) -> impl ExactSizeIterator<Item = &[f64]> {
         self.scaled_weights.chunks_exact(CORE_EVENT_COUNT)
     }
 
     /// The unscaled NB-proxy weights (E8, E9).
+    #[inline]
     pub fn nb_weights(&self) -> &[f64; NB_EVENT_COUNT] {
         &self.nb_weights
     }

@@ -38,6 +38,7 @@ impl EventCounts {
     }
 
     /// The underlying array in Table I order.
+    #[inline]
     pub const fn as_array(&self) -> &[f64; EVENT_COUNT] {
         &self.values
     }
@@ -96,12 +97,14 @@ impl EventCounts {
 
     /// CPI: unhalted clocks (E10) over retired instructions (E11);
     /// `None` when no instructions retired.
+    #[inline]
     pub fn cpi(&self) -> Option<f64> {
         let inst = self.get(EventId::RetiredInstructions);
         (inst > 0.0).then(|| self.get(EventId::CpuClocksNotHalted) / inst)
     }
 
     /// Memory CPI: MAB wait cycles (E12) over retired instructions.
+    #[inline]
     pub fn mcpi(&self) -> Option<f64> {
         let inst = self.get(EventId::RetiredInstructions);
         (inst > 0.0).then(|| self.get(EventId::MabWaitCycles) / inst)
@@ -134,6 +137,7 @@ impl EventCounts {
     }
 
     /// True when every entry is finite.
+    #[inline]
     pub fn is_finite(&self) -> bool {
         self.values.iter().all(|v| v.is_finite())
     }

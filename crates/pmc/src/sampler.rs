@@ -27,11 +27,13 @@ impl IntervalSample {
     }
 
     /// Cycles-per-instruction over the interval, if any retired.
+    #[inline]
     pub fn cpi(&self) -> Option<f64> {
         self.counts.cpi()
     }
 
     /// Memory CPI (MAB wait cycles per instruction), if any retired.
+    #[inline]
     pub fn mcpi(&self) -> Option<f64> {
         self.counts.mcpi()
     }

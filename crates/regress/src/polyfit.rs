@@ -94,6 +94,7 @@ impl Polynomial {
     }
 
     /// Evaluates the polynomial at `x` by Horner's scheme.
+    #[inline]
     pub fn eval(&self, x: f64) -> f64 {
         self.coefficients
             .iter()

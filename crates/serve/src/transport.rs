@@ -26,7 +26,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -171,8 +171,10 @@ impl ServeListener {
     /// down; the service stays with the caller for ticking.
     pub fn spawn(self, service: Arc<CappingService>) -> ServerHandle {
         let stop = Arc::new(AtomicBool::new(false));
+        let held = Arc::new(AtomicUsize::new(0));
         let addr = self.addr.clone();
         let accept_stop = Arc::clone(&stop);
+        let accept_held = Arc::clone(&held);
         let accept = std::thread::spawn(move || {
             let mut conns: Vec<JoinHandle<()>> = Vec::new();
             loop {
@@ -185,8 +187,12 @@ impl ServeListener {
                     break;
                 }
                 let Ok(stream) = conn else { break };
+                // Reap the threads of closed connections so the list
+                // holds live ones only instead of growing until shutdown.
+                conns.retain(|c| !c.is_finished());
                 let svc = Arc::clone(&service);
                 conns.push(std::thread::spawn(move || serve_connection(stream, &svc)));
+                accept_held.store(conns.len(), Ordering::Relaxed);
             }
             for c in conns {
                 let _ = c.join();
@@ -194,6 +200,7 @@ impl ServeListener {
         });
         ServerHandle {
             stop,
+            held,
             addr,
             accept: Some(accept),
         }
@@ -204,6 +211,7 @@ impl ServeListener {
 /// [`ServerHandle::shutdown`] leaks the accept thread.
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
+    held: Arc<AtomicUsize>,
     addr: ServeAddr,
     accept: Option<JoinHandle<()>>,
 }
@@ -212,6 +220,13 @@ impl ServerHandle {
     /// Where clients connect.
     pub fn addr(&self) -> &ServeAddr {
         &self.addr
+    }
+
+    /// Connection threads the server holds, as of the last accept:
+    /// the live ones plus any that closed since the accept before it
+    /// (finished threads are reaped on each accept).
+    pub fn connections(&self) -> usize {
+        self.held.load(Ordering::Relaxed)
     }
 
     /// Stops accepting, wakes the accept thread, joins every
@@ -448,6 +463,31 @@ mod tests {
     #[test]
     fn tcp_fallback_roundtrips() {
         roundtrip_over(TransportKind::Tcp);
+    }
+
+    #[test]
+    fn closed_connection_threads_are_reaped() {
+        let cfg = ServeConfig::new(Watts::new(100.0));
+        let service = Arc::new(CappingService::new(engine().clone(), cfg));
+        let handle = ServeListener::bind_auto().unwrap().spawn(service);
+        let mut garbage = frame_to_bytes(&SessionFrame::Goodbye { tenant: 1 });
+        if let Some(crc) = garbage.last_mut() {
+            *crc ^= 0xff;
+        }
+        for cycle in 0..64 {
+            let mut conn = FrameConn::connect(handle.addr()).unwrap();
+            // A corrupt frame makes the server drop the connection;
+            // reading to EOF waits until its thread has let go of it.
+            conn.send(&garbage).unwrap();
+            while let Ok(Some(_)) = conn.recv() {}
+            drop(conn);
+            assert!(
+                handle.connections() <= 2,
+                "cycle {cycle}: {} connection threads held",
+                handle.connections()
+            );
+        }
+        handle.shutdown();
     }
 
     #[test]

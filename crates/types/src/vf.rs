@@ -235,6 +235,7 @@ impl VfTable {
     }
 
     /// Iterates over all states, slowest first.
+    #[inline]
     pub fn states(&self) -> impl DoubleEndedIterator<Item = VfStateId> + ExactSizeIterator {
         (0..self.points.len()).map(VfStateId)
     }
