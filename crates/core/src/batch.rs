@@ -24,7 +24,7 @@
 //! CPI decomposition → finite Eq. 3 sums), so the first error any
 //! record produces is the same `Error` either path.
 
-use crate::ppe::{CoreAtVf, CoreProjection};
+use crate::ppe::{CoreAtVf, PpeProjection};
 use ppep_models::soa::SoaCoeffs;
 use ppep_models::trainer::TrainedModels;
 use ppep_models::CpiObservation;
@@ -110,9 +110,12 @@ impl BatchProjector {
         &self.coeffs
     }
 
-    /// Computes the full core × VF-state grid for one record: each
-    /// core's [`CoreProjection`] plus the per-state NB dynamic power
-    /// accumulator, exactly as the scalar reference produces them.
+    /// Computes the full core × VF-state grid for one record into
+    /// `out`: each core's row in `out.cores` (rows and cells refilled
+    /// in place), and each state's NB dynamic power in the `nb_power`
+    /// of its row in `out.chip`, which is reset to one zeroed row per
+    /// state. Both come out exactly as the scalar reference produces
+    /// them; the other fields of `out` are left to the caller.
     ///
     /// `memory_factor` and `nb_dyn_scale` are the §V-C2 NB-state
     /// assumptions (1.0 at the stock NB point). `models` must be the
@@ -132,7 +135,8 @@ impl BatchProjector {
         memory_factor: f64,
         nb_dyn_scale: f64,
         clock: &mut StageClock<'_>,
-    ) -> Result<(Vec<CoreProjection>, Vec<f64>)> {
+        out: &mut PpeProjection,
+    ) -> Result<()> {
         let coeffs = &self.coeffs;
         let table = models.vf_table();
         let dynamic = models.dynamic_model();
@@ -140,10 +144,9 @@ impl BatchProjector {
         let n_vf = coeffs.len();
         let nb_weights = coeffs.nb_weights();
 
-        let mut cores = Vec::with_capacity(record.samples.len());
-        let mut nb_dynamic_by_vf = vec![0.0; n_vf];
-
-        for (i, sample) in record.samples.iter().enumerate() {
+        out.reset_rows(record.samples.len(), table);
+        let PpeProjection { cores, chip, .. } = out;
+        for ((i, sample), row) in record.samples.iter().enumerate().zip(cores.iter_mut()) {
             let cu = i / cores_per_cu;
             let from_idx = record
                 .cu_vf
@@ -165,18 +168,18 @@ impl BatchProjector {
                         )))
                     }
                 };
-            let busy = sample.counts.get(EventId::RetiredInstructions) > 0.0;
+            row.core = CoreId(i);
+            row.busy = sample.counts.get(EventId::RetiredInstructions) > 0.0;
             // The row's cells: stage 1 writes each cell's CPI/IPS,
             // stage 3 its dynamic power.
-            let mut per_vf: Vec<CoreAtVf> = table
-                .states()
-                .map(|vf| CoreAtVf {
-                    vf,
-                    dynamic_power: Watts::ZERO,
-                    ips: 0.0,
-                    cpi: 0.0,
-                })
-                .collect();
+            let per_vf = &mut row.per_vf;
+            per_vf.clear();
+            per_vf.extend(table.states().map(|vf| CoreAtVf {
+                vf,
+                dynamic_power: Watts::ZERO,
+                ips: 0.0,
+                cpi: 0.0,
+            }));
 
             // Stage 1 (Eq. 1): validate in the scalar order, then fill
             // the row's CPI/IPS lanes in one branch-free pass.
@@ -239,8 +242,8 @@ impl BatchProjector {
                 let lanes = per_vf
                     .iter_mut()
                     .zip(coeffs.scaled_weight_rows())
-                    .zip(nb_dynamic_by_vf.iter_mut());
-                for ((cell, scaled_row), nb_slot) in lanes {
+                    .zip(chip.iter_mut());
+                for ((cell, scaled_row), chip_row) in lanes {
                     let ips = cell.ips;
                     // The scalar idle test is `ips <= 0.0`; NaN is
                     // *not* idle and must flow into the finite guard,
@@ -274,20 +277,13 @@ impl BatchProjector {
                     let (core_dyn, nb_dyn) =
                         dynamic.estimate_core_split_prescaled(&rates, scaled_row, nb_weights)?;
                     let nb_dyn = nb_dyn * nb_dyn_scale;
-                    *nb_slot += nb_dyn.as_watts();
+                    chip_row.nb_power += nb_dyn;
                     cell.dynamic_power = core_dyn + nb_dyn;
                 }
                 Ok(())
             })?;
-
-            cores.push(CoreProjection {
-                core: CoreId(i),
-                busy,
-                per_vf,
-            });
         }
-
-        Ok((cores, nb_dynamic_by_vf))
+        Ok(())
     }
 }
 
@@ -332,12 +328,13 @@ mod tests {
         assert_eq!(projector.coeffs().len(), m.vf_table().len());
         let rec = RecorderHandle::noop();
         let mut clock = StageClock::new(&rec);
-        let (cores, nb) = projector
-            .grid(m, &record(), 1.0, 1.0, &mut clock)
+        let mut out = PpeProjection::default();
+        projector
+            .grid(m, &record(), 1.0, 1.0, &mut clock, &mut out)
             .expect("grid projects");
-        assert_eq!(cores.len(), 8);
-        assert_eq!(nb.len(), 5);
-        for c in &cores {
+        assert_eq!(out.cores.len(), 8);
+        assert_eq!(out.chip.len(), 5);
+        for c in &out.cores {
             assert_eq!(c.per_vf.len(), 5);
         }
     }
@@ -350,7 +347,7 @@ mod tests {
         let mut clock = StageClock::new(&rec);
         let mut r = record();
         r.cu_vf.truncate(1);
-        let err = projector.grid(m, &r, 1.0, 1.0, &mut clock);
+        let err = projector.grid(m, &r, 1.0, 1.0, &mut clock, &mut PpeProjection::default());
         assert!(matches!(err, Err(Error::InvalidInput(_))), "{err:?}");
     }
 }

@@ -25,6 +25,25 @@ pub trait DvfsController {
     /// Controllers may fail on malformed projections.
     fn decide(&mut self, projection: &PpeProjection) -> Result<Vec<VfStateId>>;
 
+    /// [`DvfsController::decide`] into a caller-owned assignment, so a
+    /// supervisor that keeps the buffer between intervals need not
+    /// allocate a fresh one. On success `decision` holds exactly what
+    /// `decide` would return; on error its contents are unspecified.
+    /// The default forwards to `decide`; controllers on the hot path
+    /// override it to fill the buffer in place.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`DvfsController::decide`].
+    fn decide_into(
+        &mut self,
+        projection: &PpeProjection,
+        decision: &mut Vec<VfStateId>,
+    ) -> Result<()> {
+        *decision = self.decide(projection)?;
+        Ok(())
+    }
+
     /// The power cap this controller enforces, if any.
     ///
     /// Capping controllers surface their budget here so a recording
@@ -49,6 +68,14 @@ pub trait DvfsController {
 impl<C: DvfsController + ?Sized> DvfsController for Box<C> {
     fn decide(&mut self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
         (**self).decide(projection)
+    }
+
+    fn decide_into(
+        &mut self,
+        projection: &PpeProjection,
+        decision: &mut Vec<VfStateId>,
+    ) -> Result<()> {
+        (**self).decide_into(projection, decision)
     }
 
     fn enforced_cap(&self) -> Option<Watts> {

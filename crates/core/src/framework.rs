@@ -7,7 +7,7 @@
 //! with [`Ppep::with_kernel`].
 
 use crate::batch::{BatchProjector, ProjectionKernel};
-use crate::ppe::{ChipPpe, CoreAtVf, CoreProjection, PpeProjection};
+use crate::ppe::{ChipPpe, CoreAtVf, PpeProjection};
 use ppep_models::event_pred::HwEventPredictor;
 use ppep_models::trainer::TrainedModels;
 use ppep_obs::{RecorderHandle, Stage, StageClock};
@@ -144,12 +144,46 @@ impl Ppep {
         self.project_nb_with(record, nb_target, ProjectionKernel::Scalar)
     }
 
+    /// [`Ppep::project_nb`] into a caller-owned projection: the core
+    /// rows, their cells, the chip rows and the source assignment are
+    /// refilled in place, so a caller that keeps `out` between
+    /// intervals allocates nothing once it has grown to the chip's
+    /// size. `project` and `project_nb` are this call on a fresh
+    /// buffer, so the result is bit-identical to theirs, whatever
+    /// `out` held before.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Ppep::project_nb`]. After an error the contents of
+    /// `out` are unspecified; the next successful call overwrites
+    /// every field.
+    pub fn project_into(
+        &self,
+        record: &IntervalRecord,
+        nb_target: NbVfState,
+        out: &mut PpeProjection,
+    ) -> Result<()> {
+        self.project_into_with(record, nb_target, self.kernel, out)
+    }
+
     fn project_nb_with(
         &self,
         record: &IntervalRecord,
         nb_target: NbVfState,
         kernel: ProjectionKernel,
     ) -> Result<PpeProjection> {
+        let mut projection = PpeProjection::default();
+        self.project_into_with(record, nb_target, kernel, &mut projection)?;
+        Ok(projection)
+    }
+
+    fn project_into_with(
+        &self,
+        record: &IntervalRecord,
+        nb_target: NbVfState,
+        kernel: ProjectionKernel,
+        out: &mut PpeProjection,
+    ) -> Result<()> {
         self.validate_record(record)?;
         let table = self.models.vf_table();
         let topo = self.models.topology();
@@ -165,9 +199,13 @@ impl Ppep {
         // recorder makes each `time` call a plain closure call.
         let mut clock = StageClock::new(&self.recorder);
 
-        let (cores, nb_dynamic_by_vf) = match kernel {
+        // The kernel fills the core rows and sums each state's NB
+        // dynamic power into its chip row (see
+        // [`PpeProjection::reset_rows`]); composition below adds the
+        // NB idle share and fills the rest of each chip row.
+        match kernel {
             ProjectionKernel::Scalar => {
-                self.scalar_grid(record, memory_factor, nb_dyn_scale, &mut clock)?
+                self.scalar_grid(record, memory_factor, nb_dyn_scale, &mut clock, out)?;
             }
             ProjectionKernel::Batch => self.batch.grid(
                 &self.models,
@@ -175,14 +213,16 @@ impl Ppep {
                 memory_factor,
                 nb_dyn_scale,
                 &mut clock,
+                out,
             )?,
-        };
+        }
         let work_instructions: f64 = record
             .samples
             .iter()
             .map(|s| s.counts.get(EventId::RetiredInstructions))
             .sum();
 
+        let PpeProjection { cores, chip, .. } = out;
         // CU activity pattern for the PG idle path.
         let cu_active = || {
             cores
@@ -190,12 +230,9 @@ impl Ppep {
                 .map(|cu| cu.iter().any(|c| c.busy))
         };
         let any_active = cores.iter().any(|c| c.busy);
-        // The uniform per-CU assignment the PG path prices, refilled
-        // for each VF state.
-        let mut uniform_vf = Vec::new();
 
-        let mut chip = Vec::with_capacity(table.len());
-        for vf in table.states() {
+        for row in chip.iter_mut() {
+            let vf = row.vf;
             let dynamic_total: Watts = clock.time(Stage::Compose, || {
                 cores.iter().map(|c| c.at(vf).dynamic_power).sum()
             });
@@ -209,9 +246,10 @@ impl Ppep {
                     };
                     let idle_total = match self.models.chip_power().pg_model() {
                         Some(pg) => {
-                            uniform_vf.clear();
-                            uniform_vf.resize(topo.cu_count(), vf);
-                            let stock = pg.chip_idle_pg_enabled_with(cu_active(), &uniform_vf)?;
+                            // The PG path prices the uniform per-CU
+                            // assignment at this state.
+                            let uniform_vf = std::iter::repeat_n(vf, topo.cu_count());
+                            let stock = pg.chip_idle_pg_enabled_with(cu_active(), uniform_vf)?;
                             // Replace the stock NB idle contribution with
                             // the scaled one.
                             if any_active {
@@ -229,7 +267,7 @@ impl Ppep {
                 })?;
             clock.time(Stage::Compose, || {
                 let power = idle_total + dynamic_total;
-                let nb_power = nb_idle + Watts::new(nb_dynamic_by_vf[vf.index()]);
+                let nb_power = nb_idle + row.nb_power;
                 let ips: f64 = cores.iter().map(|c| c.at(vf).ips).sum();
                 let (time_for_work, energy, edp) = if ips > 0.0 && work_instructions > 0.0 {
                     let t = work_instructions / ips;
@@ -242,7 +280,7 @@ impl Ppep {
                     let e = power.as_watts() * t;
                     (Seconds::new(t), Joules::new(e), e * t)
                 };
-                chip.push(ChipPpe {
+                *row = ChipPpe {
                     vf,
                     power,
                     nb_power,
@@ -250,19 +288,17 @@ impl Ppep {
                     time_for_work,
                     energy,
                     edp,
-                });
+                };
             });
         }
         clock.flush(record.index.0);
 
-        Ok(PpeProjection {
-            interval: record.index,
-            temperature: record.temperature,
-            source_vf: record.cu_vf.clone(),
-            cores,
-            chip,
-            work_instructions,
-        })
+        out.interval = record.index;
+        out.temperature = record.temperature;
+        out.source_vf.clear();
+        out.source_vf.extend_from_slice(&record.cu_vf);
+        out.work_instructions = work_instructions;
+        Ok(())
     }
 
     /// Rejects records whose CU→VF assignment cannot index the model
@@ -296,24 +332,30 @@ impl Ppep {
 
     /// The scalar reference kernel: the per-cell grid walk, kept
     /// verbatim as the differential baseline for [`crate::batch`].
+    /// Fills `out.cores` and sums each state's NB dynamic power into
+    /// the `nb_power` of its row in `out.chip`, like
+    /// [`BatchProjector::grid`](crate::batch::BatchProjector::grid).
     fn scalar_grid(
         &self,
         record: &IntervalRecord,
         memory_factor: f64,
         nb_dyn_scale: f64,
         clock: &mut StageClock<'_>,
-    ) -> Result<(Vec<CoreProjection>, Vec<f64>)> {
+        out: &mut PpeProjection,
+    ) -> Result<()> {
         let table = self.models.vf_table();
         let cores_per_cu = self.models.topology().cores_per_cu();
         let dynamic = self.models.dynamic_model();
-        let mut cores = Vec::with_capacity(record.samples.len());
-        let mut nb_dynamic_by_vf = vec![0.0; table.len()];
-        for (i, sample) in record.samples.iter().enumerate() {
+        out.reset_rows(record.samples.len(), table);
+        let rows = out.cores.iter_mut();
+        for ((i, sample), row) in record.samples.iter().enumerate().zip(rows) {
             let cu = i / cores_per_cu;
             let from = table.point(record.cu_vf[cu]);
-            let busy = sample.counts.get(EventId::RetiredInstructions) > 0.0;
-            let mut per_vf = Vec::with_capacity(table.len());
-            for vf in table.states() {
+            row.core = CoreId(i);
+            row.busy = sample.counts.get(EventId::RetiredInstructions) > 0.0;
+            row.per_vf.clear();
+            row.per_vf.reserve(table.len());
+            for (vf, chip_row) in table.states().zip(out.chip.iter_mut()) {
                 let to = table.point(vf);
                 let projected = clock.time(Stage::CpiPredict, || {
                     self.predictor.project_cpi(sample, from, to, memory_factor)
@@ -325,21 +367,16 @@ impl Ppep {
                     dynamic.estimate_core_split(&predicted.power_rates(), to.voltage)
                 })?;
                 let nb_dyn = nb_dyn * nb_dyn_scale;
-                nb_dynamic_by_vf[vf.index()] += nb_dyn.as_watts();
-                per_vf.push(CoreAtVf {
+                chip_row.nb_power += nb_dyn;
+                row.per_vf.push(CoreAtVf {
                     vf,
                     dynamic_power: core_dyn + nb_dyn,
                     ips: predicted.ips,
                     cpi: predicted.cpi,
                 });
             }
-            cores.push(CoreProjection {
-                core: CoreId(i),
-                busy,
-                per_vf,
-            });
         }
-        Ok((cores, nb_dynamic_by_vf))
+        Ok(())
     }
 
     /// Predicted chip power for an arbitrary per-CU VF assignment —
@@ -374,7 +411,7 @@ impl Ppep {
             .chunks(cores_per_cu)
             .map(|cu| cu.iter().any(|c| c.busy));
         let idle = match self.models.chip_power().pg_model() {
-            Some(pg) => pg.chip_idle_pg_enabled_with(cu_active, cu_vf)?,
+            Some(pg) => pg.chip_idle_pg_enabled_with(cu_active, cu_vf.iter().copied())?,
             None => {
                 // Without per-CU rails the Eq. 2 model needs one
                 // voltage; use the highest assigned state, as the

@@ -7,7 +7,7 @@
 //! algorithms consume.
 
 use ppep_types::time::IntervalIndex;
-use ppep_types::{CoreId, Joules, Kelvin, Seconds, VfStateId, Watts};
+use ppep_types::{CoreId, Joules, Kelvin, Seconds, VfStateId, VfTable, Watts};
 
 /// A core's predicted behaviour at one VF state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,7 +83,10 @@ impl ChipPpe {
 }
 
 /// The full output of one PPEP pipeline pass.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The default is an empty projection, the starting buffer for
+/// [`crate::Ppep::project_into`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PpeProjection {
     /// The interval the projection was computed from.
     pub interval: IntervalIndex,
@@ -100,6 +103,29 @@ pub struct PpeProjection {
 }
 
 impl PpeProjection {
+    /// Readies the buffer for a projection kernel: `cores` core rows,
+    /// keeping the rows (and their cell allocations) already there, and
+    /// one zeroed chip row per state of `table`, slowest first. The
+    /// kernel overwrites every field of every core row and sums each
+    /// state's NB dynamic power into its chip row's `nb_power`.
+    pub(crate) fn reset_rows(&mut self, cores: usize, table: &VfTable) {
+        self.cores.resize_with(cores, || CoreProjection {
+            core: CoreId(0),
+            busy: false,
+            per_vf: Vec::new(),
+        });
+        self.chip.clear();
+        self.chip.extend(table.states().map(|vf| ChipPpe {
+            vf,
+            power: Watts::ZERO,
+            nb_power: Watts::ZERO,
+            ips: 0.0,
+            time_for_work: Seconds::ZERO,
+            energy: Joules::ZERO,
+            edp: 0.0,
+        }));
+    }
+
     /// Chip-level PPE at a specific state.
     ///
     /// # Panics

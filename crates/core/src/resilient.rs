@@ -28,11 +28,12 @@
 //! metric: the fraction of intervals for which the daemon still made
 //! an informed (fresh or held) DVFS decision.
 
-use crate::daemon::{DaemonStep, DvfsController, PpepDaemon};
+use crate::daemon::{DvfsController, PpepDaemon};
 use crate::ppe::PpeProjection;
 use ppep_obs::Stage;
 use ppep_telemetry::{IntervalRecord, Platform};
 use ppep_types::time::IntervalIndex;
+use ppep_types::vf::NbVfState;
 use ppep_types::{Error, Kelvin, Result, VfStateId};
 
 /// Bounded retry/backoff for transient sample failures.
@@ -198,6 +199,23 @@ pub struct SupervisedStep {
     pub quarantined: bool,
 }
 
+impl SupervisedStep {
+    /// A step buffer before its first fill: no record, no projection,
+    /// no decision.
+    fn empty() -> Self {
+        Self {
+            interval: 0,
+            action: Action::Failsafe,
+            state: HealthState::Healthy,
+            record: None,
+            projection: None,
+            decision: Vec::new(),
+            fault: None,
+            quarantined: false,
+        }
+    }
+}
+
 /// Cumulative health bookkeeping over a supervised run.
 #[derive(Debug, Clone, Default)]
 pub struct HealthReport {
@@ -260,13 +278,30 @@ impl HealthReport {
 /// assert_eq!(steps.len(), 50);
 /// println!("availability: {:.2}", supervised.report().decision_availability());
 /// ```
+///
+/// A healthy interval allocates nothing once the buffers below have
+/// grown to the chip's size: the daemon owns two step buffers, fills
+/// one in place and swaps it with the other on a fresh decision, and
+/// [`step`](Self::step) lends the result out instead of returning a
+/// copy (DESIGN §13.5).
 pub struct ResilientDaemon<P: Platform, C: DvfsController> {
     inner: PpepDaemon<P, C>,
     config: SupervisorConfig,
     state: HealthState,
     consecutive_faults: u32,
     good_streak: u32,
-    last_good: Option<DaemonStep>,
+    /// The step the last held or failsafe interval built, or, after a
+    /// fresh one, the buffers of the step it replaced as `last_good`.
+    out: SupervisedStep,
+    /// The last fresh step. A fresh interval fills `out` and swaps the
+    /// two, so its record, projection and decision are never cloned.
+    last_good: Option<SupervisedStep>,
+    /// Record and projection buffers no step currently shows. Each
+    /// step moves the ones `out` still holds here first, then takes
+    /// what it fills from here, so a faulted interval keeps them for
+    /// the next fresh one instead of dropping them.
+    spare_record: Option<IntervalRecord>,
+    spare_projection: Option<PpeProjection>,
     report: HealthReport,
 }
 
@@ -279,7 +314,10 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
             state: HealthState::Healthy,
             consecutive_faults: 0,
             good_streak: 0,
+            out: SupervisedStep::empty(),
             last_good: None,
+            spare_record: None,
+            spare_projection: None,
             report: HealthReport::default(),
         }
     }
@@ -310,9 +348,9 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
         &self.report
     }
 
-    /// The last good step (validated record + finite projection), if
-    /// any.
-    pub fn last_good(&self) -> Option<&DaemonStep> {
+    /// The last fresh step (validated record, finite projection, and
+    /// the decision made from them), if any.
+    pub fn last_good(&self) -> Option<&SupervisedStep> {
         self.last_good.as_ref()
     }
 
@@ -347,8 +385,8 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
                 value: t,
             });
         }
-        if let Some(good) = &self.last_good {
-            let base = good.record.measured_power.as_watts();
+        if let Some(good) = self.last_good.as_ref().and_then(|g| g.record.as_ref()) {
+            let base = good.measured_power.as_watts();
             let f = self.config.power_outlier_factor;
             if base > 0.0 && (p > base * f || p < base / f) {
                 return Some(Error::SensorImplausible {
@@ -360,23 +398,28 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
         None
     }
 
-    /// Runs one supervised interval.
+    /// Runs one supervised interval and lends out its outcome.
     ///
     /// Transient measurement faults and quarantined records are
     /// absorbed into degraded handling and never surface as errors.
+    /// The returned step borrows the daemon's buffers, which the next
+    /// call refills; clone it to keep it (as [`run`](Self::run) does).
     ///
     /// # Errors
     ///
     /// Non-transient errors (controller bugs, lost devices) pin the
     /// failsafe VF and propagate.
-    pub fn step(&mut self) -> Result<SupervisedStep> {
+    pub fn step(&mut self) -> Result<&SupervisedStep> {
         let interval = self.report.intervals;
         self.report.intervals += 1;
         let rec = self.inner.recorder().clone();
         let measuring = self.inner.platform().current_interval().0;
+        reclaim(&mut self.out.record, &mut self.spare_record);
+        reclaim(&mut self.out.projection, &mut self.spare_projection);
+        let mut record = self.spare_record.take().unwrap_or_default();
         let mut measured = {
             let _sample = rec.span(Stage::Sample, measuring);
-            self.inner.platform_mut().sample()
+            self.inner.platform_mut().sample_into(&mut record)
         };
         // A transient failure gets bounded in-interval retries before
         // the degradation ladder starts. Substrates whose `resample`
@@ -398,10 +441,11 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
                 self.report.retry_backoff_us += backoff;
                 rec.incr("fault.retry");
                 match retried {
-                    Ok(record) => {
+                    Ok(retried) => {
                         self.report.retry_successes += 1;
                         rec.incr("fault.retry_recovered");
-                        measured = Ok(record);
+                        record = retried;
+                        measured = Ok(());
                         break;
                     }
                     Err(e) if e.is_transient() => measured = Err(e),
@@ -415,7 +459,7 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
             }
         }
         match measured {
-            Ok(record) => match self.validation_fault(&record) {
+            Ok(()) => match self.validation_fault(&record) {
                 None => self.fresh(interval, record),
                 Some(fault) => {
                     self.report.quarantined += 1;
@@ -426,12 +470,14 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
                 }
             },
             Err(e) if e.is_transient() => {
+                self.spare_record = Some(record);
                 self.report.transient_errors += 1;
                 rec.incr("fault.detected");
                 rec.incr("fault.transient");
                 self.degraded(interval, None, e, false)
             }
             Err(e) => {
+                self.spare_record = Some(record);
                 // Fatal: pin the safe state before surfacing. The pin
                 // is best-effort — the measurement fault `e` is the
                 // error the caller must see, not a secondary actuation
@@ -453,14 +499,19 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
     }
 
     /// The healthy path: the unsupervised daemon's project → decide →
-    /// apply sequence, verbatim, plus recovery bookkeeping.
-    fn fresh(&mut self, interval: u64, record: IntervalRecord) -> Result<SupervisedStep> {
+    /// apply sequence, verbatim, plus recovery bookkeeping. Fills
+    /// `out` in place and swaps it with `last_good`.
+    fn fresh(&mut self, interval: u64, record: IntervalRecord) -> Result<&SupervisedStep> {
         let rec = self.inner.recorder().clone();
         self.inner.score_measurement(&record);
-        let projection = self.inner.ppep().project(&record)?;
+        let mut projection = self.spare_projection.take().unwrap_or_default();
+        self.inner
+            .ppep()
+            .project_into(&record, NbVfState::High, &mut projection)?;
         if !projection_is_finite(&projection) {
             // A validated record still produced a non-finite
             // projection: never act on it, never emit it.
+            self.spare_projection = Some(projection);
             self.report.quarantined += 1;
             rec.incr("fault.detected");
             rec.incr("fault.quarantined");
@@ -471,32 +522,29 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
             };
             return self.degraded(interval, Some(record), fault, true);
         }
-        let decision = {
+        {
             let _decide = rec.span(Stage::Decide, interval);
-            self.inner.controller_mut().decide(&projection)?
-        };
+            self.inner
+                .controller_mut()
+                .decide_into(&projection, &mut self.out.decision)?;
+        }
         self.inner.note_decision(
             record.index,
             Some(record.measured_power),
             Some(&projection),
-            &decision,
+            &self.out.decision,
         );
-        self.inner.stage_prediction(&projection, &decision);
-        // Capture everything that reads the projection *before*
-        // actuation: it models the pre-apply VF state, so the archive
-        // copy and the outgoing fields must be taken here (ppep-lint
-        // L5 enforces the ordering). Only the decision — which is what
-        // `apply` realizes — survives past the apply span.
-        let step = DaemonStep {
-            record: record.clone(),
-            projection: projection.clone(),
-            decision: decision.clone(),
-        };
-        let out_record = Some(record);
-        let out_projection = Some(projection);
+        self.inner.stage_prediction(&projection, &self.out.decision);
+        // Hand out everything that reads the projection *before*
+        // actuation: it models the pre-apply VF state, so the step's
+        // fields must be set here (ppep-lint L5 enforces the
+        // ordering). Only the decision — which is what `apply`
+        // realizes — is read past the apply span.
+        self.out.record = Some(record);
+        self.out.projection = Some(projection);
         {
             let _apply = rec.span(Stage::Apply, interval);
-            self.inner.apply(&decision)?;
+            self.inner.apply(&self.out.decision)?;
         }
 
         self.consecutive_faults = 0;
@@ -528,17 +576,17 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
             self.enter(HealthState::Degraded);
         }
         self.report.fresh_decisions += 1;
-        self.last_good = Some(step);
-        Ok(SupervisedStep {
-            interval,
-            action: Action::Fresh,
-            state: self.state,
-            record: out_record,
-            projection: out_projection,
-            decision,
-            fault: None,
-            quarantined: false,
-        })
+        let out = &mut self.out;
+        out.interval = interval;
+        out.action = Action::Fresh;
+        out.state = self.state;
+        out.fault = None;
+        out.quarantined = false;
+        // The fresh step becomes the last good one; the buffers it
+        // replaces are refilled by the next interval.
+        let good = self.last_good.get_or_insert_with(SupervisedStep::empty);
+        std::mem::swap(out, good);
+        Ok(good)
     }
 
     /// The degraded path: hold the last good projection if we can,
@@ -550,64 +598,72 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
         record: Option<IntervalRecord>,
         fault: Error,
         quarantined: bool,
-    ) -> Result<SupervisedStep> {
+    ) -> Result<&SupervisedStep> {
         self.consecutive_faults += 1;
         self.good_streak = 0;
         self.report.last_error = Some(fault.clone());
 
         let exhausted = self.consecutive_faults >= self.config.max_consecutive_faults;
-        let held = if exhausted || self.state == HealthState::Failsafe {
-            None
-        } else {
-            self.last_good.as_ref().map(|g| g.projection.clone())
-        };
-        let (action, decision) = if let Some(held) = held {
+        let pinned = exhausted || self.state == HealthState::Failsafe;
+        let held = self
+            .last_good
+            .as_ref()
+            .and_then(|g| g.projection.as_ref())
+            .filter(|_| !pinned);
+        let action = if let Some(held) = held {
             let rec = self.inner.recorder().clone();
-            let decision = {
+            {
                 let _decide = rec.span(Stage::Decide, interval);
-                self.inner.controller_mut().decide(&held)?
-            };
+                self.inner
+                    .controller_mut()
+                    .decide_into(held, &mut self.out.decision)?;
+            }
             // Annotated with the *supervised* interval counter and no
             // realized power: the measurement for this interval was
             // lost or quarantined, the decision priced on held state.
-            self.inner
-                .note_decision(IntervalIndex(interval), None, Some(&held), &decision);
+            self.inner.note_decision(
+                IntervalIndex(interval),
+                None,
+                Some(held),
+                &self.out.decision,
+            );
             {
                 let _apply = rec.span(Stage::Apply, interval);
-                self.inner.apply(&decision)?;
+                self.inner.apply(&self.out.decision)?;
             }
             self.enter(HealthState::Degraded);
             self.report.held_decisions += 1;
-            (Action::Held, decision)
+            Action::Held
         } else {
             let cu_count = self.inner.platform().topology().cu_count();
-            let decision = vec![self.config.failsafe_vf; cu_count];
+            let decision = &mut self.out.decision;
+            decision.clear();
+            decision.resize(cu_count, self.config.failsafe_vf);
             self.inner
-                .note_decision(IntervalIndex(interval), None, None, &decision);
+                .note_decision(IntervalIndex(interval), None, None, decision);
             self.inner
                 .platform_mut()
                 .apply_uniform(self.config.failsafe_vf)?;
-            self.enter(if exhausted || self.state == HealthState::Failsafe {
+            self.enter(if pinned {
                 HealthState::Failsafe
             } else {
                 HealthState::Degraded
             });
             self.report.failsafe_intervals += 1;
-            (Action::Failsafe, decision)
+            Action::Failsafe
         };
-        Ok(SupervisedStep {
-            interval,
-            action,
-            state: self.state,
-            record,
-            projection: None,
-            decision,
-            fault: Some(fault),
-            quarantined,
-        })
+        let out = &mut self.out;
+        out.interval = interval;
+        out.action = action;
+        out.state = self.state;
+        out.record = record;
+        out.projection = None;
+        out.fault = Some(fault);
+        out.quarantined = quarantined;
+        Ok(out)
     }
 
-    /// Runs `n` supervised intervals.
+    /// Runs `n` supervised intervals, keeping an owned copy of each.
     ///
     /// # Errors
     ///
@@ -615,7 +671,14 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
     /// absorbed, so with the fault kinds in `ppep_sim::fault` a run
     /// always completes).
     pub fn run(&mut self, n: usize) -> Result<Vec<SupervisedStep>> {
-        (0..n).map(|_| self.step()).collect()
+        (0..n).map(|_| self.step().cloned()).collect()
+    }
+}
+
+/// Moves a buffer the previous step handed out back to its spare slot.
+fn reclaim<T>(handed_out: &mut Option<T>, spare: &mut Option<T>) {
+    if handed_out.is_some() {
+        *spare = handed_out.take();
     }
 }
 

@@ -26,6 +26,13 @@ fn count_transitions(from: &[VfStateId], to: &[VfStateId]) -> u64 {
     from.iter().zip(to).filter(|(a, b)| a != b).count() as u64
 }
 
+/// Sets one CU's state in an assignment; a CU past its end is ignored.
+fn set_cu(assignment: &mut [VfStateId], cu: usize, vf: VfStateId) {
+    if let Some(slot) = assignment.get_mut(cu) {
+        *slot = vf;
+    }
+}
+
 /// The PPEP-based one-step capping controller.
 #[derive(Debug, Clone)]
 pub struct OneStepCapping {
@@ -78,6 +85,22 @@ impl OneStepCapping {
     ///
     /// Propagates projection-evaluation errors.
     pub fn choose(&self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
+        let mut assignment = Vec::new();
+        self.choose_into(projection, &mut assignment)?;
+        Ok(assignment)
+    }
+
+    /// [`choose`](Self::choose) into a caller-owned assignment, which
+    /// is cleared and refilled in place.
+    ///
+    /// # Errors
+    ///
+    /// Propagates projection-evaluation errors.
+    pub fn choose_into(
+        &self,
+        projection: &PpeProjection,
+        assignment: &mut Vec<VfStateId>,
+    ) -> Result<()> {
         let table = self.ppep.models().vf_table();
         let cu_count = projection.source_vf.len();
         let target = self.cap * (1.0 - self.guard_band);
@@ -86,7 +109,8 @@ impl OneStepCapping {
         let uniform = projection
             .fastest_under_cap(target)
             .unwrap_or_else(|| table.lowest());
-        let mut assignment = vec![uniform; cu_count];
+        assignment.clear();
+        assignment.resize(cu_count, uniform);
 
         // Greedy refinement: repeatedly raise the CU whose step-up
         // still fits and adds the most predicted throughput. Each
@@ -94,18 +118,18 @@ impl OneStepCapping {
         loop {
             let current_power = self
                 .ppep
-                .chip_power_with_assignment(projection, &assignment)?;
+                .chip_power_with_assignment(projection, assignment)?;
             let mut best: Option<(usize, VfStateId, f64)> = None;
             for cu in 0..cu_count {
-                let from = assignment[cu];
+                let Some(from) = assignment.get(cu).copied() else {
+                    continue;
+                };
                 let Some(up) = table.step_up(from) else {
                     continue;
                 };
-                assignment[cu] = up;
-                let power = self
-                    .ppep
-                    .chip_power_with_assignment(projection, &assignment);
-                assignment[cu] = from;
+                set_cu(assignment, cu, up);
+                let power = self.ppep.chip_power_with_assignment(projection, assignment);
+                set_cu(assignment, cu, from);
                 let power = power?;
                 if power > target {
                     continue;
@@ -124,11 +148,11 @@ impl OneStepCapping {
                 }
             }
             match best {
-                Some((cu, up, _)) => assignment[cu] = up,
+                Some((cu, up, _)) => set_cu(assignment, cu, up),
                 None => break,
             }
         }
-        Ok(assignment)
+        Ok(())
     }
 
     fn cu_throughput_gain(
@@ -154,7 +178,17 @@ impl OneStepCapping {
 
 impl DvfsController for OneStepCapping {
     fn decide(&mut self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
-        let decision = self.choose(projection)?;
+        let mut decision = Vec::new();
+        self.decide_into(projection, &mut decision)?;
+        Ok(decision)
+    }
+
+    fn decide_into(
+        &mut self,
+        projection: &PpeProjection,
+        decision: &mut Vec<VfStateId>,
+    ) -> Result<()> {
+        self.choose_into(projection, decision)?;
         if self.recorder.enabled() {
             let source = self
                 .ppep
@@ -164,10 +198,10 @@ impl DvfsController for OneStepCapping {
             }
             self.recorder.add(
                 "dvfs.vf_transitions",
-                count_transitions(&projection.source_vf, &decision),
+                count_transitions(&projection.source_vf, decision),
             );
         }
-        Ok(decision)
+        Ok(())
     }
 
     fn enforced_cap(&self) -> Option<Watts> {

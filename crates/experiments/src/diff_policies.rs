@@ -437,13 +437,13 @@ impl ReplayDiff {
             if let Some(p) = &s.projection {
                 last_projection = Some(p.clone());
             }
+            track.decisions.push(s.decision.clone());
             track
                 .caps
                 .push(daemon.inner_mut().controller_mut().enforced_cap());
             if let Some(projections) = &mut track.projections {
                 projections.push(last_projection.clone());
             }
-            track.decisions.push(s.decision);
         }
         Ok(track)
     }

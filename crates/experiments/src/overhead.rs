@@ -104,8 +104,7 @@ fn run_once(
             .inner_mut()
             .controller_mut()
             .set_cap(cap_schedule(step, period));
-        let s = daemon.step()?;
-        decisions.push(s.decision);
+        decisions.push(daemon.step()?.decision.clone());
     }
     Ok(decisions)
 }

@@ -100,8 +100,7 @@ fn drive<P: Platform>(
             .inner_mut()
             .controller_mut()
             .set_cap(cap_schedule(step, period));
-        let s = daemon.step()?;
-        decisions.push(s.decision);
+        decisions.push(daemon.step()?.decision.clone());
     }
     Ok((decisions, daemon))
 }

@@ -54,16 +54,19 @@ pub struct Use {
     pub idx: usize,
 }
 
-/// Flat summary of one expression: calls, uses, and `drop(x)`
-/// releases, in token order. Macros are recorded by name but their
-/// invocations are *not* calls (a `write!` into a `String` is not
-/// I/O).
+/// Flat summary of one expression: calls, uses, `&mut` borrows and
+/// `drop(x)` releases, in token order. Macros are recorded by name but
+/// their invocations are *not* calls (a `write!` into a `String` is
+/// not I/O).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExprInfo {
     /// Call sites, in token order.
     pub calls: Vec<Call>,
     /// Identifier uses, in token order.
     pub uses: Vec<Use>,
+    /// The uses borrowed as `&mut x` (out-parameters, when inside a
+    /// call's arguments), in token order; each is also in `uses`.
+    pub mut_borrows: Vec<Use>,
     /// Bindings explicitly released via `drop(x)` /
     /// `std::mem::drop(x)`.
     pub dropped: Vec<String>,
@@ -756,12 +759,18 @@ pub fn scan_expr(toks: &[Token], lo: usize, hi: usize) -> ExprInfo {
         let field_init = next.is_some_and(|n| n.is_punct(":"));
         let is_type = t.text.chars().next().is_some_and(|c| c.is_uppercase());
         if !after_dot_or_path && !before_path && !field_init && !is_type && t.text != "_" {
-            out.uses.push(Use {
+            let used = Use {
                 name: t.text.clone(),
                 line: t.line,
                 col: t.col,
                 idx: i,
-            });
+            };
+            let mut_borrowed =
+                i >= lo + 2 && prev.is_some_and(|p| p.is_ident("mut")) && toks[i - 2].is_punct("&");
+            if mut_borrowed {
+                out.mut_borrows.push(used.clone());
+            }
+            out.uses.push(used);
         }
         i += 1;
     }

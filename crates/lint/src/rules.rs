@@ -30,7 +30,8 @@
 //!
 //! * **L5 stale-projection** — a binding that traces to a
 //!   `PpeProjection` (`project(..)` / `project_nb(..)` initializer,
-//!   type annotation, or typed parameter) must not be read after an
+//!   type annotation, typed parameter, or the `&mut x` a
+//!   `project_into(..)` refills) must not be read after an
 //!   `apply(..)` / `set_vf(..)` / `set_enforced_cap(..)` boundary on
 //!   any path without re-projection: the projection models the VF
 //!   state *before* the actuation, so reading it afterwards prices
@@ -820,6 +821,10 @@ fn l6_unbound_span(
 /// Calls that mint a fresh `PpeProjection` (L5 gen set).
 const PROJECTION_SOURCES: [&str; 2] = ["project", "project_nb"];
 
+/// Calls that refill a caller-owned `PpeProjection` passed as `&mut x`
+/// (L5 gen set for that binding).
+const PROJECTION_FILLS: [&str; 1] = ["project_into"];
+
 /// Actuation calls that change VF/cap state and so invalidate every
 /// live projection (L5 kill set).
 const PROJECTION_KILLS: [&str; 5] = [
@@ -846,7 +851,7 @@ const GUARD_TYPES: [&str; 3] = ["MutexGuard", "RwLockReadGuard", "RwLockWriteGua
 /// frame handler, the v2 frame codec, and blocking I/O / platform
 /// sampling. Macros (`write!` into a `String`) are never calls, so
 /// in-memory formatting does not trip this.
-const LOCK_BOUNDARIES: [&str; 15] = [
+const LOCK_BOUNDARIES: [&str; 16] = [
     "handle_frame",
     "frame_to_bytes",
     "decode_frame",
@@ -861,12 +866,19 @@ const LOCK_BOUNDARIES: [&str; 15] = [
     "send",
     "recv",
     "sample",
+    "sample_into",
     "resample",
 ];
 
 /// Fallible measurement/actuation calls whose `Result` carries the
 /// transient-vs-fatal fault taxonomy (L8 source set).
-const TRANSIENT_RESULTS: [&str; 4] = ["sample", "resample", "apply", "apply_uniform"];
+const TRANSIENT_RESULTS: [&str; 5] = [
+    "sample",
+    "sample_into",
+    "resample",
+    "apply",
+    "apply_uniform",
+];
 
 /// Runs the dataflow-backed rules over every parsed fn body. Each
 /// body is parsed once ([`ast::parse_block`]), lowered once
@@ -927,6 +939,22 @@ fn binds_projection(node: &CfgNode) -> bool {
             || node.ty.iter().any(|t| t == "PpeProjection"))
 }
 
+/// The bindings `node` refills with a fresh projection: each `&mut x`
+/// argument of a `project_into` call. Such a use writes the binding;
+/// it does not read it.
+fn filled_projections(node: &CfgNode) -> impl Iterator<Item = &ast::Use> {
+    node.expr
+        .calls
+        .iter()
+        .filter(|c| PROJECTION_FILLS.contains(&c.name.as_str()))
+        .flat_map(move |c| {
+            node.expr
+                .mut_borrows
+                .iter()
+                .filter(move |u| c.idx < u.idx && u.idx <= c.close)
+        })
+}
+
 struct ProjAnalysis {
     entry: BTreeSet<ProjFact>,
 }
@@ -963,6 +991,11 @@ impl Analysis for ProjAnalysis {
                     stale => stale,
                 })
                 .collect();
+        }
+        // A refill makes its target fresh again, whatever it was.
+        for u in filled_projections(node) {
+            out.retain(|fact| fact.var() != u.name);
+            out.insert(ProjFact::Fresh(u.name.clone()));
         }
         if binds_projection(node) {
             for b in &node.binds {
@@ -1029,7 +1062,11 @@ fn l5_stale_projection(
         .nodes
         .iter()
         .any(|n| n.expr.first_call_in(&PROJECTION_KILLS).is_some());
-    let has_proj = !entry.is_empty() || graph.nodes.iter().any(binds_projection);
+    let has_proj = !entry.is_empty()
+        || graph
+            .nodes
+            .iter()
+            .any(|n| binds_projection(n) || filled_projections(n).next().is_some());
     if !has_kill || !has_proj {
         return;
     }
@@ -1037,6 +1074,9 @@ fn l5_stale_projection(
     let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
     for (id, node) in graph.nodes.iter().enumerate() {
         for u in &node.expr.uses {
+            if filled_projections(node).any(|f| f.idx == u.idx) {
+                continue;
+            }
             let flowed_stale = sol.inputs[id].iter().find_map(|fact| match fact {
                 ProjFact::Stale {
                     var,

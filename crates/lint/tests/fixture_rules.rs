@@ -128,6 +128,32 @@ fn l5_fixture_catches_the_seeded_stale_projection_bug() {
 }
 
 #[test]
+fn l5_tracks_buffers_refilled_by_project_into() {
+    let src = fixture("l5_refilled_projection.rs");
+    let diags: Vec<_> = lint_source("fixtures/test.rs", "ppep-core", &src, &Allowlist::default())
+        .into_iter()
+        .filter(|d| d.rule == "stale-projection")
+        .collect();
+    // `buf` is refilled on line 7; the read on line 10 follows the
+    // line-9 apply.
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].line, 10, "points at the stale read");
+    assert!(
+        diags[0]
+            .to_string()
+            .contains("= note: invalidated by the `apply(..)` at line 9"),
+        "{}",
+        diags[0]
+    );
+}
+
+#[test]
+fn l5_refilling_a_stale_buffer_is_not_a_read() {
+    let src = fixture("l5_refilled_projection_clean.rs");
+    assert!(hits(&src, "ppep-core", "stale-projection").is_empty());
+}
+
+#[test]
 fn l7_fixture_flags_the_held_guard_only() {
     let src = fixture("l7_lock_boundary.rs");
     // `bad_hold` carries the guard into `handle_frame` on line 7;
@@ -148,6 +174,7 @@ fn l8_fixture_flags_both_discard_shapes() {
 fn temporal_rules_only_fire_in_ppep_crates() {
     for name in [
         "l5_stale_projection.rs",
+        "l5_refilled_projection.rs",
         "l7_lock_boundary.rs",
         "l8_dropped_transient.rs",
     ] {

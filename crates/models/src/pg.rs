@@ -270,12 +270,13 @@ impl PgIdleModel {
     ///
     /// Returns [`Error::InvalidInput`] when the slices mismatch.
     pub fn chip_idle_pg_enabled(&self, cu_active: &[bool], cu_vf: &[VfStateId]) -> Result<Watts> {
-        self.chip_idle_pg_enabled_with(cu_active.iter().copied(), cu_vf)
+        self.chip_idle_pg_enabled_with(cu_active.iter().copied(), cu_vf.iter().copied())
     }
 
     /// [`chip_idle_pg_enabled`](Self::chip_idle_pg_enabled) with the
-    /// per-CU activity flags drawn from an iterator, so callers that
-    /// derive them need not collect them first.
+    /// per-CU activity flags and VF states drawn from iterators, so
+    /// callers that derive them (a uniform assignment is
+    /// `std::iter::repeat_n(vf, cus)`) need not collect them first.
     ///
     /// # Errors
     ///
@@ -283,7 +284,7 @@ impl PgIdleModel {
     pub fn chip_idle_pg_enabled_with(
         &self,
         cu_active: impl ExactSizeIterator<Item = bool>,
-        cu_vf: &[VfStateId],
+        cu_vf: impl ExactSizeIterator<Item = VfStateId>,
     ) -> Result<Watts> {
         if cu_active.len() != cu_vf.len() {
             return Err(Error::InvalidInput(
@@ -292,7 +293,7 @@ impl PgIdleModel {
         }
         let mut w = self.pidle_base.as_watts();
         let mut max_vf: Option<VfStateId> = None;
-        for (active, &vf) in cu_active.zip(cu_vf) {
+        for (active, vf) in cu_active.zip(cu_vf) {
             if active {
                 w += self.pidle_cu(vf)?.as_watts();
                 max_vf = Some(max_vf.map_or(vf, |m| m.max(vf)));

@@ -173,6 +173,7 @@ impl Add for EventCounts {
 }
 
 impl AddAssign for EventCounts {
+    #[inline]
     fn add_assign(&mut self, rhs: Self) {
         for (a, b) in self.values.iter_mut().zip(&rhs.values) {
             *a += b;

@@ -256,6 +256,7 @@ impl Pmu {
     ///
     /// Returns [`Error::InvalidInput`] for non-positive `dt` or
     /// non-finite/negative counts.
+    #[inline]
     pub fn tick(&mut self, true_counts: &EventCounts, dt: Seconds) -> Result<()> {
         let dt = dt.as_secs();
         if dt <= 0.0 {

@@ -125,6 +125,7 @@ impl IntervalSampler {
     /// # Errors
     ///
     /// Propagates PMU validation errors.
+    #[inline]
     pub fn tick(&mut self, true_counts: &EventCounts) -> Result<Option<IntervalSample>> {
         if let Err(e) = self.pmu.tick(true_counts, self.tick_period) {
             self.recorder.incr("fault.detected.pmc");

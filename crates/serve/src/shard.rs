@@ -14,14 +14,14 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ppep_core::resilient::{Action, HealthState};
+use ppep_core::resilient::{Action, HealthState, SupervisedStep};
 use ppep_dvfs::{ArbiterOp, GrantSnapshot};
 use ppep_obs::RecorderHandle;
 use ppep_telemetry::session::{DecisionKind, ProjectionSummary, SessionFrame, TenantHealth};
 use ppep_telemetry::snapshot::{encode_snapshot, MetricsSnapshot};
 use ppep_telemetry::IntervalRecord;
 use ppep_types::time::IntervalIndex;
-use ppep_types::{Error, Result, Watts};
+use ppep_types::{Error, Result, VfStateId, Watts};
 
 use crate::service::{TenantSession, TenantStatus};
 
@@ -302,7 +302,8 @@ impl ServiceShard {
     fn step_session(&mut self, idx: usize, interval: u64, caps: CapLookup<'_>) -> SessionFrame {
         let (tenant, outcome) = match self.sessions.get_mut(idx) {
             Some(s) => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| s.daemon.step()));
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| s.daemon.step().map(StepSummary::of)));
                 (s.id, outcome)
             }
             None => {
@@ -328,39 +329,18 @@ impl ServiceShard {
                 // a health transition this step deferred an op for
                 // takes budget effect at the next epoch boundary.
                 let cap = caps(tenant);
-                if let (Some(record), Some(s)) = (step.record.as_ref(), self.sessions.get_mut(idx))
+                if let (Some(measured), Some(s)) = (step.measured_power, self.sessions.get_mut(idx))
                 {
-                    s.slo.observe_cap(record.measured_power, cap);
+                    s.slo.observe_cap(measured, cap);
                 }
-                let projection = step.projection.as_ref().map(|p| {
-                    let mut floor = f64::INFINITY;
-                    let mut ceiling = f64::NEG_INFINITY;
-                    for c in &p.chip {
-                        floor = floor.min(c.power.as_watts());
-                        ceiling = ceiling.max(c.power.as_watts());
-                    }
-                    ProjectionSummary {
-                        power_floor: Watts::new(floor.min(ceiling)),
-                        power_ceiling: Watts::new(ceiling.max(floor)),
-                        temperature: p.temperature,
-                    }
-                });
                 SessionFrame::Reply {
                     tenant,
                     interval: step.interval,
-                    action: match step.action {
-                        Action::Fresh => DecisionKind::Fresh,
-                        Action::Held => DecisionKind::Held,
-                        Action::Failsafe => DecisionKind::Failsafe,
-                    },
-                    health: match step.state {
-                        HealthState::Healthy => TenantHealth::Healthy,
-                        HealthState::Degraded => TenantHealth::Degraded,
-                        HealthState::Failsafe => TenantHealth::Failsafe,
-                    },
+                    action: step.action,
+                    health: step.health,
                     cap,
                     decision: step.decision,
-                    projection,
+                    projection: step.projection,
                 }
             }
         }
@@ -419,5 +399,50 @@ impl std::fmt::Debug for ServiceShard {
             .field("live", &self.live_count())
             .field("deferred_ops", &self.deferred.len())
             .finish()
+    }
+}
+
+/// What a reply carries from one supervised step, copied out of the
+/// step the daemon lends before the shard touches its sessions again.
+struct StepSummary {
+    interval: u64,
+    action: DecisionKind,
+    health: TenantHealth,
+    measured_power: Option<Watts>,
+    projection: Option<ProjectionSummary>,
+    decision: Vec<VfStateId>,
+}
+
+impl StepSummary {
+    fn of(step: &SupervisedStep) -> Self {
+        let projection = step.projection.as_ref().map(|p| {
+            let mut floor = f64::INFINITY;
+            let mut ceiling = f64::NEG_INFINITY;
+            for c in &p.chip {
+                floor = floor.min(c.power.as_watts());
+                ceiling = ceiling.max(c.power.as_watts());
+            }
+            ProjectionSummary {
+                power_floor: Watts::new(floor.min(ceiling)),
+                power_ceiling: Watts::new(ceiling.max(floor)),
+                temperature: p.temperature,
+            }
+        });
+        Self {
+            interval: step.interval,
+            action: match step.action {
+                Action::Fresh => DecisionKind::Fresh,
+                Action::Held => DecisionKind::Held,
+                Action::Failsafe => DecisionKind::Failsafe,
+            },
+            health: match step.state {
+                HealthState::Healthy => TenantHealth::Healthy,
+                HealthState::Degraded => TenantHealth::Degraded,
+                HealthState::Failsafe => TenantHealth::Failsafe,
+            },
+            measured_power: step.record.as_ref().map(|r| r.measured_power),
+            projection,
+            decision: step.decision.clone(),
+        }
     }
 }

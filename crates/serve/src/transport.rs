@@ -207,8 +207,8 @@ impl ServeListener {
     }
 }
 
-/// Handle on a serving listener; dropping it without
-/// [`ServerHandle::shutdown`] leaks the accept thread.
+/// Handle on a serving listener. Dropping it shuts the server down
+/// exactly as [`ServerHandle::shutdown`] does.
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     held: Arc<AtomicUsize>,
@@ -230,17 +230,30 @@ impl ServerHandle {
     }
 
     /// Stops accepting, wakes the accept thread, joins every
-    /// connection thread, and removes the socket file.
-    pub fn shutdown(mut self) {
+    /// connection thread, and removes the socket file. Dropping the
+    /// handle does the same; this names the moment.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+
+    /// The shutdown itself; a no-op once the accept thread is joined.
+    fn stop_and_join(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::Relaxed);
         // Wake the blocking accept with a throwaway connection.
         let _ = FrameConn::connect(&self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        let _ = accept.join();
         if let ServeAddr::Unix(path) = &self.addr {
             let _ = std::fs::remove_file(path);
         }
+    }
+}
+
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.stop_and_join();
     }
 }
 
@@ -443,6 +456,25 @@ mod tests {
         handle.shutdown();
         // Goodbye raced the shutdown join; afterwards the session is gone.
         assert_eq!(service.live_sessions(), 0);
+    }
+
+    #[test]
+    fn dropping_the_handle_shuts_the_server_down() {
+        let service = Arc::new(CappingService::new(
+            engine().clone(),
+            ServeConfig::new(Watts::new(100.0)),
+        ));
+        let handle = ServeListener::bind_auto().unwrap().spawn(service);
+        let addr = handle.addr().clone();
+        FrameConn::connect(&addr).expect("the server accepts while its handle lives");
+        drop(handle);
+        if let ServeAddr::Unix(path) = &addr {
+            assert!(!path.exists(), "socket file {} left behind", path.display());
+        }
+        assert!(
+            FrameConn::connect(&addr).is_err(),
+            "a dropped server still accepts connections"
+        );
     }
 
     #[test]

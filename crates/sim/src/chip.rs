@@ -410,6 +410,26 @@ impl ChipSimulator {
     /// when an erroring fault strikes; the simulator stays consistent
     /// and the next interval can be stepped normally.
     pub fn step_interval_checked(&mut self) -> Result<IntervalRecord> {
+        let mut record = IntervalRecord::default();
+        self.step_interval_into(&mut record)?;
+        Ok(record)
+    }
+
+    /// [`step_interval_checked`] into a caller-owned record: the step
+    /// writes the samples, true counts, power breakdown, VF states and
+    /// busy flags straight into `record`'s vectors, so a caller that
+    /// keeps the record between intervals allocates nothing once it
+    /// has grown to the chip's size. The result is bit-identical to
+    /// [`step_interval_checked`]'s, whatever `record` held before.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`step_interval_checked`]. After an error the
+    /// record's contents are unspecified; the next successful step
+    /// overwrites every field.
+    ///
+    /// [`step_interval_checked`]: ChipSimulator::step_interval_checked
+    pub fn step_interval_into(&mut self, record: &mut IntervalRecord) -> Result<()> {
         let faults: Vec<FaultKind> = self.faults.kinds_at(self.interval.0).collect();
         if self.recorder.enabled() {
             for k in &faults {
@@ -449,19 +469,34 @@ impl ChipSimulator {
         let dt = POWER_SAMPLE_PERIOD;
         let thermal_decay = self.thermal.decay(dt);
 
-        let mut true_totals = vec![EventCounts::zero(); cores];
-        let mut busy_any = vec![false; cores];
+        // Every vector the record carries is reset to its start value
+        // here, so nothing a previous fill left behind survives.
+        let IntervalRecord {
+            samples,
+            true_counts: true_totals,
+            true_power,
+            cu_vf: record_cu_vf,
+            core_busy: busy_any,
+            ..
+        } = record;
+        reset(true_totals, cores, EventCounts::zero());
+        reset(busy_any, cores, false);
         let mut sensor_readings = [0.0_f64; SAMPLES_PER_INTERVAL];
         // A core whose sampler closes no interval reports zero counts.
-        let mut samples = vec![
+        reset(
+            samples,
+            cores,
             IntervalSample {
                 counts: EventCounts::zero(),
                 duration: ppep_types::time::DECISION_INTERVAL,
-            };
-            cores
-        ];
-        let mut acc_core_dyn = vec![0.0_f64; cores];
-        let mut acc_cu_idle = vec![0.0_f64; cus];
+            },
+        );
+        // The per-core and per-CU power sums accumulate in the
+        // breakdown's own vectors and are averaged in place at the end.
+        let acc_core_dyn = &mut true_power.core_dynamic;
+        let acc_cu_idle = &mut true_power.cu_idle;
+        reset(acc_core_dyn, cores, Watts::ZERO);
+        reset(acc_cu_idle, cus, Watts::ZERO);
         let mut acc_nb_dyn = 0.0_f64;
         let mut acc_nb_idle = 0.0_f64;
 
@@ -529,7 +564,7 @@ impl ChipSimulator {
                 } else {
                     idle
                 };
-                acc_cu_idle[cu] += w;
+                acc_cu_idle[cu] += Watts::new(w);
                 subtick_power += w;
             }
             let nb_idle_w = {
@@ -562,7 +597,7 @@ impl ChipSimulator {
                     * physics
                         .core_dynamic(counts, scales, temperature, dt)
                         .as_watts();
-                *acc += w;
+                *acc += Watts::new(w);
                 subtick_power += w;
             }
             let nb_dyn = physics
@@ -663,27 +698,20 @@ impl ChipSimulator {
         }
 
         let n = SAMPLES_PER_INTERVAL as f64;
-        Ok(IntervalRecord {
-            index,
-            duration: ppep_types::time::DECISION_INTERVAL,
-            samples,
-            true_counts: true_totals,
-            measured_power: Watts::new(sensor_readings.iter().sum::<f64>() / n),
-            true_power: PowerBreakdown {
-                core_dynamic: acc_core_dyn
-                    .into_iter()
-                    .map(|w| Watts::new(w / n))
-                    .collect(),
-                nb_dynamic: Watts::new(acc_nb_dyn / n),
-                cu_idle: acc_cu_idle.into_iter().map(|w| Watts::new(w / n)).collect(),
-                nb_idle: Watts::new(acc_nb_idle / n),
-                base: Watts::new(self.config.physics.base_power),
-            },
-            temperature: reported_temperature,
-            cu_vf: self.cu_vf.clone(),
-            nb_state: self.nb.state(),
-            core_busy: busy_any,
-        })
+        for w in acc_core_dyn.iter_mut().chain(acc_cu_idle.iter_mut()) {
+            *w = *w / n;
+        }
+        true_power.nb_dynamic = Watts::new(acc_nb_dyn / n);
+        true_power.nb_idle = Watts::new(acc_nb_idle / n);
+        true_power.base = Watts::new(self.config.physics.base_power);
+        record_cu_vf.clear();
+        record_cu_vf.extend_from_slice(&self.cu_vf);
+        record.index = index;
+        record.duration = ppep_types::time::DECISION_INTERVAL;
+        record.measured_power = Watts::new(sensor_readings.iter().sum::<f64>() / n);
+        record.temperature = reported_temperature;
+        record.nb_state = self.nb.state();
+        Ok(())
     }
 
     /// Runs `n` intervals and collects the records.
@@ -704,6 +732,13 @@ impl ChipSimulator {
         }
         out
     }
+}
+
+/// Empties `v` and refills it with `len` copies of `value`, keeping
+/// its allocation.
+fn reset<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
 }
 
 impl std::fmt::Debug for ChipSimulator {

@@ -3,7 +3,8 @@
 //! [`SimPlatform`] wraps a [`ChipSimulator`] behind the substrate
 //! port the PPEP daemon drives (`ppep_telemetry::Platform`). The
 //! adapter is a zero-cost passthrough — sampling is exactly
-//! [`ChipSimulator::step_interval_checked`] and applying is exactly
+//! [`ChipSimulator::step_interval_checked`] (or, into a reused record,
+//! [`ChipSimulator::step_interval_into`]) and applying is exactly
 //! the per-CU [`ChipSimulator::set_cu_vf`] loop — so a daemon run
 //! over `SimPlatform` is bit-identical to one that owned the
 //! simulator directly. It also derefs to the simulator, so workload
@@ -79,6 +80,10 @@ impl std::fmt::Debug for SimPlatform {
 impl Platform for SimPlatform {
     fn sample(&mut self) -> Result<IntervalRecord> {
         self.chip.step_interval_checked()
+    }
+
+    fn sample_into(&mut self, record: &mut IntervalRecord) -> Result<()> {
+        self.chip.step_interval_into(record)
     }
 
     fn apply(&mut self, assignment: &[VfStateId]) -> Result<()> {

@@ -11,11 +11,18 @@
 //! other interval) before the PMU tick was rewritten, so any change to
 //! an operand or to the evaluation order of the physics, or to how the
 //! PMU rounds, wraps or fails, shows up here.
+//!
+//! Every script also runs through `Platform::sample_into`, refilling
+//! one record for all 300 intervals, and must fold to the same digest:
+//! a reused buffer, including the one a failed interval left behind,
+//! never changes a measurement.
 
-use ppep_sim::chip::{ChipSimulator, IntervalRecord, SimConfig};
+use ppep_sim::chip::{IntervalRecord, SimConfig};
 use ppep_sim::fault::{FaultKind, FaultPlan};
+use ppep_sim::SimPlatform;
+use ppep_telemetry::Platform;
 use ppep_types::vf::NbVfState;
-use ppep_types::{CuId, Result};
+use ppep_types::{CuId, Error};
 use ppep_workloads::combos::{fig7_workload, instances};
 use ppep_workloads::WorkloadSpec;
 
@@ -44,7 +51,7 @@ impl Fnv {
     }
 }
 
-fn fold(h: &mut Fnv, step: &Result<IntervalRecord>) {
+fn fold(h: &mut Fnv, step: Result<&IntervalRecord, &Error>) {
     let r = match step {
         Ok(r) => r,
         Err(e) => {
@@ -75,9 +82,12 @@ fn fold(h: &mut Fnv, step: &Result<IntervalRecord>) {
     h.bytes(&r.core_busy.iter().map(|&b| u8::from(b)).collect::<Vec<_>>());
 }
 
-/// Runs the shared script over one preset and returns its digest.
-fn digest(config: SimConfig, workload: &WorkloadSpec, faults: FaultPlan) -> u64 {
-    let mut sim = ChipSimulator::new(config);
+/// Runs the shared script over one preset, stepping either through
+/// `step_interval_checked` or through `sample_into` on one reused
+/// record, and returns its digest.
+fn digest_via(config: SimConfig, workload: &WorkloadSpec, faults: FaultPlan, reuse: bool) -> u64 {
+    let mut sim = SimPlatform::from_config(config);
+    let mut record = IntervalRecord::default();
     sim.load_workload(workload);
     sim.set_fault_plan(faults);
     let table = sim.topology().vf_table().clone();
@@ -98,9 +108,25 @@ fn digest(config: SimConfig, workload: &WorkloadSpec, faults: FaultPlan) -> u64 
             }
             _ => {}
         }
-        fold(&mut h, &sim.step_interval_checked());
+        if reuse {
+            let step = sim.sample_into(&mut record);
+            fold(&mut h, step.as_ref().map(|()| &record));
+        } else {
+            fold(&mut h, sim.step_interval_checked().as_ref());
+        }
     }
     h.0
+}
+
+/// The script's digest, checked to be the same through both paths.
+fn digest(config: SimConfig, workload: &WorkloadSpec, faults: FaultPlan) -> u64 {
+    let fresh = digest_via(config.clone(), workload, faults.clone(), false);
+    let reused = digest_via(config, workload, faults, true);
+    assert_eq!(
+        fresh, reused,
+        "sample_into into a reused record diverged from step_interval_checked"
+    );
+    fresh
 }
 
 fn check(name: &str, actual: u64, expected: u64) {

@@ -30,6 +30,23 @@ pub trait Platform {
     /// Non-transient errors mean the substrate is gone.
     fn sample(&mut self) -> Result<IntervalRecord>;
 
+    /// [`Platform::sample`] into a caller-owned record, so a daemon
+    /// that keeps its buffer between intervals allocates nothing once
+    /// the buffer has grown to the chip's size.
+    ///
+    /// On success every field of `record` holds this interval's
+    /// measurement, whatever the buffer held before. On error its
+    /// contents are unspecified; the next successful fill overwrites
+    /// them all. The default forwards to [`Platform::sample`].
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Platform::sample`].
+    fn sample_into(&mut self, record: &mut IntervalRecord) -> Result<()> {
+        *record = self.sample()?;
+        Ok(())
+    }
+
     /// Attempts an in-interval re-read after a transient
     /// [`Platform::sample`] failure, after waiting out `backoff_us`
     /// microseconds of supervisor backoff.

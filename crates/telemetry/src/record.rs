@@ -16,7 +16,7 @@ use ppep_types::{Kelvin, Seconds, Topology, VfStateId, Watts};
 
 /// The hidden ground-truth power decomposition of one interval
 /// (averaged over its sub-ticks).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PowerBreakdown {
     /// Dynamic power attributable to each core's activity.
     pub core_dynamic: Vec<Watts>,
@@ -54,7 +54,11 @@ impl PowerBreakdown {
 
 /// Everything observable (and the hidden truth) for one 200 ms
 /// decision interval.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The default is an empty record: no cores, no CUs, every number
+/// zero. It is the starting buffer for [`crate::Platform::sample_into`],
+/// which resizes and overwrites every field.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IntervalRecord {
     /// Which interval this is.
     pub index: IntervalIndex,

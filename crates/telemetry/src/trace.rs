@@ -641,11 +641,17 @@ impl<P: Platform> RecordingPlatform<P> {
 
 impl<P: Platform> Platform for RecordingPlatform<P> {
     fn sample(&mut self) -> Result<IntervalRecord> {
+        let mut record = IntervalRecord::default();
+        self.sample_into(&mut record)?;
+        Ok(record)
+    }
+
+    fn sample_into(&mut self, record: &mut IntervalRecord) -> Result<()> {
         let measuring = self.inner.current_interval();
-        match self.inner.sample() {
-            Ok(record) => {
-                self.writer.interval(&record);
-                Ok(record)
+        match self.inner.sample_into(record) {
+            Ok(()) => {
+                self.writer.interval(record);
+                Ok(())
             }
             Err(e) => {
                 self.writer.fault(measuring, &e);

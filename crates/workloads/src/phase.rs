@@ -129,18 +129,21 @@ impl PhaseFingerprint {
 
     /// Retiring cycles per instruction for a core of the given issue
     /// width (`1 / (IW · utilisation)`).
+    #[inline]
     pub fn retire_cpi(&self, issue_width: f64) -> f64 {
         1.0 / (issue_width * self.retire_utilization)
     }
 
     /// Discarded (pipeline-flush) cycles per instruction
     /// (`mispredicts/inst × penalty`).
+    #[inline]
     pub fn discarded_cpi(&self, mispredict_penalty: f64) -> f64 {
         self.mispred_per_inst * mispredict_penalty
     }
 
     /// Core CPI — the VF-invariant part of CPI (retire + discarded +
     /// core stalls).
+    #[inline]
     pub fn core_cpi(&self, issue_width: f64, mispredict_penalty: f64) -> f64 {
         self.retire_cpi(issue_width) + self.discarded_cpi(mispredict_penalty) + self.core_stall_cpi
     }
@@ -153,6 +156,7 @@ impl PhaseFingerprint {
     /// Memory time per instruction is constant in wall-clock terms, so
     /// the cycles it costs scale proportionally with core frequency —
     /// the leading-loads law the LL-MAB predictor inverts.
+    #[inline]
     pub fn memory_cpi(&self, f: Gigahertz, contention: f64, nb_latency_factor: f64) -> f64 {
         self.mcpi_ref * (f / REFERENCE_FREQUENCY) * contention * nb_latency_factor
     }
@@ -179,6 +183,7 @@ impl PhaseFingerprint {
 
     /// [`dispatch_stall_cpi`](Self::dispatch_stall_cpi) from a memory
     /// CPI already computed for the operating point.
+    #[inline]
     pub fn dispatch_stall_cpi_with(&self, memory_cpi: f64) -> f64 {
         self.core_stall_cpi + MEMORY_STALL_OVERLAP * memory_cpi
     }

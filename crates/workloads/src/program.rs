@@ -145,6 +145,7 @@ impl ThreadCursor {
     ///
     /// Finished threads report the last phase's fingerprint (they are
     /// idle; the simulator checks [`ThreadCursor::is_finished`]).
+    #[inline]
     pub fn fingerprint<'p>(&self, program: &'p ThreadProgram) -> &'p PhaseFingerprint {
         let idx = self.phase_index.min(program.phases.len() - 1);
         &program.phases[idx].fingerprint
@@ -156,6 +157,7 @@ impl ThreadCursor {
     }
 
     /// Whether a finite program has run to completion.
+    #[inline]
     pub fn is_finished(&self) -> bool {
         self.finished
     }
@@ -169,6 +171,7 @@ impl ThreadCursor {
     /// moving across phase boundaries (and loop restarts) as needed.
     /// Returns the number of instructions actually retired, which is
     /// smaller than requested only when a finite program completes.
+    #[inline]
     pub fn advance(&mut self, program: &ThreadProgram, instructions: f64) -> f64 {
         if self.finished || instructions <= 0.0 {
             return 0.0;

@@ -82,7 +82,7 @@ fn drive<P: Platform>(
     for step in 0..steps {
         daemon.inner_mut().controller_mut().set_cap(cap(step));
         let s = daemon.step().expect("supervised step survives");
-        decisions.push(s.decision);
+        decisions.push(s.decision.clone());
     }
     (decisions, daemon)
 }

@@ -63,7 +63,7 @@ fn run_storm(
                 .as_ref()
                 .map(|r| r.true_power.total().as_watts().to_bits()),
         );
-        decisions.push(s.decision);
+        decisions.push(s.decision.clone());
     }
     (decisions, power_bits)
 }
@@ -101,7 +101,7 @@ fn run_storm_recorded(
                 .as_ref()
                 .map(|r| r.true_power.total().as_watts().to_bits()),
         );
-        decisions.push(s.decision);
+        decisions.push(s.decision.clone());
     }
     let scored = daemon
         .inner()
