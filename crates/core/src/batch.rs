@@ -1,28 +1,31 @@
 //! The batched struct-of-arrays projection kernel.
 //!
 //! [`crate::framework::Ppep::project_nb`] prices every (core,
-//! VF-state) cell of the DVFS space each interval. The scalar
-//! reference path walks the grid cell by cell, re-deriving per-state
-//! constants — the `(Vn/V5)^α` weight scaling, target frequencies in
-//! Hz — and per-core invariants — the LL-MAB decomposition, the
-//! per-instruction event fingerprint — inside the inner loop.
+//! VF-state) cell of the DVFS space each interval. Walked cell by
+//! cell, that grid re-derives per-state constants — the `(Vn/V5)^α`
+//! weight scaling, target frequencies in Hz — and per-core invariants
+//! — the LL-MAB decomposition, the per-instruction event fingerprint —
+//! inside the inner loop.
 //!
 //! [`BatchProjector`] restructures that walk around flattened
 //! coefficient tables ([`ppep_models::soa::SoaCoeffs`], built once per
 //! engine) and per-core hoists, leaving the inner loops as branch-free
-//! zip chains over contiguous slices. The restructuring is **bit
-//! exact**: every cell value is produced by the identical sequence of
-//! float operations the scalar path performs, only with loop-invariant
-//! subexpressions computed once (IEEE-754 float ops are deterministic,
-//! so hoisting a pure subexpression cannot change its bits). The
-//! differential harness in `tests/kernel_equivalence.rs` and the
-//! golden-fixture pins in `tests/golden_traces.rs` enforce the
-//! contract, and the `kernel-bench` experiment gates the speedup.
+//! zip chains over contiguous slices. It is the engine's only grid
+//! walk. The restructuring is **bit exact**: every cell value is
+//! produced by the identical sequence of float operations the
+//! cell-by-cell walk performs through the public model APIs, only with
+//! loop-invariant subexpressions computed once (IEEE-754 float ops are
+//! deterministic, so hoisting a pure subexpression cannot change its
+//! bits). That cell-by-cell walk lives on as a test oracle in
+//! `tests/support/scalar.rs`; the differential harness in
+//! `tests/kernel_equivalence.rs` and the golden-fixture pins in
+//! `tests/golden_traces.rs` enforce the contract, and
+//! `tests/kernel_speedup.rs` gates the speedup over the oracle.
 //!
-//! Error behaviour is preserved too: validation runs in the scalar
+//! Error behaviour is preserved too: validation runs in the oracle's
 //! order (memory factor → finite counts → positive frequencies →
 //! CPI decomposition → finite Eq. 3 sums), so the first error any
-//! record produces is the same `Error` either path.
+//! record produces is the same `Error` either way.
 
 use crate::ppe::{CoreAtVf, PpeProjection};
 use ppep_models::soa::SoaCoeffs;
@@ -32,47 +35,6 @@ use ppep_obs::{Stage, StageClock};
 use ppep_pmc::EventId;
 use ppep_telemetry::IntervalRecord;
 use ppep_types::{CoreId, Error, Gigahertz, Result, Watts};
-
-/// Which projection kernel a [`crate::framework::Ppep`] routes
-/// [`crate::framework::Ppep::project_nb`] through.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ProjectionKernel {
-    /// The original per-cell path, kept as the differential reference.
-    Scalar,
-    /// The struct-of-arrays batch kernel (bit-identical, faster).
-    #[default]
-    Batch,
-}
-
-impl ProjectionKernel {
-    /// The CLI spelling (`scalar` / `batch`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ProjectionKernel::Scalar => "scalar",
-            ProjectionKernel::Batch => "batch",
-        }
-    }
-}
-
-impl std::str::FromStr for ProjectionKernel {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "scalar" => Ok(ProjectionKernel::Scalar),
-            "batch" => Ok(ProjectionKernel::Batch),
-            other => Err(Error::InvalidInput(format!(
-                "unknown projection kernel {other:?} (expected scalar|batch)"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for ProjectionKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// The per-core LL-MAB hoists shared by a whole VF row.
 #[derive(Debug, Clone, Copy)]
@@ -92,29 +54,24 @@ struct Fingerprint {
 /// The struct-of-arrays batch kernel: one record in, the full
 /// core × VF-state grid out.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchProjector {
+pub(crate) struct BatchProjector {
     coeffs: SoaCoeffs,
 }
 
 impl BatchProjector {
     /// Flattens the model bundle's coefficient tables for the hot
     /// loop. Called once per engine construction.
-    pub fn new(models: &TrainedModels) -> Self {
+    pub(crate) fn new(models: &TrainedModels) -> Self {
         Self {
             coeffs: SoaCoeffs::build(models.vf_table(), models.dynamic_model()),
         }
-    }
-
-    /// The flattened coefficient tables.
-    pub fn coeffs(&self) -> &SoaCoeffs {
-        &self.coeffs
     }
 
     /// Computes the full core × VF-state grid for one record into
     /// `out`: each core's row in `out.cores` (rows and cells refilled
     /// in place), and each state's NB dynamic power in the `nb_power`
     /// of its row in `out.chip`, which is reset to one zeroed row per
-    /// state. Both come out exactly as the scalar reference produces
+    /// state. Both come out exactly as the per-cell model APIs produce
     /// them; the other fields of `out` are left to the caller.
     ///
     /// `memory_factor` and `nb_dyn_scale` are the §V-C2 NB-state
@@ -123,12 +80,12 @@ impl BatchProjector {
     ///
     /// # Errors
     ///
-    /// The same errors, in the same order, as the scalar reference:
+    /// The same errors, in the same order, as the per-cell model APIs:
     /// invalid memory factor, non-finite counts, non-positive
     /// frequencies, degenerate CPI decompositions, and non-finite
     /// Eq. 3 sums. Out-of-range CU assignments surface as
     /// [`Error::InvalidInput`] rather than a panic.
-    pub fn grid(
+    pub(crate) fn grid(
         &self,
         models: &TrainedModels,
         record: &IntervalRecord,
@@ -181,7 +138,7 @@ impl BatchProjector {
                 cpi: 0.0,
             }));
 
-            // Stage 1 (Eq. 1): validate in the scalar order, then fill
+            // Stage 1 (Eq. 1): validate in the per-cell order, then fill
             // the row's CPI/IPS lanes in one branch-free pass.
             let row = clock.time(Stage::CpiPredict, || -> Result<Option<CpiRow>> {
                 if memory_factor <= 0.0 || !memory_factor.is_finite() {
@@ -209,7 +166,7 @@ impl BatchProjector {
                 for (cell, (to_ghz, to_hz)) in lanes {
                     // Eq. 1: CPI(f') = CCPI + (MCPI · f'/f) · mf, then
                     // IPS = util · f'(Hz) / CPI(f') — op-for-op the
-                    // scalar `project_cpi` sequence.
+                    // `HwEventPredictor::project_cpi` sequence.
                     let pm_mf = mcpi * (to_ghz / from_ghz) * memory_factor;
                     cell.cpi = ccpi + pm_mf;
                     cell.ips = utilization * to_hz / cell.cpi;
@@ -245,7 +202,7 @@ impl BatchProjector {
                     .zip(chip.iter_mut());
                 for ((cell, scaled_row), chip_row) in lanes {
                     let ips = cell.ips;
-                    // The scalar idle test is `ips <= 0.0`; NaN is
+                    // The per-cell idle test is `ips <= 0.0`; NaN is
                     // *not* idle and must flow into the finite guard,
                     // hence the explicit `is_nan` disjunct.
                     let rates = match fingerprint {
@@ -265,7 +222,7 @@ impl BatchProjector {
                             ]
                         }
                         // An idle cell reports zero CPI/IPS and prices a
-                        // zero rate vector, like the scalar path (the
+                        // zero rate vector, like the per-cell path (the
                         // multiply-adds still run so a degenerate weight
                         // poisons both paths identically).
                         _ => {
@@ -312,20 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_parsing_round_trips() {
-        for k in [ProjectionKernel::Scalar, ProjectionKernel::Batch] {
-            assert_eq!(k.as_str().parse::<ProjectionKernel>().unwrap(), k);
-        }
-        assert!("simd".parse::<ProjectionKernel>().is_err());
-        assert_eq!(ProjectionKernel::default(), ProjectionKernel::Batch);
-        assert_eq!(ProjectionKernel::Batch.to_string(), "batch");
-    }
-
-    #[test]
     fn grid_covers_every_cell() {
         let m = models();
         let projector = BatchProjector::new(m);
-        assert_eq!(projector.coeffs().len(), m.vf_table().len());
         let rec = RecorderHandle::noop();
         let mut clock = StageClock::new(&rec);
         let mut out = PpeProjection::default();

@@ -1,20 +1,20 @@
 //! The Fig. 5 pipeline: interval record in, PPE projection out.
 //!
-//! Two kernels implement the per-interval core × VF grid: the scalar
-//! reference below and the struct-of-arrays batch kernel in
-//! [`crate::batch`] (the default). They are bit-identical by
-//! construction and by test (`tests/kernel_equivalence.rs`); choose
-//! with [`Ppep::with_kernel`].
+//! One kernel implements the per-interval core × VF grid: the
+//! struct-of-arrays batch kernel in `crate::batch`; composition below
+//! turns its rows into chip-level PPE. The cell-by-cell walk through
+//! the public model APIs that the kernel must match bit for bit is a
+//! test oracle (`tests/support/scalar.rs`), compared against in
+//! `tests/kernel_equivalence.rs` and timed in `tests/kernel_speedup.rs`.
 
-use crate::batch::{BatchProjector, ProjectionKernel};
-use crate::ppe::{ChipPpe, CoreAtVf, PpeProjection};
-use ppep_models::event_pred::HwEventPredictor;
+use crate::batch::BatchProjector;
+use crate::ppe::{ChipPpe, PpeProjection};
 use ppep_models::trainer::TrainedModels;
 use ppep_obs::{RecorderHandle, Stage, StageClock};
 use ppep_pmc::EventId;
 use ppep_telemetry::IntervalRecord;
 use ppep_types::vf::NbVfState;
-use ppep_types::{CoreId, Error, Joules, Result, Seconds, VfStateId, Watts};
+use ppep_types::{Error, Joules, Result, Seconds, VfStateId, Watts};
 
 /// The §V-C2 NB-DVFS study assumptions for the low NB point.
 mod nb_low {
@@ -31,48 +31,20 @@ mod nb_low {
 #[derive(Debug, Clone)]
 pub struct Ppep {
     models: TrainedModels,
-    predictor: HwEventPredictor,
     recorder: RecorderHandle,
-    kernel: ProjectionKernel,
     batch: BatchProjector,
 }
 
 impl Ppep {
-    /// Builds the engine from trained models. Projections route
-    /// through the batch kernel by default; see [`Ppep::with_kernel`].
+    /// Builds the engine from trained models, flattening their
+    /// coefficient tables for the projection kernel.
     pub fn new(models: TrainedModels) -> Self {
         let batch = BatchProjector::new(&models);
         Self {
             models,
-            predictor: HwEventPredictor::new(),
             recorder: RecorderHandle::noop(),
-            kernel: ProjectionKernel::default(),
             batch,
         }
-    }
-
-    /// Selects which kernel [`Ppep::project_nb`] runs. Both kernels
-    /// produce bit-identical projections; the scalar path exists as
-    /// the differential reference and for A/B benchmarking.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: ProjectionKernel) -> Self {
-        self.set_kernel(kernel);
-        self
-    }
-
-    /// In-place form of [`Ppep::with_kernel`].
-    pub fn set_kernel(&mut self, kernel: ProjectionKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The kernel projections currently route through.
-    pub fn kernel(&self) -> ProjectionKernel {
-        self.kernel
-    }
-
-    /// The engine's batch projector (flattened coefficient tables).
-    pub fn batch_projector(&self) -> &BatchProjector {
-        &self.batch
     }
 
     /// Routes per-stage pipeline spans (cpi-predict, event-predict,
@@ -126,22 +98,9 @@ impl Ppep {
         record: &IntervalRecord,
         nb_target: NbVfState,
     ) -> Result<PpeProjection> {
-        self.project_nb_with(record, nb_target, self.kernel)
-    }
-
-    /// [`Ppep::project_nb`] forced through the scalar reference
-    /// kernel, regardless of [`Ppep::kernel`] — the comparison target
-    /// for the differential test harness and the kernel benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Propagates event-predictor and model errors.
-    pub fn project_nb_scalar(
-        &self,
-        record: &IntervalRecord,
-        nb_target: NbVfState,
-    ) -> Result<PpeProjection> {
-        self.project_nb_with(record, nb_target, ProjectionKernel::Scalar)
+        let mut projection = PpeProjection::default();
+        self.project_into(record, nb_target, &mut projection)?;
+        Ok(projection)
     }
 
     /// [`Ppep::project_nb`] into a caller-owned projection: the core
@@ -163,27 +122,6 @@ impl Ppep {
         nb_target: NbVfState,
         out: &mut PpeProjection,
     ) -> Result<()> {
-        self.project_into_with(record, nb_target, self.kernel, out)
-    }
-
-    fn project_nb_with(
-        &self,
-        record: &IntervalRecord,
-        nb_target: NbVfState,
-        kernel: ProjectionKernel,
-    ) -> Result<PpeProjection> {
-        let mut projection = PpeProjection::default();
-        self.project_into_with(record, nb_target, kernel, &mut projection)?;
-        Ok(projection)
-    }
-
-    fn project_into_with(
-        &self,
-        record: &IntervalRecord,
-        nb_target: NbVfState,
-        kernel: ProjectionKernel,
-        out: &mut PpeProjection,
-    ) -> Result<()> {
         self.validate_record(record)?;
         let table = self.models.vf_table();
         let topo = self.models.topology();
@@ -203,19 +141,14 @@ impl Ppep {
         // dynamic power into its chip row (see
         // [`PpeProjection::reset_rows`]); composition below adds the
         // NB idle share and fills the rest of each chip row.
-        match kernel {
-            ProjectionKernel::Scalar => {
-                self.scalar_grid(record, memory_factor, nb_dyn_scale, &mut clock, out)?;
-            }
-            ProjectionKernel::Batch => self.batch.grid(
-                &self.models,
-                record,
-                memory_factor,
-                nb_dyn_scale,
-                &mut clock,
-                out,
-            )?,
-        }
+        self.batch.grid(
+            &self.models,
+            record,
+            memory_factor,
+            nb_dyn_scale,
+            &mut clock,
+            out,
+        )?;
         let work_instructions: f64 = record
             .samples
             .iter()
@@ -304,8 +237,8 @@ impl Ppep {
     /// Rejects records whose CU→VF assignment cannot index the model
     /// bundle's ladder: too few assignments for the sampled cores
     /// (including an empty assignment) or a state id from a longer
-    /// table. Both used to panic inside the grid loops; both kernels
-    /// now share this typed check.
+    /// table. Checked before the grid walk, so either case is one
+    /// typed error naming the assignment.
     fn validate_record(&self, record: &IntervalRecord) -> Result<()> {
         let cores_per_cu = self.models.topology().cores_per_cu();
         let table_len = self.models.vf_table().len();
@@ -325,55 +258,6 @@ impl Ppep {
                      {table_len}-state ladder",
                     vf.index()
                 )));
-            }
-        }
-        Ok(())
-    }
-
-    /// The scalar reference kernel: the per-cell grid walk, kept
-    /// verbatim as the differential baseline for [`crate::batch`].
-    /// Fills `out.cores` and sums each state's NB dynamic power into
-    /// the `nb_power` of its row in `out.chip`, like
-    /// [`BatchProjector::grid`](crate::batch::BatchProjector::grid).
-    fn scalar_grid(
-        &self,
-        record: &IntervalRecord,
-        memory_factor: f64,
-        nb_dyn_scale: f64,
-        clock: &mut StageClock<'_>,
-        out: &mut PpeProjection,
-    ) -> Result<()> {
-        let table = self.models.vf_table();
-        let cores_per_cu = self.models.topology().cores_per_cu();
-        let dynamic = self.models.dynamic_model();
-        out.reset_rows(record.samples.len(), table);
-        let rows = out.cores.iter_mut();
-        for ((i, sample), row) in record.samples.iter().enumerate().zip(rows) {
-            let cu = i / cores_per_cu;
-            let from = table.point(record.cu_vf[cu]);
-            row.core = CoreId(i);
-            row.busy = sample.counts.get(EventId::RetiredInstructions) > 0.0;
-            row.per_vf.clear();
-            row.per_vf.reserve(table.len());
-            for (vf, chip_row) in table.states().zip(out.chip.iter_mut()) {
-                let to = table.point(vf);
-                let projected = clock.time(Stage::CpiPredict, || {
-                    self.predictor.project_cpi(sample, from, to, memory_factor)
-                })?;
-                let predicted = clock.time(Stage::EventPredict, || {
-                    self.predictor.reconstruct_events(sample, &projected)
-                })?;
-                let (core_dyn, nb_dyn) = clock.time(Stage::Pdyn, || {
-                    dynamic.estimate_core_split(&predicted.power_rates(), to.voltage)
-                })?;
-                let nb_dyn = nb_dyn * nb_dyn_scale;
-                chip_row.nb_power += nb_dyn;
-                row.per_vf.push(CoreAtVf {
-                    vf,
-                    dynamic_power: core_dyn + nb_dyn,
-                    ips: predicted.ips,
-                    cpi: predicted.cpi,
-                });
             }
         }
         Ok(())
@@ -613,17 +497,10 @@ mod tests {
         for keep in [0, 1] {
             let mut record = record_for("433.milc", 2);
             record.cu_vf.truncate(keep);
-            for kernel in [ProjectionKernel::Scalar, ProjectionKernel::Batch] {
-                let err = ppep
-                    .clone()
-                    .with_kernel(kernel)
-                    .project(&record)
-                    .expect_err("short assignment must not panic");
-                assert!(
-                    err.to_string().contains("VF assignments"),
-                    "{kernel}: {err}"
-                );
-            }
+            let err = ppep
+                .project(&record)
+                .expect_err("short assignment must not panic");
+            assert!(err.to_string().contains("VF assignments"), "{err}");
         }
     }
 
@@ -634,17 +511,10 @@ mod tests {
         // Index 6 from the boosted seven-state ladder, against the
         // engine's five-state bundle.
         record.cu_vf[0] = ppep_types::VfTable::fx8320_with_boost().highest();
-        for kernel in [ProjectionKernel::Scalar, ProjectionKernel::Batch] {
-            let err = ppep
-                .clone()
-                .with_kernel(kernel)
-                .project(&record)
-                .expect_err("out-of-range state must not panic");
-            assert!(
-                err.to_string().contains("5-state ladder"),
-                "{kernel}: {err}"
-            );
-        }
+        let err = ppep
+            .project(&record)
+            .expect_err("out-of-range state must not panic");
+        assert!(err.to_string().contains("5-state ladder"), "{err}");
     }
 
     fn single_core_ppep() -> Ppep {
@@ -686,7 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn single_core_topology_projects_under_both_kernels() {
+    fn single_core_topology_projects() {
         use ppep_pmc::sampler::IntervalSample;
         use ppep_pmc::EventCounts;
         use ppep_telemetry::record::PowerBreakdown;
@@ -721,24 +591,9 @@ mod tests {
             nb_state: NbVfState::High,
             core_busy: vec![true],
         };
-        let batch = ppep.project(&record).expect("batch projects 1×1 topology");
-        let scalar = ppep
-            .project_nb_scalar(&record, NbVfState::High)
-            .expect("scalar projects 1×1 topology");
-        assert_eq!(batch.cores.len(), 1);
-        assert_eq!(batch.chip.len(), 5);
-        assert!(batch.cores[0].busy);
-        for (b, s) in batch.cores[0].per_vf.iter().zip(&scalar.cores[0].per_vf) {
-            assert_eq!(b.ips.to_bits(), s.ips.to_bits());
-            assert_eq!(b.cpi.to_bits(), s.cpi.to_bits());
-            assert_eq!(
-                b.dynamic_power.as_watts().to_bits(),
-                s.dynamic_power.as_watts().to_bits()
-            );
-        }
-        for (b, s) in batch.chip.iter().zip(&scalar.chip) {
-            assert_eq!(b.power.as_watts().to_bits(), s.power.as_watts().to_bits());
-            assert_eq!(b.ips.to_bits(), s.ips.to_bits());
-        }
+        let p = ppep.project(&record).expect("projects a 1×1 topology");
+        assert_eq!(p.cores.len(), 1);
+        assert_eq!(p.chip.len(), 5);
+        assert!(p.cores[0].busy);
     }
 }

@@ -14,9 +14,8 @@
 //! 5. a decision algorithm consumes the projections;
 //! 6. the chosen VF states are applied.
 //!
-//! This crate implements steps 1–4 ([`framework::Ppep`]), the
-//! batched struct-of-arrays projection kernel ([`batch`]) that the
-//! framework routes the grid walk through by default, the
+//! This crate implements steps 1–4 ([`framework::Ppep`], whose grid
+//! walk runs on a batched struct-of-arrays kernel), the
 //! projection data model ([`ppe`]), next-interval energy prediction
 //! ([`energy`], Fig. 6), optional counter [`smoothing`] against
 //! rapid-phase noise, and a [`daemon`] loop that closes the circle
@@ -49,7 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
+mod batch;
 pub mod daemon;
 pub mod energy;
 pub mod framework;
@@ -58,7 +57,6 @@ pub mod resilient;
 pub mod smoothing;
 pub mod stats;
 
-pub use batch::{BatchProjector, ProjectionKernel};
 pub use framework::Ppep;
 pub use ppe::{ChipPpe, CoreProjection, PpeProjection};
 pub use ppep_telemetry::Platform;
@@ -70,7 +68,6 @@ pub use resilient::ResilientDaemon;
 /// rig lives in `ppep-rig` and stays out of the framework's
 /// dependency graph — import it directly where calibration happens.
 pub mod prelude {
-    pub use crate::batch::{BatchProjector, ProjectionKernel};
     pub use crate::daemon::{DvfsController, PpepDaemon, RunOutcome, StaticController};
     pub use crate::energy::EnergyPredictor;
     pub use crate::framework::Ppep;

@@ -4,10 +4,9 @@
 //! study is explored), so every allocation it makes is paid on the hot
 //! path. A counting global allocator tallies allocations per thread,
 //! which keeps the count exact while the test harness runs other tests
-//! in parallel. The bounds are the counts the kernels make today; a
-//! change that adds an allocation to either kernel fails here.
+//! in parallel. The bound is the count the projection makes today; a
+//! change that adds an allocation to it fails here.
 
-use ppep_core::batch::ProjectionKernel;
 use ppep_core::Ppep;
 use ppep_rig::TrainingRig;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
@@ -35,29 +34,26 @@ fn engine_and_record() -> (Ppep, IntervalRecord) {
     (Ppep::new(models), record)
 }
 
-/// Allocations per call, the same under either kernel: one `Vec` of
+/// Allocations per call: one `Vec` of
 /// cores, one row of cells per core, the NB accumulator, the chip rows,
 /// the copied source assignment, and one uniform-assignment buffer for
 /// the PG idle path.
 const ALLOCATIONS_PER_PROJECTION: usize = 13;
 
 #[test]
-fn projection_allocations_are_pinned_under_both_kernels() {
+fn projection_allocations_are_pinned() {
     let (engine, record) = engine_and_record();
-    for kernel in [ProjectionKernel::Batch, ProjectionKernel::Scalar] {
-        let engine = engine.clone().with_kernel(kernel);
-        for nb in [NbVfState::High, NbVfState::Low] {
-            // Warm-up: anything lazily initialised on first use is not
-            // a per-call cost.
-            engine.project_nb(&record, nb).expect("projects");
-            let (n, projection) = allocations(|| engine.project_nb(&record, nb));
-            let projection = projection.expect("projects");
-            assert_eq!(projection.cores.len(), 8);
-            assert!(
-                n <= ALLOCATIONS_PER_PROJECTION,
-                "{kernel} kernel, NB {nb:?}: {n} allocations per projection, \
-                 pinned at {ALLOCATIONS_PER_PROJECTION}"
-            );
-        }
+    for nb in [NbVfState::High, NbVfState::Low] {
+        // Warm-up: anything lazily initialised on first use is not a
+        // per-call cost.
+        engine.project_nb(&record, nb).expect("projects");
+        let (n, projection) = allocations(|| engine.project_nb(&record, nb));
+        let projection = projection.expect("projects");
+        assert_eq!(projection.cores.len(), 8);
+        assert!(
+            n <= ALLOCATIONS_PER_PROJECTION,
+            "NB {nb:?}: {n} allocations per projection, \
+             pinned at {ALLOCATIONS_PER_PROJECTION}"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! One physical socket has one power budget; N tenants each want a
 //! per-tenant cap enforced by their own capping controller. The
-//! [`BudgetArbiter`] owns the invariant that makes that safe: **the
+//! [`EpochArbiter`] owns the invariant that makes that safe: **the
 //! sum of granted per-tenant caps never exceeds the socket cap**, at
 //! any point in any sequence of joins, leaves, failsafes, and
 //! restores. Allocation is deterministic max-min fair (water-filling):
@@ -12,12 +12,17 @@
 //! modest tenants flows to the hungry ones.
 //!
 //! Bulkhead coupling: a tenant whose supervisor enters Failsafe is
-//! pinned to its safe VF state and cannot spend its cap, so
-//! [`BudgetArbiter::failsafe`] zeroes its grant and redistributes the
-//! freed budget to the survivors; [`BudgetArbiter::restore`] re-admits
-//! it on recovery. Admission reserves `min_grant` per registered
-//! tenant (failsafed included) so a restore can never be starved by
-//! sessions admitted in the meantime.
+//! pinned to its safe VF state and cannot spend its cap, so a deferred
+//! [`ArbiterOp::Failsafe`] zeroes its grant and redistributes the
+//! freed budget to the survivors; [`ArbiterOp::Restore`] re-admits it
+//! on recovery. Admission reserves `min_grant` per registered tenant
+//! (failsafed included) so a restore can never be starved by sessions
+//! admitted in the meantime.
+//!
+//! The water-filling itself lives in the crate-private
+//! `BudgetArbiter`, the engine [`EpochArbiter`] steps one epoch at a
+//! time; its tests pin the invariants above for arbitrary op
+//! sequences.
 
 use ppep_types::{Error, RejectReason, Result, Watts};
 
@@ -30,9 +35,10 @@ struct TenantBudget {
     failsafed: bool,
 }
 
-/// The shared socket power-budget arbiter. See the module docs.
+/// The water-filling engine behind [`EpochArbiter`]: applies each op
+/// immediately. See the module docs.
 #[derive(Debug, Clone)]
-pub struct BudgetArbiter {
+pub(crate) struct BudgetArbiter {
     socket_cap_w: f64,
     min_grant_w: f64,
     /// Join order; allocation iterates this deterministically.
@@ -68,11 +74,6 @@ impl BudgetArbiter {
     /// Whether no tenant is registered.
     pub fn is_empty(&self) -> bool {
         self.tenants.is_empty()
-    }
-
-    /// Registered tenants currently holding a live grant.
-    pub fn active_count(&self) -> usize {
-        self.tenants.iter().filter(|t| !t.failsafed).count()
     }
 
     /// Admits a tenant requesting a cap of `requested`, returning the
@@ -315,8 +316,9 @@ impl GrantSnapshot {
     }
 }
 
-/// Epoch-stepped wrapper around [`BudgetArbiter`] — the cross-shard
-/// message protocol of the sharded capping service.
+/// The shared socket power-budget arbiter, stepped in epochs — the
+/// cross-shard message protocol of the sharded capping service. See
+/// the module docs for the allocation and its invariants.
 ///
 /// Two op classes with different timing:
 ///
@@ -333,7 +335,8 @@ impl GrantSnapshot {
 ///   arrival order — the only thing shard scheduling can perturb —
 ///   is discarded. Water-fill grants after `advance` are therefore
 ///   byte-identical for every interleaving, which the proptest below
-///   pins against the plain single-threaded [`BudgetArbiter`].
+///   pins against the plain single-threaded engine that applies each
+///   op immediately.
 #[derive(Debug, Clone)]
 pub struct EpochArbiter {
     inner: BudgetArbiter,
@@ -395,7 +398,10 @@ impl EpochArbiter {
     ///
     /// # Errors
     ///
-    /// As [`BudgetArbiter::join`].
+    /// [`Error::Rejected`] with [`RejectReason::DuplicateTenant`] when
+    /// `tenant` is already registered, or
+    /// [`RejectReason::BudgetExhausted`] when admitting one more tenant
+    /// would break the `min_grant` reservation for everyone registered.
     pub fn join(&mut self, tenant: u64, requested: Watts) -> Result<Watts> {
         let granted = self.inner.join(tenant, requested)?;
         self.republish();
@@ -408,7 +414,7 @@ impl EpochArbiter {
     ///
     /// # Errors
     ///
-    /// As [`BudgetArbiter::leave`].
+    /// [`Error::InvalidInput`] when `tenant` is not registered.
     pub fn leave_now(&mut self, tenant: u64) -> Result<()> {
         self.inner.leave(tenant)?;
         self.pending.retain(|(id, _)| *id != tenant);

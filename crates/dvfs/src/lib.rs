@@ -28,7 +28,7 @@ pub mod capping;
 pub mod governor;
 pub mod optimal;
 
-pub use arbiter::{ArbiterOp, BudgetArbiter, EpochArbiter, GrantSnapshot};
+pub use arbiter::{ArbiterOp, EpochArbiter, GrantSnapshot};
 pub use boost::BoostController;
 pub use capping::{IterativeCapping, OneStepCapping, SteepestDrop};
 pub use optimal::{EdBetaOptimalController, EdpOptimalController, EnergyOptimalController};

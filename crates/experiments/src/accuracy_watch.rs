@@ -235,7 +235,7 @@ fn score_trace(ppep: &Ppep, trace: &TraceReader) -> Result<PredictionScorer> {
 /// errors.
 pub fn run(ctx: &Context, trace: Option<(&str, &[u8])>) -> Result<AccuracyWatchResult> {
     let models = ctx.train_models()?;
-    let ppep = ctx.engine(models);
+    let ppep = Ppep::new(models);
     let (source, reader) = match trace {
         Some((name, bytes)) => (name.to_string(), TraceReader::parse_any(bytes)?),
         None => {
@@ -378,7 +378,7 @@ mod tests {
     #[test]
     fn sustained_storm_trips_the_drift_wire() {
         let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED);
-        let ppep = ctx.engine(ctx.train_models().unwrap());
+        let ppep = Ppep::new(ctx.train_models().unwrap());
         // Long enough for the drift detector to arm (min_samples) and
         // a corruption rate high enough that stuck/spiked sensor
         // readings dominate the short error EWMA.

@@ -1,7 +1,6 @@
 //! Shared experiment infrastructure: scale presets, trace stores,
 //! cross-validation machinery, and table printing.
 
-use ppep_core::{Ppep, ProjectionKernel};
 use ppep_models::idle::IdlePowerModel;
 use ppep_models::trainer::{ComboTrace, TrainingBudget};
 use ppep_models::DynamicPowerModel;
@@ -74,9 +73,6 @@ pub struct Context {
     pub seed: u64,
     /// Worker threads for the sweep collections (`--jobs`; 1 = serial).
     pub jobs: usize,
-    /// Projection kernel every engine this context builds routes
-    /// through (`--kernel`; batch by default).
-    pub kernel: ProjectionKernel,
 }
 
 impl Context {
@@ -87,7 +83,6 @@ impl Context {
             scale,
             seed,
             jobs: 1,
-            kernel: ProjectionKernel::default(),
         }
     }
 
@@ -98,7 +93,6 @@ impl Context {
             scale,
             seed,
             jobs: 1,
-            kernel: ProjectionKernel::default(),
         }
     }
 
@@ -107,21 +101,6 @@ impl Context {
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
-    }
-
-    /// Sets the projection kernel for engines built via
-    /// [`Context::engine`].
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: ProjectionKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Wraps trained models in an engine routed through this
-    /// context's kernel — the one construction path every experiment
-    /// uses, so `--kernel` reaches them all.
-    pub fn engine(&self, models: ppep_models::trainer::TrainedModels) -> Ppep {
-        Ppep::new(models).with_kernel(self.kernel)
     }
 
     /// Trains the full model bundle (idle + α + dynamic + GG) on this

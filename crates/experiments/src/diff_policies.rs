@@ -603,7 +603,7 @@ pub fn is_self_replay(a: PolicyKind, b: PolicyKind) -> bool {
 ///
 /// Propagates training, recording, and replay errors.
 pub fn run(ctx: &Context, a: PolicyKind, b: PolicyKind) -> Result<DiffResult> {
-    let ppep = ctx.engine(ctx.train_models()?);
+    let ppep = Ppep::new(ctx.train_models()?);
     let recorded = replay::record(ctx, &ppep)?;
     let trace = TraceReader::parse(&recorded.trace_jsonl)?;
     let differ = ReplayDiff::new(ppep, recorded.period);

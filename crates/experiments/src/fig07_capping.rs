@@ -130,7 +130,7 @@ fn run_policy(ctx: &Context, ppep: &Ppep, one_step: bool, intervals: usize) -> R
 /// Propagates training and policy errors.
 pub fn run(ctx: &Context) -> Result<Fig07Result> {
     let models = ctx.train_models()?;
-    let ppep = ctx.engine(models);
+    let ppep = Ppep::new(models);
     let intervals = match ctx.scale {
         crate::common::Scale::Full => 300,
         crate::common::Scale::Quick => 90,

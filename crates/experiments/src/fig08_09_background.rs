@@ -85,7 +85,7 @@ fn project_entry(ctx: &Context, ppep: &Ppep, benchmark: &str, n: usize) -> Resul
 /// Propagates training and projection errors.
 pub fn run(ctx: &Context) -> Result<Fig0809Result> {
     let models = ctx.train_models()?;
-    let ppep = ctx.engine(models);
+    let ppep = Ppep::new(models);
     run_with_engine(ctx, &ppep)
 }
 

@@ -44,7 +44,7 @@ pub struct Fig10Result {
 /// Propagates training and projection errors.
 pub fn run(ctx: &Context) -> Result<Fig10Result> {
     let models = ctx.train_models()?;
-    let ppep = ctx.engine(models);
+    let ppep = Ppep::new(models);
     run_with_engine(ctx, &ppep)
 }
 

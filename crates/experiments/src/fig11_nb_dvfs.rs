@@ -51,7 +51,7 @@ pub struct Fig11Result {
 /// Propagates training and projection errors.
 pub fn run(ctx: &Context) -> Result<Fig11Result> {
     let models = ctx.train_models()?;
-    let ppep = ctx.engine(models);
+    let ppep = Ppep::new(models);
     run_with_engine(ctx, &ppep)
 }
 

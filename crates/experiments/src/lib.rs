@@ -56,7 +56,6 @@ pub mod fig10_nb_share;
 pub mod fig11_nb_dvfs;
 pub mod fleet;
 pub mod idle_accuracy;
-pub mod kernel_bench;
 pub mod observations;
 pub mod overhead;
 pub mod phenom;

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! ppep-experiments [--quick] [--seed N] [--out DIR] [--jobs N] \
-//!     [--kernel scalar|batch] [--policy-a P] [--policy-b P] [--trace PATH] \
+//!     [--policy-a P] [--policy-b P] [--trace PATH] \
 //!     [--shards N] [--tenants N] [--transport unix|tcp] \
-//!     <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|resilience|overhead|replay|diff-policies|bench-parallel|kernel-bench|serve|serve-chaos|load-gen|serve-bench|accuracy-watch|summary|all>
+//!     <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|load-gen|serve-bench|accuracy-watch|summary|all>
 //! ```
 //!
 //! With `--out DIR`, figure commands additionally write their data as
@@ -17,12 +17,6 @@
 //! `--jobs N` shards the sweep collections (Figs. 2/3/6, phenom,
 //! summary) across `N` worker threads; `--jobs 0` means "all cores".
 //! Results are identical for every worker count.
-//!
-//! `--kernel scalar|batch` selects the projection kernel every
-//! experiment engine routes through (default: batch). The kernels are
-//! bit-identical — `kernel-bench` times them against each other and
-//! gates on that equality plus the batch speedup, writing
-//! `BENCH_kernel.json` under `--out`.
 //!
 //! `--policy-a` / `--policy-b` pick the two sides of `diff-policies`
 //! (`one-step`, `iterative`, `steepest-drop`, `energy-optimal`, or
@@ -47,10 +41,10 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: ppep-experiments [--quick] [--seed N] [--out DIR] [--jobs N] \
-         [--kernel scalar|batch] [--policy-a P] [--policy-b P] [--trace PATH] \
+         [--policy-a P] [--policy-b P] [--trace PATH] \
          [--shards N] [--tenants N] [--transport unix|tcp] \
          <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|\
-         resilience|overhead|replay|diff-policies|bench-parallel|kernel-bench|serve|serve-chaos|\
+         resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|\
          load-gen|serve-bench|accuracy-watch|summary|all>\n\
          policies: one-step | iterative | steepest-drop | energy-optimal | recorded"
     );
@@ -76,7 +70,6 @@ fn main() -> ExitCode {
     let mut policy_b = PolicyKind::Recorded;
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut serve_opts = serve::ServeOpts::default();
-    let mut kernel = ppep_core::ProjectionKernel::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -105,12 +98,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 jobs = if v == 0 { fleet::default_jobs() } else { v };
-            }
-            "--kernel" => {
-                let Some(k) = args.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                kernel = k;
             }
             "--out" => {
                 let Some(dir) = args.next() else {
@@ -154,9 +141,7 @@ fn main() -> ExitCode {
     let Some(command) = command else {
         return usage();
     };
-    let ctx = Context::fx8320(scale, seed)
-        .with_jobs(jobs)
-        .with_kernel(kernel);
+    let ctx = Context::fx8320(scale, seed).with_jobs(jobs);
 
     let result = dispatch(
         &ctx,
@@ -289,14 +274,6 @@ fn dispatch(
                 ));
             }
         }
-        "kernel-bench" => {
-            let r = kernel_bench::run(ctx)?;
-            kernel_bench::print(&r);
-            save(out, "BENCH_kernel.json", kernel_bench::bench_json(&r));
-            // Bit equality + the speedup floor ARE the exit code: CI
-            // relies on them.
-            r.gate()?;
-        }
         "bench-parallel" => {
             let r = bench_parallel::run(ctx)?;
             bench_parallel::print(&r);
@@ -402,7 +379,7 @@ fn dispatch(
             save(out, "fig7.csv", report::fig07_csv(&r7));
             println!();
             // §V studies share one trained engine.
-            let engine = ctx.engine(ctx.train_models()?);
+            let engine = ppep_core::Ppep::new(ctx.train_models()?);
             let r89 = fig08_09_background::run_with_engine(ctx, &engine)?;
             fig08_09_background::print(&r89);
             save(out, "fig8_9.csv", report::fig08_09_csv(&r89));

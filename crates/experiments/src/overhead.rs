@@ -116,7 +116,7 @@ fn run_once(
 /// Propagates training errors and non-transient daemon errors.
 pub fn run(ctx: &Context) -> Result<OverheadResult> {
     let models = ctx.train_models()?;
-    let ppep = ctx.engine(models);
+    let ppep = Ppep::new(models);
     let intervals = match ctx.scale {
         Scale::Full => 240,
         Scale::Quick => 48,

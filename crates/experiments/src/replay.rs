@@ -146,7 +146,7 @@ pub fn record(ctx: &Context, ppep: &Ppep) -> Result<RecordedCapping> {
 /// strict-replay divergence, and v2 transcode lossiness.
 pub fn run(ctx: &Context) -> Result<ReplayResult> {
     let models = ctx.train_models()?;
-    let ppep = ctx.engine(models);
+    let ppep = Ppep::new(models);
     let recorded = record(ctx, &ppep)?;
     let RecordedCapping {
         trace_jsonl,

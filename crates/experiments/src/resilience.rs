@@ -196,7 +196,7 @@ fn run_supervised(
 /// Propagates training errors and non-transient daemon errors.
 pub fn run(ctx: &Context) -> Result<ResilienceResult> {
     let models = ctx.train_models()?;
-    let ppep = ctx.engine(models);
+    let ppep = Ppep::new(models);
     let intervals = match ctx.scale {
         crate::common::Scale::Full => 300,
         crate::common::Scale::Quick => 90,

@@ -26,6 +26,7 @@
 //! frames over a real socket instead of in-process calls.
 
 use crate::common::{Context, Scale};
+use ppep_core::Ppep;
 use ppep_serve::chaos::{self, ChaosConfig, ChaosReport};
 use ppep_serve::loadgen::{self, LoadGenConfig, LoadGenReport};
 use ppep_serve::TransportKind;
@@ -57,7 +58,7 @@ fn intervals(scale: Scale) -> u64 {
 ///
 /// Propagates training and service-level errors.
 pub fn run_demo(ctx: &Context, opts: ServeOpts) -> Result<ChaosReport> {
-    let ppep = ctx.engine(ctx.train_models()?);
+    let ppep = Ppep::new(ctx.train_models()?);
     let mut config = ChaosConfig::smoke(ctx.seed);
     config.tenants = if opts.tenants > 0 { opts.tenants } else { 4 };
     config.storm_rate = 0.0; // no faults: a clean hosting run
@@ -74,7 +75,7 @@ pub fn run_demo(ctx: &Context, opts: ServeOpts) -> Result<ChaosReport> {
 /// Propagates training and service-level errors; the *gate* verdict is
 /// the caller's to enforce via [`ChaosReport::gate`].
 pub fn run_chaos(ctx: &Context, opts: ServeOpts) -> Result<ChaosReport> {
-    let ppep = ctx.engine(ctx.train_models()?);
+    let ppep = Ppep::new(ctx.train_models()?);
     let mut config = ChaosConfig::smoke(ctx.seed);
     config.intervals = intervals(ctx.scale);
     if opts.tenants > 0 {
@@ -93,7 +94,7 @@ pub fn run_chaos(ctx: &Context, opts: ServeOpts) -> Result<ChaosReport> {
 ///
 /// Propagates training, admission, and wire errors.
 pub fn run_loadgen(ctx: &Context, opts: ServeOpts) -> Result<LoadGenReport> {
-    let ppep = ctx.engine(ctx.train_models()?);
+    let ppep = Ppep::new(ctx.train_models()?);
     let mut config = LoadGenConfig::new(ctx.seed);
     let workers = (ctx.jobs.max(2)) as u32;
     config.workers = workers;
@@ -197,7 +198,7 @@ impl ServeBenchReport {
 /// Propagates training, admission, and wire errors. The gate verdict
 /// is the caller's to enforce via [`ServeBenchReport::gate`].
 pub fn run_serve_bench(ctx: &Context, opts: ServeOpts) -> Result<ServeBenchReport> {
-    let ppep = ctx.engine(ctx.train_models()?);
+    let ppep = Ppep::new(ctx.train_models()?);
     let clients = opts.tenants.max(8);
     let shards = if opts.shards > 1 { opts.shards } else { 4 };
     let mut config = LoadGenConfig::new(ctx.seed);

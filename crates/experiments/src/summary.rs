@@ -7,6 +7,7 @@ use crate::{
     cpi_accuracy, fig02_model_error, fig03_cross_vf, fig06_energy, fig07_capping,
     fig08_09_background, fig10_nb_share, fig11_nb_dvfs,
 };
+use ppep_core::Ppep;
 use ppep_types::{Result, VfStateId};
 
 /// One summary row.
@@ -133,7 +134,7 @@ pub fn run(ctx: &Context) -> Result<SummaryResult> {
     );
 
     // §V studies share one engine.
-    let engine = ctx.engine(ctx.train_models()?);
+    let engine = Ppep::new(ctx.train_models()?);
     let f89 = fig08_09_background::run_with_engine(ctx, &engine)?;
     let all_vf1 = f89.entries.iter().all(|e| e.best_energy == table.lowest());
     push(

@@ -1,10 +1,7 @@
 //! Property: the fleet-sharded sweeps are invariant under the worker
 //! count — `--jobs 1`, `--jobs 2`, and `--jobs N` must produce
-//! identical traces and byte-identical derived CSVs — and under the
-//! projection kernel (`--kernel scalar|batch`), since the kernels are
-//! contractually bit-identical.
+//! identical traces and byte-identical derived CSVs.
 
-use ppep_core::ProjectionKernel;
 use ppep_experiments::common::{Context, Scale, TraceStore, DEFAULT_SEED};
 use ppep_experiments::{fig02_model_error, fleet, report};
 use ppep_models::trainer::TrainingBudget;
@@ -50,49 +47,13 @@ proptest! {
         let (got, _) = fleet::map_indexed(items, jobs, |i, _| i.wrapping_mul(7));
         prop_assert_eq!(got, expected);
     }
-
-    /// Projections of collected sweep records are bit-identical under
-    /// both kernels, for any seed and worker count: the fleet layer
-    /// introduces no nondeterminism the kernel swap could expose.
-    #[test]
-    fn collected_records_project_identically_under_both_kernels(
-        seed in 1u64..500,
-        jobs in 1usize..5,
-    ) {
-        let store = tiny_sweep(seed, jobs);
-        let mut rig = ppep_rig::TrainingRig::fx8320(seed);
-        let models = rig.train_quick().expect("training succeeds");
-        let engine = ppep_core::Ppep::new(models);
-        for trace in store.traces() {
-            for record in &trace.records {
-                let batch = engine.project(record).expect("batch projects");
-                let scalar = engine
-                    .project_nb_scalar(record, ppep_types::vf::NbVfState::High)
-                    .expect("scalar projects");
-                for (b, s) in batch.cores.iter().zip(&scalar.cores) {
-                    for (bc, sc) in b.per_vf.iter().zip(&s.per_vf) {
-                        prop_assert_eq!(bc.ips.to_bits(), sc.ips.to_bits());
-                        prop_assert_eq!(bc.cpi.to_bits(), sc.cpi.to_bits());
-                        prop_assert_eq!(
-                            bc.dynamic_power.as_watts().to_bits(),
-                            sc.dynamic_power.as_watts().to_bits()
-                        );
-                    }
-                }
-                for (b, s) in batch.chip.iter().zip(&scalar.chip) {
-                    prop_assert_eq!(b.power.as_watts().to_bits(), s.power.as_watts().to_bits());
-                    prop_assert_eq!(b.energy.as_joules().to_bits(), s.energy.as_joules().to_bits());
-                }
-            }
-        }
-    }
 }
 
 /// The headline acceptance check: a figure CSV derived from a sharded
-/// store is byte-identical to the serial one — for every combination
-/// of worker count and projection kernel.
+/// store is byte-identical to the serial one, whatever the worker
+/// count.
 #[test]
-fn fig02_csv_is_byte_identical_across_worker_counts_and_kernels() {
+fn fig02_csv_is_byte_identical_across_worker_counts() {
     let table = Context::fx8320(Scale::Quick, DEFAULT_SEED)
         .rig
         .config()
@@ -102,15 +63,8 @@ fn fig02_csv_is_byte_identical_across_worker_counts_and_kernels() {
     let vfs: Vec<VfStateId> = table.states().collect();
 
     let mut baseline: Option<String> = None;
-    for (jobs, kernel) in [
-        (1, ProjectionKernel::Batch),
-        (4, ProjectionKernel::Batch),
-        (1, ProjectionKernel::Scalar),
-        (4, ProjectionKernel::Scalar),
-    ] {
-        let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED)
-            .with_jobs(jobs)
-            .with_kernel(kernel);
+    for jobs in [1, 4] {
+        let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED).with_jobs(jobs);
         let store = TraceStore::collect_sharded(
             &ctx.rig,
             &ctx.scale.roster(ctx.seed),
@@ -125,7 +79,7 @@ fn fig02_csv_is_byte_identical_across_worker_counts_and_kernels() {
             Some(b) => assert_eq!(
                 b.as_bytes(),
                 csv.as_bytes(),
-                "fig2.csv drifted at jobs={jobs} kernel={kernel}"
+                "fig2.csv drifted at jobs={jobs}"
             ),
         }
     }

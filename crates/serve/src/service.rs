@@ -85,7 +85,7 @@ pub struct ServeConfig {
     /// The shared socket power budget arbitrated across tenants.
     pub socket_cap: Watts,
     /// Per-tenant reservation floor for admission (see
-    /// [`ppep_dvfs::BudgetArbiter`]).
+    /// [`ppep_dvfs::EpochArbiter`]).
     pub min_grant: Watts,
     /// Maximum concurrent sessions.
     pub max_sessions: u32,

@@ -23,7 +23,7 @@
 
 use ppep_core::daemon::PpepDaemon;
 use ppep_core::resilient::{ResilientDaemon, SupervisorConfig};
-use ppep_core::{Platform, Ppep, ProjectionKernel};
+use ppep_core::{Platform, Ppep};
 use ppep_dvfs::capping::OneStepCapping;
 use ppep_rig::TrainingRig;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
@@ -71,9 +71,8 @@ fn cap(step: usize) -> Watts {
 fn drive<P: Platform>(
     platform: P,
     steps: usize,
-    kernel: ProjectionKernel,
 ) -> (Vec<Vec<VfStateId>>, ResilientDaemon<P, OneStepCapping>) {
-    let ppep = trained().clone().with_kernel(kernel);
+    let ppep = trained().clone();
     let table = ppep.models().vf_table().clone();
     let controller = OneStepCapping::new(ppep.clone(), cap(0));
     let inner = PpepDaemon::new(ppep, platform, controller);
@@ -88,7 +87,7 @@ fn drive<P: Platform>(
 }
 
 /// Records one fixture run; `storm` adds the fault plan.
-fn record(steps: usize, storm: bool, kernel: ProjectionKernel) -> String {
+fn record(steps: usize, storm: bool) -> String {
     let mut sim = ChipSimulator::new(SimConfig::fx8320_pg(SEED));
     sim.load_workload(&fig7_workload(SEED));
     if storm {
@@ -96,7 +95,7 @@ fn record(steps: usize, storm: bool, kernel: ProjectionKernel) -> String {
         sim.set_fault_plan(FaultPlan::storm(0xF00D, steps as u64, 0.3, cores));
     }
     let recording = RecordingPlatform::new(SimPlatform::new(sim));
-    let (_, daemon) = drive(recording, steps, kernel);
+    let (_, daemon) = drive(recording, steps);
     daemon.inner().platform().trace_jsonl().to_string()
 }
 
@@ -115,11 +114,7 @@ fn fixtures() -> [(&'static str, usize, bool); 2] {
 fn regenerate_golden_fixtures() {
     std::fs::create_dir_all(fixture_path("")).expect("fixtures dir");
     for (name, steps, storm) in fixtures() {
-        std::fs::write(
-            fixture_path(name),
-            record(steps, storm, ProjectionKernel::Batch),
-        )
-        .expect("write fixture");
+        std::fs::write(fixture_path(name), record(steps, storm)).expect("write fixture");
     }
 }
 
@@ -127,15 +122,13 @@ fn regenerate_golden_fixtures() {
 fn golden_fixtures_match_a_fresh_recording() {
     for (name, steps, storm) in fixtures() {
         let pinned = std::fs::read_to_string(fixture_path(name)).expect("fixture exists");
-        for kernel in [ProjectionKernel::Batch, ProjectionKernel::Scalar] {
-            assert_eq!(
-                record(steps, storm, kernel),
-                pinned,
-                "{name} ({kernel} kernel): a fresh recording no longer matches the \
-                 pinned fixture; if the behaviour change is intentional, regenerate \
-                 with `cargo test --test golden_traces -- --ignored regenerate`"
-            );
-        }
+        assert_eq!(
+            record(steps, storm),
+            pinned,
+            "{name}: a fresh recording no longer matches the pinned fixture; if \
+             the behaviour change is intentional, regenerate with \
+             `cargo test --test golden_traces -- --ignored regenerate`"
+        );
     }
 }
 
@@ -196,45 +189,12 @@ fn golden_fixtures_strict_replay_pins_the_decision_sequence() {
         );
 
         // Strict replay: every apply must reproduce the recorded one,
-        // and the driven decisions must equal the recorded stream —
-        // under either projection kernel.
-        for kernel in [ProjectionKernel::Batch, ProjectionKernel::Scalar] {
-            let replay = ReplayPlatform::new(trace.clone()).strict();
-            let (replayed, _) = drive(replay, steps, kernel);
-            assert_eq!(
-                replayed, recorded,
-                "{name} ({kernel} kernel): strict replay diverged from the pinned \
-                 decision sequence"
-            );
-        }
+        // and the driven decisions must equal the recorded stream.
+        let replay = ReplayPlatform::new(trace).strict();
+        let (replayed, _) = drive(replay, steps);
+        assert_eq!(
+            replayed, recorded,
+            "{name}: strict replay diverged from the pinned decision sequence"
+        );
     }
-}
-
-/// The capping service's chaos health export (`serve_health.jsonl`)
-/// is a downstream consumer of projections: its deterministic fields
-/// must come out byte-identical whichever kernel the engine runs.
-#[test]
-fn chaos_health_export_is_kernel_invariant() {
-    use ppep_serve::chaos::{run, ChaosConfig};
-    let mut config = ChaosConfig::smoke(SEED);
-    config.intervals = 30;
-    let batch = run(
-        &trained().clone().with_kernel(ProjectionKernel::Batch),
-        &config,
-    )
-    .expect("chaos run under the batch kernel");
-    let scalar = run(
-        &trained().clone().with_kernel(ProjectionKernel::Scalar),
-        &config,
-    )
-    .expect("chaos run under the scalar kernel");
-    assert_eq!(
-        batch.health_jsonl, scalar.health_jsonl,
-        "serve_health.jsonl drifted between kernels"
-    );
-    assert_eq!(batch.summary(), scalar.summary());
-    assert_eq!(
-        batch.victim_failsafe_replies,
-        scalar.victim_failsafe_replies
-    );
 }

@@ -1,30 +1,37 @@
-//! Differential harness pinning the batch SoA projection kernel to
-//! the scalar reference, bit for bit.
+//! Differential harness pinning the production projection to the
+//! scalar oracle, bit for bit.
 //!
-//! The batch kernel (`ppep_core::batch`) restructures the Fig. 5
-//! core × VF grid walk into struct-of-arrays passes. Its contract is
-//! not "close": every `f64` it emits must have the *same bits* as the
-//! scalar path, and every input the scalar path rejects must be
-//! rejected with the same typed error. This harness drives both
-//! kernels over adversarial inputs — NaN/±inf/subnormal counter
-//! salting, zero-instruction (idle) intervals, counter values adjacent
-//! to the 48-bit PMC wrap boundary, arbitrary VF ladders and
-//! topologies, and both NB operating points — and compares with
-//! `to_bits()` equality per cell.
+//! `Ppep::project_nb` runs the batched struct-of-arrays kernel
+//! (`ppep_core`'s `batch` module) over the Fig. 5 core × VF grid. Its
+//! contract is not "close": every `f64` it emits must have the *same
+//! bits* as the cell-by-cell walk in `support::scalar`, and every input
+//! the walk rejects must be rejected with the same typed error. This
+//! harness drives both over adversarial inputs — NaN/±inf/subnormal
+//! counter salting, zero-instruction (idle) intervals, counter values
+//! adjacent to the 48-bit PMC wrap boundary, arbitrary VF ladders and
+//! topologies, and both NB operating points — and over real ones:
+//! simulated runs, the golden capping fixtures, and collected sweep
+//! records. It compares with `to_bits()` equality per cell.
 
-use ppep_core::PpeProjection;
+mod support;
+
 use ppep_core::Ppep;
+use ppep_experiments::common::{Context, Scale, TraceStore};
 use ppep_models::green_governors::GreenGovernors;
 use ppep_models::idle::{IdlePowerModel, IdleSample};
-use ppep_models::trainer::TrainedModels;
+use ppep_models::trainer::{TrainedModels, TrainingBudget};
 use ppep_models::{ChipPowerModel, DynamicPowerModel};
 use ppep_pmc::sampler::IntervalSample;
 use ppep_pmc::{EventCounts, EventId};
 use ppep_telemetry::record::{IntervalRecord, PowerBreakdown};
+use ppep_telemetry::{TraceEvent, TraceReader};
 use ppep_types::time::IntervalIndex;
 use ppep_types::vf::NbVfState;
 use ppep_types::{Gigahertz, Kelvin, Seconds, Topology, VfPoint, VfTable, Volts, Watts};
+use ppep_workloads::combos::instances;
 use proptest::prelude::*;
+use std::sync::OnceLock;
+use support::scalar::{bits_eq, project_nb_scalar};
 
 /// One counter value adjacent to the 48-bit PMC wrap boundary.
 const PMC_WRAP: f64 = (1u64 << 48) as f64;
@@ -173,73 +180,12 @@ fn build_record(
     }
 }
 
-/// `to_bits()` equality over every float either projection carries.
-fn bits_eq(batch: &PpeProjection, scalar: &PpeProjection) -> Result<(), String> {
-    macro_rules! check {
-        ($a:expr, $b:expr, $what:expr) => {
-            if $a.to_bits() != $b.to_bits() {
-                return Err(format!("{} differ: {:?} vs {:?}", $what, $a, $b));
-            }
-        };
-    }
-    check!(
-        batch.work_instructions,
-        scalar.work_instructions,
-        "work_instructions"
-    );
-    if batch.cores.len() != scalar.cores.len() {
-        return Err("core counts differ".into());
-    }
-    for (b, s) in batch.cores.iter().zip(&scalar.cores) {
-        if b.busy != s.busy || b.per_vf.len() != s.per_vf.len() {
-            return Err(format!("core {:?} shape/busy differ", b.core));
-        }
-        for (bc, sc) in b.per_vf.iter().zip(&s.per_vf) {
-            check!(bc.ips, sc.ips, format!("core {:?} {} ips", b.core, bc.vf));
-            check!(bc.cpi, sc.cpi, format!("core {:?} {} cpi", b.core, bc.vf));
-            check!(
-                bc.dynamic_power.as_watts(),
-                sc.dynamic_power.as_watts(),
-                format!("core {:?} {} pdyn", b.core, bc.vf)
-            );
-        }
-    }
-    if batch.chip.len() != scalar.chip.len() {
-        return Err("chip lengths differ".into());
-    }
-    for (b, s) in batch.chip.iter().zip(&scalar.chip) {
-        check!(
-            b.power.as_watts(),
-            s.power.as_watts(),
-            format!("{} power", b.vf)
-        );
-        check!(
-            b.nb_power.as_watts(),
-            s.nb_power.as_watts(),
-            format!("{} nb_power", b.vf)
-        );
-        check!(b.ips, s.ips, format!("{} ips", b.vf));
-        check!(
-            b.time_for_work.as_secs(),
-            s.time_for_work.as_secs(),
-            format!("{} time", b.vf)
-        );
-        check!(
-            b.energy.as_joules(),
-            s.energy.as_joules(),
-            format!("{} energy", b.vf)
-        );
-        check!(b.edp, s.edp, format!("{} edp", b.vf));
-    }
-    Ok(())
-}
-
-/// Both kernels on both NB points: identical projections or identical
-/// typed errors — never a disagreement.
-fn assert_kernels_agree(engine: &Ppep, record: &IntervalRecord) -> Result<(), String> {
+/// Production and oracle on both NB points: identical projections or
+/// identical typed errors — never a disagreement.
+fn assert_matches_oracle(engine: &Ppep, record: &IntervalRecord) -> Result<(), String> {
     for nb in [NbVfState::High, NbVfState::Low] {
         let batch = engine.project_nb(record, nb);
-        let scalar = engine.project_nb_scalar(record, nb);
+        let scalar = project_nb_scalar(engine, record, nb);
         match (batch, scalar) {
             (Ok(b), Ok(s)) => bits_eq(&b, &s).map_err(|e| format!("{nb:?}: {e}"))?,
             (Err(b), Err(s)) => {
@@ -249,7 +195,7 @@ fn assert_kernels_agree(engine: &Ppep, record: &IntervalRecord) -> Result<(), St
             }
             (b, s) => {
                 return Err(format!(
-                    "{nb:?}: kernel disagreement: batch ok={} scalar ok={}",
+                    "{nb:?}: disagreement: production ok={} oracle ok={}",
                     b.is_ok(),
                     s.is_ok()
                 ))
@@ -257,6 +203,35 @@ fn assert_kernels_agree(engine: &Ppep, record: &IntervalRecord) -> Result<(), St
         }
     }
     Ok(())
+}
+
+/// The quick-trained FX-8320 engine the golden fixtures were recorded
+/// under.
+fn trained() -> &'static Ppep {
+    static PPEP: OnceLock<Ppep> = OnceLock::new();
+    PPEP.get_or_init(|| {
+        Ppep::new(
+            ppep_rig::TrainingRig::fx8320(42)
+                .train_quick()
+                .expect("training succeeds"),
+        )
+    })
+}
+
+/// A tiny sweep (2 combos x 2 states, short budget) so the property
+/// can afford many cases.
+fn tiny_sweep(seed: u64, jobs: usize) -> TraceStore {
+    let ctx = Context::fx8320(Scale::Quick, seed);
+    let table = ctx.rig.config().topology.vf_table().clone();
+    let roster = vec![
+        instances("403.gcc", 1, seed),
+        instances("458.sjeng", 2, seed),
+    ];
+    let vfs = [table.lowest(), table.highest()];
+    let mut budget = TrainingBudget::quick();
+    budget.warmup_intervals = 1;
+    budget.record_intervals = 2;
+    TraceStore::collect_sharded(&ctx.rig, &roster, &vfs, &budget, jobs)
 }
 
 const SALT_VALUES: [f64; 6] = [
@@ -273,8 +248,8 @@ proptest! {
 
     /// Arbitrary ladders, topologies, model weights, counter blocks
     /// (idle / ordinary / wrap-adjacent / subnormal), degenerate-value
-    /// salting, and both NB states: batch output is bit-identical to
-    /// scalar output, and errors are string-identical.
+    /// salting, and both NB states: production output is bit-identical
+    /// to the oracle's, and errors are string-identical.
     #[test]
     fn batch_kernel_is_bit_identical_to_scalar(
         n_states in 2usize..=7,
@@ -299,23 +274,69 @@ proptest! {
         let salt = (salt_core < 8).then_some((salt_core, salt_event, SALT_VALUES[salt_pick]));
         let record = build_record(&models, &kinds, &inst_mags, &ratios, &cu_vf_picks, salt);
         let engine = Ppep::new(models);
-        if let Err(e) = assert_kernels_agree(&engine, &record) {
+        if let Err(e) = assert_matches_oracle(&engine, &record) {
             prop_assert!(false, "{}", e);
         }
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Projections of collected sweep records match the oracle for any
+    /// seed and worker count: the fleet layer introduces no input the
+    /// production kernel handles differently.
+    #[test]
+    fn collected_sweep_records_match_the_oracle(
+        seed in 1u64..500,
+        jobs in 1usize..5,
+    ) {
+        let store = tiny_sweep(seed, jobs);
+        let mut rig = ppep_rig::TrainingRig::fx8320(seed);
+        let engine = Ppep::new(rig.train_quick().expect("training succeeds"));
+        for trace in store.traces() {
+            for record in &trace.records {
+                if let Err(e) = assert_matches_oracle(&engine, record) {
+                    prop_assert!(false, "{}", e);
+                }
+            }
+        }
+    }
+}
+
 /// The trained FX-8320 bundle over a real simulated run: every
-/// interval of a mixed workload projects bit-identically under both
-/// kernels (the non-synthetic anchor for the property above).
+/// interval of a mixed workload matches the oracle bit for bit (the
+/// non-synthetic anchor for the property above).
 #[test]
 fn trained_engine_matches_across_a_simulated_run() {
-    let mut rig = ppep_rig::TrainingRig::fx8320(42);
-    let engine = Ppep::new(rig.train_quick().expect("training succeeds"));
     let mut sim = ppep_sim::ChipSimulator::new(ppep_sim::chip::SimConfig::fx8320(42));
-    sim.load_workload(&ppep_workloads::combos::instances("433.milc", 3, 42));
+    sim.load_workload(&instances("433.milc", 3, 42));
     for record in sim.run_intervals(8) {
-        assert_kernels_agree(&engine, &record).expect("kernels agree on simulated records");
+        assert_matches_oracle(trained(), &record).expect("oracle agrees on simulated records");
+    }
+}
+
+/// Every interval recorded in the golden capping fixtures — the clean
+/// run and the fault storm, quarantined readings included — projects
+/// identically through production and the oracle.
+#[test]
+fn golden_fixture_records_match_the_oracle() {
+    for name in ["capping_clean.jsonl", "capping_storm.jsonl"] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name);
+        let src = std::fs::read_to_string(path).expect("fixture exists");
+        let trace = TraceReader::parse(&src).expect("fixture parses");
+        let mut projected = 0;
+        for event in &trace.events {
+            if let TraceEvent::Interval(record) = event {
+                assert_matches_oracle(trained(), record)
+                    .unwrap_or_else(|e| panic!("{name} interval {:?}: {e}", record.index));
+                projected += 1;
+            }
+        }
+        assert_eq!(projected, trace.interval_count(), "{name}");
+        assert!(projected > 0, "{name}: no interval records");
     }
 }
 
@@ -332,17 +353,36 @@ fn named_corner_cases_agree() {
 
     // All cores idle.
     let record = build_record(&models, &[0; 8], &[0.0; 8], &ratios, &picks, None);
-    assert_kernels_agree(&engine, &record).expect("idle record");
+    assert_matches_oracle(&engine, &record).expect("idle record");
 
     // All cores wrap-adjacent.
     let record = build_record(&models, &[2; 8], &[1.0e3; 8], &ratios, &picks, None);
-    assert_kernels_agree(&engine, &record).expect("wrap-adjacent record");
+    assert_matches_oracle(&engine, &record).expect("wrap-adjacent record");
 
     // Every salt value, planted in the busiest slot.
     for (i, value) in SALT_VALUES.iter().enumerate() {
         let salt = Some((0, i, *value));
         let record = build_record(&models, &[1; 8], &[5.0e8; 8], &ratios, &picks, salt);
-        assert_kernels_agree(&engine, &record)
+        assert_matches_oracle(&engine, &record)
             .unwrap_or_else(|e| panic!("salt value {value:?}: {e}"));
+    }
+}
+
+/// The smallest topology: one CU of one core on the FX-8320 ladder,
+/// with the core idle, busy, wrap-adjacent and subnormal in turn.
+#[test]
+fn one_by_one_topology_agrees() {
+    let table = VfTable::fx8320();
+    let weights: Vec<f64> = (1..=9).map(|i| f64::from(i) * 1.0e-10).collect();
+    let models = build_models(&table, 1, 1, &weights, 1.6);
+    let engine = Ppep::new(models.clone());
+    // CCPI 1.2, MCPI 0.2, DSPI 0.45, 1.5 uops, 0.3 DC accesses and
+    // 0.01 L2 misses per instruction.
+    let ratios = [0.8, 0.2, 0.35, 0.5, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.01];
+    for kind in 0..4 {
+        let record = build_record(&models, &[kind], &[2.0e8], &ratios, &[4], None);
+        assert_eq!(record.samples.len(), 1);
+        assert_matches_oracle(&engine, &record)
+            .unwrap_or_else(|e| panic!("1x1 topology, sample kind {kind}: {e}"));
     }
 }
