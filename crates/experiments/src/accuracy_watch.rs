@@ -194,7 +194,7 @@ pub fn record_run(
             .set_cap(cap_schedule(step, 4));
         daemon.step()?;
     }
-    TraceReader::parse(daemon.inner().platform().trace_jsonl())
+    TraceReader::parse(&daemon.inner().platform().trace())
 }
 
 /// Replays `trace` under the supervised capping daemon with a scorer
@@ -237,7 +237,7 @@ pub fn run(ctx: &Context, trace: Option<(&str, &[u8])>) -> Result<AccuracyWatchR
     let models = ctx.train_models()?;
     let ppep = Ppep::new(models);
     let (source, reader) = match trace {
-        Some((name, bytes)) => (name.to_string(), TraceReader::parse_any(bytes)?),
+        Some((name, bytes)) => (name.to_string(), TraceReader::parse(bytes)?),
         None => {
             let steps = match ctx.scale {
                 Scale::Full => 96,
@@ -346,8 +346,8 @@ mod tests {
     #[test]
     fn clean_fixture_scores_under_the_gate() {
         let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED);
-        let bytes = fixture("capping_clean.jsonl");
-        let r = run(&ctx, Some(("capping_clean.jsonl", &bytes))).unwrap();
+        let bytes = fixture("capping_clean.bin");
+        let r = run(&ctx, Some(("capping_clean.bin", &bytes))).unwrap();
         assert!(r.clean);
         assert_eq!(r.intervals, 12);
         // 12 intervals -> 11 scored (the first has no staged prediction).
@@ -364,12 +364,12 @@ mod tests {
     #[test]
     fn storm_fixture_is_scored_but_never_gated() {
         let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED);
-        let bytes = fixture("capping_storm.jsonl");
-        let r = run(&ctx, Some(("capping_storm.jsonl", &bytes))).unwrap();
+        let bytes = fixture("capping_storm.bin");
+        let r = run(&ctx, Some(("capping_storm.bin", &bytes))).unwrap();
         assert!(!r.clean);
         assert!(r.faults > 0);
         assert!(r.gate_passed(), "storm traces are informational");
-        // The storm's fault lines mean some staged predictions never
+        // The storm's fault events mean some staged predictions never
         // met a measurement.
         assert!(r.stale_drops > 0, "stale drops {}", r.stale_drops);
         print(&r);

@@ -581,8 +581,8 @@ fn violates(cap: Option<Watts>, predicted: Option<Watts>) -> Option<bool> {
 pub struct DiffResult {
     /// The divergence report.
     pub report: DiffReport,
-    /// The recorded trace the diff ran over (JSON Lines).
-    pub trace_jsonl: String,
+    /// The recorded v2 trace the diff ran over.
+    pub trace: Vec<u8>,
     /// Whether the pairing is a self-replay (identical policies, or
     /// the recording policy vs its own recorded stream) and must
     /// therefore show zero divergence.
@@ -605,12 +605,12 @@ pub fn is_self_replay(a: PolicyKind, b: PolicyKind) -> bool {
 pub fn run(ctx: &Context, a: PolicyKind, b: PolicyKind) -> Result<DiffResult> {
     let ppep = Ppep::new(ctx.train_models()?);
     let recorded = replay::record(ctx, &ppep)?;
-    let trace = TraceReader::parse(&recorded.trace_jsonl)?;
+    let trace = TraceReader::parse(&recorded.trace)?;
     let differ = ReplayDiff::new(ppep, recorded.period);
     let report = differ.diff(&trace, a, b)?;
     Ok(DiffResult {
         report,
-        trace_jsonl: recorded.trace_jsonl,
+        trace: recorded.trace,
         self_replay: is_self_replay(a, b),
     })
 }

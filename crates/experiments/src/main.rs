@@ -29,8 +29,9 @@
 //! calls. `serve-bench` compares single-lock vs sharded replays and
 //! gates on byte-identical transcripts plus a lower sharded p99.
 //!
-//! `--trace PATH` feeds `accuracy-watch` a recorded trace (JSONL or
-//! binary v2); without it the watch scores a synthesized clean run.
+//! `--trace PATH` feeds `accuracy-watch` a recorded v2 binary trace
+//! (e.g. `tests/fixtures/capping_clean.bin`); without it the watch
+//! scores a synthesized clean run.
 //! On a clean trace the accuracy gate is the exit code.
 
 use ppep_experiments::common::{Context, Scale, DEFAULT_SEED};
@@ -51,9 +52,9 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Writes one CSV file under the `--out` directory, creating it on
+/// Writes one output file under the `--out` directory, creating it on
 /// first use. Returns the path written.
-fn write_csv(dir: &std::path::Path, name: &str, contents: &str) -> std::io::Result<String> {
+fn write_csv(dir: &std::path::Path, name: &str, contents: &[u8]) -> std::io::Result<String> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
     std::fs::write(&path, contents)?;
@@ -170,14 +171,17 @@ fn dispatch(
     serve_opts: serve::ServeOpts,
 ) -> ppep_types::Result<bool> {
     let table = ctx.rig.config().topology.vf_table().clone();
-    let mut written: Vec<String> = Vec::new();
-    let mut save = |out: Option<&std::path::Path>, name: &str, contents: String| {
+    let written: std::cell::RefCell<Vec<String>> = Default::default();
+    let save_bytes = |out: Option<&std::path::Path>, name: &str, contents: &[u8]| {
         if let Some(dir) = out {
-            match write_csv(dir, name, &contents) {
-                Ok(path) => written.push(path),
+            match write_csv(dir, name, contents) {
+                Ok(path) => written.borrow_mut().push(path),
                 Err(e) => eprintln!("could not write {name}: {e}"),
             }
         }
+    };
+    let save = |out: Option<&std::path::Path>, name: &str, contents: String| {
+        save_bytes(out, name, contents.as_bytes());
     };
     match command {
         "fig1" => {
@@ -253,7 +257,8 @@ fn dispatch(
         "replay" => {
             let r = replay::run(ctx)?;
             replay::print(&r);
-            save(out, "replay_trace.jsonl", r.trace_jsonl.clone());
+            save_bytes(out, "replay_trace.bin", &r.trace);
+            save_bytes(out, "replay_trace.jsonl", r.dump.as_bytes());
             if !r.identical {
                 return Err(ppep_types::Error::InvalidInput(
                     "replayed decisions diverged from the live run".into(),
@@ -402,6 +407,7 @@ fn dispatch(
         }
         _ => return Ok(false),
     }
+    let written = written.into_inner();
     if !written.is_empty() {
         println!("{}", report::written_summary(&written));
     }

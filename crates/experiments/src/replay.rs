@@ -5,21 +5,22 @@
 //! degraded paths are exercised) executes twice:
 //!
 //! 1. **Record** — the daemon drives a live [`SimPlatform`] wrapped in
-//!    a [`RecordingPlatform`], which appends every sample, fault,
-//!    applied assignment, and controller decision to a JSONL trace.
+//!    a [`RecordingPlatform`], which streams every sample, fault,
+//!    applied assignment, and controller decision into a v2 binary
+//!    trace.
 //! 2. **Replay** — a fresh daemon with the same trained engine and
 //!    controller drives a [`ReplayPlatform`] built from that trace, in
 //!    strict mode: every `apply` must reproduce the recorded
 //!    assignment, position by position.
 //!
-//! Because the trace serializes every `f64` with shortest-exact
-//! formatting, the replayed decisions must be bit-identical to the
-//! live run's — any divergence fails the experiment.
+//! Because the trace codes every `f64` bit-exactly, the replayed
+//! decisions must be bit-identical to the live run's — any divergence
+//! fails the experiment.
 //!
-//! The run also transcodes the trace to the v2 binary framing
-//! (`ppep_telemetry::binary`) and verifies the transcode is lossless;
-//! the test suite additionally gates on the v2 document being at
-//! least 5x smaller than the v1 JSONL.
+//! The run also checks that re-encoding the parsed trace reproduces
+//! the recorded bytes, and renders the JSON Lines dump saved next to
+//! the document; the test suite gates on the recorded v2 document
+//! being at least 5x smaller than that dump.
 
 use crate::common::{Context, Scale};
 use crate::fig07_capping::cap_schedule;
@@ -30,7 +31,7 @@ use ppep_dvfs::capping::OneStepCapping;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::fault::FaultPlan;
 use ppep_sim::SimPlatform;
-use ppep_telemetry::{RecordingPlatform, ReplayPlatform, TraceReader};
+use ppep_telemetry::{binary, RecordingPlatform, ReplayPlatform, TraceReader};
 use ppep_types::{Error, Result, VfStateId};
 use ppep_workloads::combos::fig7_workload;
 
@@ -46,21 +47,19 @@ pub struct ReplayResult {
     /// Whether the replayed decisions matched the live run's
     /// bit-for-bit (they must).
     pub identical: bool,
-    /// The recorded trace document (JSON Lines).
-    pub trace_jsonl: String,
-    /// Size of the v1 JSONL document in bytes.
-    pub v1_bytes: usize,
-    /// Size of the same trace in v2 binary framing.
-    pub v2_bytes: usize,
+    /// The recorded v2 trace document.
+    pub trace: Vec<u8>,
+    /// The same trace as a JSON Lines dump.
+    pub dump: String,
 }
 
 impl ReplayResult {
-    /// How many times smaller the v2 binary document is.
+    /// How many times smaller the v2 document is than its JSONL dump.
     pub fn v2_ratio(&self) -> f64 {
-        if self.v2_bytes == 0 {
+        if self.trace.is_empty() {
             0.0
         } else {
-            self.v1_bytes as f64 / self.v2_bytes as f64
+            self.dump.len() as f64 / self.trace.len() as f64
         }
     }
 }
@@ -68,8 +67,8 @@ impl ReplayResult {
 /// A recorded supervised capping run: the trace plus the run's shape.
 #[derive(Debug, Clone)]
 pub struct RecordedCapping {
-    /// The recorded trace document (JSON Lines).
-    pub trace_jsonl: String,
+    /// The recorded v2 trace document.
+    pub trace: Vec<u8>,
     /// Intervals driven.
     pub intervals: usize,
     /// Cap-schedule period (intervals per cap phase).
@@ -106,7 +105,7 @@ fn drive<P: Platform>(
 }
 
 /// Records one supervised Fig. 7 capping run (with the standard mild
-/// fault storm) over a live simulator, returning the JSONL trace.
+/// fault storm) over a live simulator, returning the v2 trace.
 ///
 /// This is the shared recording path of the `replay` and
 /// `diff-policies` experiments: both want the same live run, one to
@@ -129,9 +128,9 @@ pub fn record(ctx: &Context, ppep: &Ppep) -> Result<RecordedCapping> {
     sim.set_fault_plan(plan);
     let recording = RecordingPlatform::new(SimPlatform::new(sim));
     let (live_decisions, daemon) = drive(ppep, recording, intervals, period)?;
-    let trace_jsonl = daemon.inner().platform().trace_jsonl().to_string();
+    let trace = daemon.inner().platform().trace();
     Ok(RecordedCapping {
-        trace_jsonl,
+        trace,
         intervals,
         period,
         live_decisions,
@@ -143,28 +142,27 @@ pub fn record(ctx: &Context, ppep: &Ppep) -> Result<RecordedCapping> {
 /// # Errors
 ///
 /// Propagates training errors, non-transient daemon errors,
-/// strict-replay divergence, and v2 transcode lossiness.
+/// trace decode errors, a lossy re-encode, and strict-replay
+/// divergence.
 pub fn run(ctx: &Context) -> Result<ReplayResult> {
     let models = ctx.train_models()?;
     let ppep = Ppep::new(models);
     let recorded = record(ctx, &ppep)?;
     let RecordedCapping {
-        trace_jsonl,
+        trace: doc,
         intervals,
         period,
         live_decisions: live,
     } = recorded;
 
-    // Transcode to the v2 binary framing and verify losslessness.
-    let trace = TraceReader::parse(&trace_jsonl)?;
-    let v2 = ppep_telemetry::binary::encode(&trace);
-    let back = ppep_telemetry::binary::decode(&v2)?;
-    if back.to_jsonl() != trace.to_jsonl() {
+    // Decode, and verify re-encoding reproduces the recorded bytes.
+    let trace = TraceReader::parse(&doc)?;
+    if binary::encode(&trace) != doc {
         return Err(Error::InvalidInput(
-            "v2 binary transcode is not lossless".into(),
+            "v2 trace does not re-encode to the recorded bytes".into(),
         ));
     }
-    let (v1_bytes, v2_bytes) = (trace_jsonl.len(), v2.len());
+    let dump = trace.to_jsonl();
 
     // Replay, strictly: every apply must match the recorded one.
     let (trace_intervals, trace_faults) = (trace.interval_count(), trace.fault_count());
@@ -176,28 +174,27 @@ pub fn run(ctx: &Context) -> Result<ReplayResult> {
         trace_intervals,
         trace_faults,
         identical: live == replayed,
-        trace_jsonl,
-        v1_bytes,
-        v2_bytes,
+        trace: doc,
+        dump,
     })
 }
 
 /// Prints the round-trip verdict.
 pub fn print(result: &ReplayResult) {
-    println!("== Replay: record -> JSONL -> strict replay round trip ==");
+    println!("== Replay: record -> v2 binary -> strict replay round trip ==");
     println!(
         "{} intervals driven; trace holds {} samples + {} faults \
          ({} KiB of JSONL)",
         result.intervals,
         result.trace_intervals,
         result.trace_faults,
-        result.trace_jsonl.len() / 1024,
+        result.dump.len() / 1024,
     );
     println!(
         "v2 binary framing: {} bytes vs {} bytes of JSONL \
          ({:.2}x smaller, lossless)",
-        result.v2_bytes,
-        result.v1_bytes,
+        result.trace.len(),
+        result.dump.len(),
         result.v2_ratio(),
     );
     println!(
@@ -223,14 +220,15 @@ mod tests {
         assert_eq!(r.intervals, 48);
         assert!(r.trace_faults > 0, "the storm must exercise fault lines");
         assert_eq!(r.trace_intervals + r.trace_faults, r.intervals);
-        assert!(r.trace_jsonl.lines().count() > r.intervals);
+        assert!(r.trace.starts_with(&binary::MAGIC));
+        assert!(r.dump.lines().count() > r.intervals);
         // The v2 binary framing must deliver at least the 5x size cut
         // it was designed for on this (decision-bearing) trace.
         assert!(
             r.v2_ratio() >= 5.0,
-            "v2 must be >=5x smaller than v1: v1 {} bytes, v2 {} bytes ({:.2}x)",
-            r.v1_bytes,
-            r.v2_bytes,
+            "v2 must be >=5x smaller than its JSONL dump: dump {} bytes, v2 {} bytes ({:.2}x)",
+            r.dump.len(),
+            r.trace.len(),
             r.v2_ratio()
         );
     }

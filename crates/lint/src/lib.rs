@@ -9,7 +9,7 @@
 //! | L4 | `unguarded-output` | public model outputs route through `ppep_types::units::finite` so NaN/∞ cannot enter projections |
 //! | L5 | `stale-projection` | a `PpeProjection` is never read after an `apply(..)`/`set_vf(..)`/`set_enforced_cap(..)` boundary without re-projection — every DVFS decision prices off a fresh model of the *current* VF state (dataflow rule) |
 //! | L6 | `unbound-span` | tracing span guards are bound to live bindings (`let _g = rec.span(..)`), never dropped on the spot by a bare statement or `let _ =` |
-//! | L7 | `lock-across-boundary` | a `MutexGuard` is never live across `handle_frame`, the v2 frame codec (including `read_frame_bytes`), or socket/file I/O calls — lock hold times stay bounded so the sharded serve-path p99 does, with no allowlisted exceptions (dataflow rule) |
+//! | L7 | `lock-across-boundary` | a `MutexGuard` is never live across `handle_frame`, the v2 frame codec (including `read_frame_bytes`) or trace reader (`parse`), or socket/file I/O calls — lock hold times stay bounded so the sharded serve-path p99 does, with no allowlisted exceptions (dataflow rule) |
 //! | L8 | `dropped-transient` | a `Result` from `sample()`/`resample()`/platform apply paths is never discarded via `let _ =` / `.ok()` without an `is_transient()` triage branch — faults either retry or surface, preserving the energy-accounting identity (dataflow rule) |
 //!
 //! Violations print as rustc-style diagnostics and make the binary

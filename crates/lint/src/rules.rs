@@ -38,9 +38,9 @@
 //!   the next interval with the previous interval's model.
 //! * **L7 lock-across-boundary** — a `MutexGuard` (from `.lock()` or
 //!   a `*Guard`-typed binding) must not be live across
-//!   `handle_frame`, the v2 frame codec, or blocking I/O calls: lock
-//!   hold time across those boundaries is the documented serve-path
-//!   p99 amplifier.
+//!   `handle_frame`, the v2 frame codec or trace reader (`parse`), or
+//!   blocking I/O calls: lock hold time across those boundaries is the
+//!   documented serve-path p99 amplifier.
 //! * **L8 dropped-transient** — a `Result` from `sample()` /
 //!   `resample()` / platform actuation must not be discarded via
 //!   `let _ = ..` or a chained `.ok()` without an `is_transient()`
@@ -848,15 +848,16 @@ const GUARD_CHAIN_OK: [&str; 4] = ["map_err", "unwrap", "expect", "unwrap_or_els
 const GUARD_TYPES: [&str; 3] = ["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"];
 
 /// Calls a held guard must not cross (L7 boundary set): the serve
-/// frame handler, the v2 frame codec, and blocking I/O / platform
-/// sampling. Macros (`write!` into a `String`) are never calls, so
+/// frame handler, the v2 frame codec and trace reader
+/// (`TraceReader::parse`, matched by bare name, so any `parse` call
+/// counts), and blocking I/O / platform sampling. Macros (`write!` into a `String`) are never calls, so
 /// in-memory formatting does not trip this.
 const LOCK_BOUNDARIES: [&str; 16] = [
     "handle_frame",
     "frame_to_bytes",
     "decode_frame",
     "encode_frame",
-    "parse_any",
+    "parse",
     "read_frame_bytes",
     "write_all",
     "flush",

@@ -1,23 +1,23 @@
 //! Trace format v2: length-prefixed binary framing with per-frame CRC.
 //!
-//! The v1 JSONL format (see [`crate::trace`]) is debuggable but costs
-//! ~2.7 KB per 200 ms interval — most of it shortest-exact decimal
-//! spellings of `f64` payloads. This module encodes the *same* event
-//! stream (bit-identically, proven by proptest round trips and the
-//! golden fixtures) in a compact binary layout:
+//! The one trace format this workspace records, commits and replays.
+//! [`TraceWriter`] streams a run into a document one frame per event
+//! (the recording platform's writer), [`decode`] reads one back, and
+//! [`encode`] re-writes a parsed trace. A JSON Lines rendering of the
+//! same events ([`crate::trace::TraceReader::to_jsonl`]) is a
+//! write-only dump for humans; it is never read back.
 //!
 //! ```text
-//! document := MAGIC "PPB2" , version u8 (=2) , frame*
+//! document := MAGIC "PPB2" , version u8 (=2) , frame* , end frame
 //! frame    := kind u8 , payload_len varint , payload , crc32(payload) u32-le
-//! kind     := 1 meta | 2 interval | 3 fault | 4 apply | 5 decision
+//! kind     := 0 end | 1 meta | 2 interval | 3 fault | 4 apply | 5 decision
 //! ```
 //!
 //! The first frame must be the meta frame (topology + VF ladder), so a
-//! v2 document is self-describing exactly like a v1 one. Every frame
-//! carries a CRC-32 (IEEE) of its payload; truncated documents and
-//! corrupted frames are rejected with [`Error::InvalidInput`].
-//! [`crate::trace::TraceReader::parse_any`] sniffs the magic and falls
-//! back to the v1 JSONL reader, so old traces keep loading.
+//! document is self-describing. Every frame carries a CRC-32 (IEEE) of
+//! its payload; a bad magic, a truncated document or a corrupted frame
+//! is rejected with [`Error::InvalidInput`], so a flipped byte is an
+//! error rather than a different number.
 //!
 //! # Value coding
 //!
@@ -43,15 +43,15 @@
 //! Predictors are positional: a counter's previous-interval value, a
 //! sampled counter's same-interval true count (and vice versa), the
 //! previous element of a per-CU vector, a linear extrapolation for
-//! temperature. All state lives in [`Codec`] and is updated by both
+//! temperature. All state lives in `Codec` and is updated by both
 //! sides under identical rules, so the scheme needs no side channel.
-//! On the record/replay capping workload this cuts trace size over 5×
-//! versus v1 JSONL while round-tripping every `f64` bit-exactly.
+//! On the record/replay capping workload a document is over 5× smaller
+//! than its JSONL dump while round-tripping every `f64` bit-exactly.
 
 use crate::decision::DecisionRecord;
 use crate::frame::{push_frame, put_f64, put_str, put_varint, split_frame, ByteReader};
 use crate::record::{IntervalRecord, PowerBreakdown};
-use crate::trace::{static_sensor_name, TraceEvent, TraceReader};
+use crate::trace::{TraceEvent, TraceReader};
 use ppep_pmc::events::EVENT_COUNT;
 use ppep_pmc::sampler::IntervalSample;
 use ppep_pmc::EventCounts;
@@ -76,11 +76,6 @@ const FRAME_INTERVAL: u8 = 2;
 const FRAME_FAULT: u8 = 3;
 const FRAME_APPLY: u8 = 4;
 const FRAME_DECISION: u8 = 5;
-
-/// Whether `src` starts with the v2 magic.
-pub fn is_binary(src: &[u8]) -> bool {
-    src.get(..MAGIC.len()) == Some(MAGIC.as_slice())
-}
 
 // ---------------------------------------------------------------------
 // Bit-level primitives (LSB-first, like DEFLATE)
@@ -632,7 +627,7 @@ fn get_true(br: &mut BitReader, pred_a: f64, pred_b: f64, lens: &mut LenCtx) -> 
 
 /// Shared encoder/decoder state: everything a predictor may reference.
 /// Both sides update it under identical rules after each frame.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Codec {
     prev: Option<IntervalRecord>,
     prev2_temperature: Option<f64>,
@@ -1093,38 +1088,87 @@ fn decision_payload(codec: &mut Codec, d: &DecisionRecord, table: &VfTable) -> V
     p
 }
 
-/// Encodes a parsed trace as a v2 binary document.
-pub fn encode(trace: &TraceReader) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.push(BINARY_VERSION);
-    push_frame(&mut out, FRAME_META, &meta_payload(&trace.topology));
-    let table = trace.topology.vf_table();
-    let mut codec = Codec::default();
-    for event in &trace.events {
-        match event {
-            TraceEvent::Interval(r) => {
-                let payload = interval_payload(&mut codec, r, table);
-                push_frame(&mut out, FRAME_INTERVAL, &payload);
-            }
-            TraceEvent::Fault { index, error } => {
-                let mut payload = Vec::new();
-                put_fault(&mut payload, *index, error);
-                push_frame(&mut out, FRAME_FAULT, &payload);
-            }
-            TraceEvent::Apply(assignment) => {
-                push_frame(&mut out, FRAME_APPLY, &apply_payload(&codec, assignment));
-            }
-            TraceEvent::Decision(d) => {
-                let payload = decision_payload(&mut codec, d, table);
-                push_frame(&mut out, FRAME_DECISION, &payload);
-            }
+/// Streams trace events into a v2 document, one frame per event.
+#[derive(Debug)]
+pub struct TraceWriter {
+    out: Vec<u8>,
+    codec: Codec,
+    table: VfTable,
+}
+
+impl TraceWriter {
+    /// Starts a document with its header and meta frame.
+    pub fn new(topology: &Topology) -> Self {
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        out.push(BINARY_VERSION);
+        push_frame(&mut out, FRAME_META, &meta_payload(topology));
+        Self {
+            out,
+            codec: Codec::default(),
+            table: topology.vf_table().clone(),
         }
     }
-    // Explicit end-of-document frame: without it a trace cut exactly
-    // at a frame boundary would decode as a shorter valid document.
-    push_frame(&mut out, FRAME_END, &[]);
-    out
+
+    /// Appends one successful sample.
+    pub fn interval(&mut self, record: &IntervalRecord) {
+        let payload = interval_payload(&mut self.codec, record, &self.table);
+        push_frame(&mut self.out, FRAME_INTERVAL, &payload);
+    }
+
+    /// Appends one failed sample.
+    pub fn fault(&mut self, index: IntervalIndex, error: &Error) {
+        let mut payload = Vec::new();
+        put_fault(&mut payload, index, error);
+        push_frame(&mut self.out, FRAME_FAULT, &payload);
+    }
+
+    /// Appends one applied assignment.
+    pub fn apply(&mut self, assignment: &[VfStateId]) {
+        let payload = apply_payload(&self.codec, assignment);
+        push_frame(&mut self.out, FRAME_APPLY, &payload);
+    }
+
+    /// Appends one controller decision annotation.
+    pub fn decision(&mut self, decision: &DecisionRecord) {
+        let payload = decision_payload(&mut self.codec, decision, &self.table);
+        push_frame(&mut self.out, FRAME_DECISION, &payload);
+    }
+
+    /// Appends any event.
+    pub fn event(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::Interval(r) => self.interval(r),
+            TraceEvent::Fault { index, error } => self.fault(*index, error),
+            TraceEvent::Apply(assignment) => self.apply(assignment),
+            TraceEvent::Decision(d) => self.decision(d),
+        }
+    }
+
+    /// The document so far, closed with an end frame (the writer keeps
+    /// streaming).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut doc = self.out.clone();
+        push_frame(&mut doc, FRAME_END, &[]);
+        doc
+    }
+
+    /// Closes the document with its end frame. Without that frame a
+    /// trace cut exactly at a frame boundary would decode as a shorter
+    /// valid document.
+    pub fn finish(mut self) -> Vec<u8> {
+        push_frame(&mut self.out, FRAME_END, &[]);
+        self.out
+    }
+}
+
+/// Encodes a parsed trace as a v2 binary document.
+pub fn encode(trace: &TraceReader) -> Vec<u8> {
+    let mut writer = TraceWriter::new(&trace.topology);
+    for event in &trace.events {
+        writer.event(event);
+    }
+    writer.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -1356,6 +1400,17 @@ fn parse_interval(
     };
     codec.after_interval(&record);
     Ok(record)
+}
+
+/// Reconstructs a recorded sensor name as the `&'static str` the
+/// error variants require; unknown names map to a generic label.
+fn static_sensor_name(name: &str) -> &'static str {
+    match name {
+        "hall-sensor" => "hall-sensor",
+        "thermal-diode" => "thermal-diode",
+        "projection" => "projection",
+        _ => "replayed-sensor",
+    }
 }
 
 /// Reads the fault payload [`put_fault`] wrote.
@@ -1668,23 +1723,37 @@ mod tests {
     fn round_trips_bit_identically() {
         let trace = toy_trace();
         let doc = encode(&trace);
-        assert!(is_binary(&doc));
+        assert!(doc.starts_with(&MAGIC));
         let back = decode(&doc).unwrap();
         assert_eq!(back.topology, trace.topology);
         assert_eq!(back.events, trace.events);
     }
 
     #[test]
-    fn beats_jsonl_on_repetitive_traces() {
+    fn beats_the_jsonl_dump_on_repetitive_traces() {
         let trace = toy_trace();
-        let v1 = trace.to_jsonl();
+        let dump = trace.to_jsonl();
         let v2 = encode(&trace);
         assert!(
-            v2.len() * 5 <= v1.len(),
-            "v2 {} bytes should be >=5x smaller than v1 {} bytes",
+            v2.len() * 5 <= dump.len(),
+            "v2 {} bytes should be >=5x smaller than the {} byte JSONL dump",
             v2.len(),
-            v1.len()
+            dump.len()
         );
+    }
+
+    #[test]
+    fn a_streaming_writer_hands_out_decodable_prefixes() {
+        let trace = toy_trace();
+        let mut writer = TraceWriter::new(&trace.topology);
+        assert!(decode(&writer.to_bytes()).unwrap().events.is_empty());
+        for (i, event) in trace.events.iter().enumerate() {
+            writer.event(event);
+            let so_far = decode(&writer.to_bytes()).unwrap();
+            assert_eq!(so_far.events.get(..), trace.events.get(..=i));
+        }
+        assert_eq!(writer.to_bytes(), encode(&trace));
+        assert_eq!(writer.finish(), encode(&trace));
     }
 
     #[test]

@@ -4,24 +4,27 @@
 //! provides counters, temperature, and a VF actuator* (§IV-E). This
 //! crate is that seam: it owns the per-interval measurement record
 //! ([`IntervalRecord`]), the [`Platform`] port the daemon drives, and
-//! a JSONL trace format with recording/replaying platform adapters —
+//! one binary trace format with recording/replaying platform adapters —
 //! so the prediction engine is decoupled from any one backend.
 //!
-//! Three pieces:
+//! The pieces:
 //!
 //! - [`record`] — [`IntervalRecord`] and [`PowerBreakdown`], the
 //!   measurement types every backend produces (moved here from
 //!   `ppep-sim`, which re-exports them for compatibility).
 //! - [`platform`] — the [`Platform`] trait: `sample` one decision
 //!   interval, `apply` a per-CU VF assignment, expose the topology.
-//! - [`trace`] — a line-oriented JSONL trace format plus
-//!   [`RecordingPlatform`] (wraps any platform, logs every sample and
-//!   apply) and [`ReplayPlatform`] (replays a recorded trace
-//!   deterministically, with no live substrate at all).
+//! - [`trace`] — [`RecordingPlatform`] (wraps any platform, records
+//!   every sample, fault, apply and decision), [`ReplayPlatform`]
+//!   (replays a recorded trace deterministically, with no live
+//!   substrate at all) and [`TraceReader`], the parsed event stream.
+//! - [`binary`] — trace format v2, the only one recorded and read:
+//!   varint-delta counters, a CRC per frame, a streaming
+//!   [`TraceWriter`]; [`TraceReader::parse`] is its reader. [`json`]
+//!   holds the token writers of [`TraceReader::to_jsonl`], a
+//!   write-only JSON Lines dump for humans.
 //! - [`decision`] — the [`DecisionRecord`] annotation a recording
-//!   daemon emits per decision, and [`binary`] — the compact v2
-//!   binary trace framing (varint-delta counters, per-frame CRC);
-//!   [`TraceReader::parse_any`] reads either format.
+//!   daemon emits per decision.
 //! - [`frame`] — the `kind, length, payload, crc32` envelope, the
 //!   CRC-32 and the byte primitives shared by every binary stream.
 //! - [`session`] — the multi-tenant capping service's wire protocol
@@ -44,9 +47,10 @@ pub mod session;
 pub mod snapshot;
 pub mod trace;
 
+pub use binary::TraceWriter;
 pub use decision::DecisionRecord;
 pub use platform::Platform;
 pub use record::{IntervalRecord, PowerBreakdown};
 pub use session::SessionFrame;
 pub use snapshot::{ErrorStat, MetricsSnapshot, SloSummary};
-pub use trace::{RecordingPlatform, ReplayPlatform, TraceEvent, TraceReader, TraceWriter};
+pub use trace::{RecordingPlatform, ReplayPlatform, TraceEvent, TraceReader};

@@ -1,47 +1,42 @@
-//! JSONL trace record/replay.
+//! Trace record/replay.
 //!
 //! A trace turns any PPEP run into a reproducible offline artifact:
-//! [`RecordingPlatform`] wraps a live platform and appends one JSON
-//! line per event, and [`ReplayPlatform`] plays a recorded trace back
-//! with no live substrate at all. A deterministic daemon + controller
-//! driven over the replay reproduces the live run's decisions and
-//! projections bit-for-bit — floating-point values are serialized via
-//! Rust's shortest-exact `f64` formatting (see [`crate::json`]).
+//! [`RecordingPlatform`] wraps a live platform and streams every event
+//! into a v2 binary document ([`crate::binary`]), and
+//! [`ReplayPlatform`] plays a parsed trace back with no live substrate
+//! at all. A deterministic daemon + controller driven over the replay
+//! reproduces the live run's decisions and projections bit-for-bit:
+//! the codec round-trips every `f64` exactly.
 //!
-//! Line types (one JSON object per line):
+//! Event types, in daemon order after the topology:
 //!
-//! - `meta` — format version and the full topology (name, CU/core
-//!   structure, VF ladder, microarchitectural constants), written
-//!   first.
 //! - `interval` — one successful [`IntervalRecord`], everything
 //!   included (observables and simulator ground truth).
 //! - `fault` — a failed sample: the interval index it was measuring
 //!   and the transient error, so fault storms replay faithfully.
 //! - `apply` — a per-CU VF assignment the daemon applied.
 //! - `decision` — a controller [`DecisionRecord`] annotation (chosen
-//!   assignment, predicted-vs-realized power, cap verdict). Absent in
-//!   traces recorded before decisions were captured; replay treats it
-//!   as a comment.
+//!   assignment, predicted-vs-realized power, cap verdict); replay
+//!   treats it as a comment.
 //!
-//! The compact binary v2 framing of the same event stream lives in
-//! [`crate::binary`]; [`TraceReader::parse_any`] accepts either.
+//! [`TraceReader::parse`] is the only reader. [`TraceReader::to_jsonl`]
+//! renders the same events as JSON Lines (one object per line, a
+//! `meta` line with the topology first, every `f64` in shortest-exact
+//! decimal) — a write-only dump for humans and diff tools.
 
+use crate::binary::TraceWriter;
 use crate::decision::DecisionRecord;
-use crate::json::{push_f64, push_str, Json};
+use crate::json::{push_f64, push_str};
 use crate::platform::Platform;
-use crate::record::{IntervalRecord, PowerBreakdown};
+use crate::record::IntervalRecord;
 use ppep_obs::RecorderHandle;
-use ppep_pmc::events::EVENT_COUNT;
-use ppep_pmc::sampler::IntervalSample;
 use ppep_pmc::EventCounts;
 use ppep_types::time::IntervalIndex;
-use ppep_types::vf::{NbVfState, VfPoint};
-use ppep_types::{
-    Error, Gigahertz, Kelvin, Result, Seconds, Topology, VfStateId, VfTable, Volts, Watts,
-};
+use ppep_types::vf::NbVfState;
+use ppep_types::{Error, Result, Topology, VfStateId, Watts};
 use std::collections::VecDeque;
 
-/// The JSONL (v1) trace format version this module writes.
+/// The version the JSONL dump's `meta` line carries.
 pub const TRACE_VERSION: u64 = 1;
 
 /// One recorded trace event, in daemon order.
@@ -64,63 +59,8 @@ pub enum TraceEvent {
 }
 
 // ---------------------------------------------------------------------
-// Writing
+// The JSONL dump
 // ---------------------------------------------------------------------
-
-/// Serializes trace events to JSON Lines.
-#[derive(Debug, Clone)]
-pub struct TraceWriter {
-    out: String,
-}
-
-impl TraceWriter {
-    /// Starts a trace with its `meta` line.
-    pub fn new(topology: &Topology) -> Self {
-        let mut out = String::new();
-        push_meta(&mut out, topology);
-        Self { out }
-    }
-
-    /// Appends one successful sample.
-    pub fn interval(&mut self, record: &IntervalRecord) {
-        push_interval(&mut self.out, record);
-    }
-
-    /// Appends one failed sample.
-    pub fn fault(&mut self, index: IntervalIndex, error: &Error) {
-        push_fault(&mut self.out, index, error);
-    }
-
-    /// Appends one applied assignment.
-    pub fn apply(&mut self, assignment: &[VfStateId]) {
-        push_apply(&mut self.out, assignment);
-    }
-
-    /// Appends one controller decision annotation.
-    pub fn decision(&mut self, decision: &DecisionRecord) {
-        push_decision(&mut self.out, decision);
-    }
-
-    /// Appends any event (the transcoding entry point).
-    pub fn event(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::Interval(r) => self.interval(r),
-            TraceEvent::Fault { index, error } => self.fault(*index, error),
-            TraceEvent::Apply(assignment) => self.apply(assignment),
-            TraceEvent::Decision(d) => self.decision(d),
-        }
-    }
-
-    /// The trace so far, as JSON Lines.
-    pub fn as_jsonl(&self) -> &str {
-        &self.out
-    }
-
-    /// Consumes the writer, returning the JSONL document.
-    pub fn into_jsonl(self) -> String {
-        self.out
-    }
-}
 
 fn push_meta(out: &mut String, topology: &Topology) {
     use std::fmt::Write as _;
@@ -179,7 +119,7 @@ fn push_watts_vec(out: &mut String, values: &[Watts]) {
     out.push(']');
 }
 
-pub(crate) fn push_interval(out: &mut String, r: &IntervalRecord) {
+fn push_interval(out: &mut String, r: &IntervalRecord) {
     use std::fmt::Write as _;
     let _ = write!(out, "{{\"type\":\"interval\",\"index\":{}", r.index.0);
     out.push_str(",\"duration\":");
@@ -241,7 +181,7 @@ pub(crate) fn push_interval(out: &mut String, r: &IntervalRecord) {
     out.push_str("}}\n");
 }
 
-pub(crate) fn push_fault(out: &mut String, index: IntervalIndex, error: &Error) {
+fn push_fault(out: &mut String, index: IntervalIndex, error: &Error) {
     use std::fmt::Write as _;
     let _ = write!(out, "{{\"type\":\"fault\",\"index\":{},\"error\":", index.0);
     match error {
@@ -326,88 +266,38 @@ fn push_decision(out: &mut String, d: &DecisionRecord) {
 /// A parsed trace: the recorded topology plus the event stream.
 #[derive(Debug, Clone)]
 pub struct TraceReader {
-    /// The topology recorded in the `meta` line.
+    /// The topology recorded in the meta frame.
     pub topology: Topology,
     /// All events, in daemon order.
     pub events: Vec<TraceEvent>,
 }
 
 impl TraceReader {
-    /// Parses a JSONL trace document.
+    /// Parses a v2 binary trace document ([`crate::binary::decode`]).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidInput`] on malformed JSON, a missing or
-    /// mis-versioned `meta` line, or values inconsistent with the
-    /// recorded topology (e.g. a VF index outside the ladder).
-    pub fn parse(src: &str) -> Result<Self> {
-        let mut lines = src.lines().filter(|l| !l.trim().is_empty());
-        let meta_line = lines
-            .next()
-            .ok_or_else(|| Error::InvalidInput("trace: empty document".into()))?;
-        let meta = Json::parse(meta_line)?;
-        if meta.get("type")?.as_str()? != "meta" {
-            return Err(Error::InvalidInput(
-                "trace: first line must be the meta line".into(),
-            ));
-        }
-        let version = meta.get("version")?.as_u64()?;
-        if version != TRACE_VERSION {
-            return Err(Error::InvalidInput(format!(
-                "trace: unsupported version {version} (this reader speaks {TRACE_VERSION})"
-            )));
-        }
-        let topology = parse_topology(&meta)?;
-        let mut events = Vec::new();
-        for line in lines {
-            let v = Json::parse(line)?;
-            match v.get("type")?.as_str()? {
-                "interval" => events.push(TraceEvent::Interval(parse_interval(&v, &topology)?)),
-                "fault" => events.push(TraceEvent::Fault {
-                    index: IntervalIndex(v.get("index")?.as_u64()?),
-                    error: parse_error(v.get("error")?)?,
-                }),
-                "apply" => events.push(TraceEvent::Apply(parse_assignment(
-                    v.get("assignment")?,
-                    topology.vf_table(),
-                )?)),
-                "decision" => events.push(TraceEvent::Decision(parse_decision(
-                    &v,
-                    topology.vf_table(),
-                )?)),
-                other => {
-                    return Err(Error::InvalidInput(format!(
-                        "trace: unknown line type `{other}`"
-                    )))
-                }
+    /// Returns [`Error::InvalidInput`] on a bad magic or version, a
+    /// truncated document, a frame whose CRC does not match its
+    /// payload, or values inconsistent with the recorded topology
+    /// (e.g. a VF index outside the ladder).
+    pub fn parse(src: &[u8]) -> Result<Self> {
+        crate::binary::decode(src)
+    }
+
+    /// Renders the trace as JSON Lines: a write-only dump for humans.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        push_meta(&mut out, &self.topology);
+        for event in &self.events {
+            match event {
+                TraceEvent::Interval(r) => push_interval(&mut out, r),
+                TraceEvent::Fault { index, error } => push_fault(&mut out, *index, error),
+                TraceEvent::Apply(assignment) => push_apply(&mut out, assignment),
+                TraceEvent::Decision(d) => push_decision(&mut out, d),
             }
         }
-        Ok(Self { topology, events })
-    }
-
-    /// Parses a trace in either format: the v2 binary framing when the
-    /// document starts with the [`crate::binary::MAGIC`] header, v1
-    /// JSONL otherwise (the fallback reader).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the respective format's parse errors.
-    pub fn parse_any(src: &[u8]) -> Result<Self> {
-        if crate::binary::is_binary(src) {
-            return crate::binary::decode(src);
-        }
-        let text = std::str::from_utf8(src)
-            .map_err(|_| Error::InvalidInput("trace: neither v2 binary nor UTF-8 JSONL".into()))?;
-        Self::parse(text)
-    }
-
-    /// Re-serializes the trace as v1 JSON Lines.
-    pub fn to_jsonl(&self) -> String {
-        let mut w = TraceWriter::new(&self.topology);
-        for e in &self.events {
-            w.event(e);
-        }
-        w.into_jsonl()
+        out
     }
 
     /// The number of successful samples in the trace.
@@ -435,175 +325,12 @@ impl TraceReader {
     }
 }
 
-fn parse_topology(meta: &Json) -> Result<Topology> {
-    let mut points = Vec::new();
-    for entry in meta.get("vf_table")?.as_arr()? {
-        match entry.as_arr()? {
-            [v, f] => points.push(VfPoint::new(
-                Volts::new(v.as_f64()?),
-                Gigahertz::new(f.as_f64()?),
-            )),
-            _ => {
-                return Err(Error::InvalidInput(
-                    "trace: vf_table entries must be [voltage, frequency] pairs".into(),
-                ))
-            }
-        }
-    }
-    Topology::new(
-        meta.get("name")?.as_str()?,
-        meta.get("cu_count")?.as_usize()?,
-        meta.get("cores_per_cu")?.as_usize()?,
-        VfTable::new(points)?,
-        meta.get("power_gating")?.as_bool()?,
-        meta.get("issue_width")?.as_f64()?,
-        meta.get("mispredict_penalty_cycles")?.as_f64()?,
-    )
-}
-
-fn parse_counts(v: &Json) -> Result<EventCounts> {
-    let items = v.as_arr()?;
-    if items.len() != EVENT_COUNT {
-        return Err(Error::InvalidInput(format!(
-            "trace: event-count vector has {} entries, expected {EVENT_COUNT}",
-            items.len()
-        )));
-    }
-    let mut arr = [0.0; EVENT_COUNT];
-    for (slot, item) in arr.iter_mut().zip(items) {
-        *slot = item.as_f64()?;
-    }
-    Ok(EventCounts::from_array(arr))
-}
-
-fn parse_watts_vec(v: &Json) -> Result<Vec<Watts>> {
-    v.as_arr()?
-        .iter()
-        .map(|w| Ok(Watts::new(w.as_f64()?)))
-        .collect()
-}
-
-fn parse_assignment(v: &Json, table: &VfTable) -> Result<Vec<VfStateId>> {
-    v.as_arr()?
-        .iter()
-        .map(|idx| table.state(idx.as_usize()?))
-        .collect()
-}
-
-fn parse_opt_watts(v: &Json) -> Result<Option<Watts>> {
-    match v {
-        Json::Null => Ok(None),
-        other => Ok(Some(Watts::new(other.as_f64()?))),
-    }
-}
-
-fn parse_decision(v: &Json, table: &VfTable) -> Result<DecisionRecord> {
-    Ok(DecisionRecord {
-        interval: IntervalIndex(v.get("interval")?.as_u64()?),
-        chosen: parse_assignment(v.get("chosen")?, table)?,
-        predicted_power: parse_opt_watts(v.get("predicted_power")?)?,
-        realized_power: parse_opt_watts(v.get("realized_power")?)?,
-        cap: parse_opt_watts(v.get("cap")?)?,
-        cap_violated: match v.get("cap_violated")? {
-            Json::Null => None,
-            other => Some(other.as_bool()?),
-        },
-    })
-}
-
-pub(crate) fn parse_interval(v: &Json, topology: &Topology) -> Result<IntervalRecord> {
-    let samples = v
-        .get("samples")?
-        .as_arr()?
-        .iter()
-        .map(|s| {
-            Ok(IntervalSample {
-                counts: parse_counts(s.get("counts")?)?,
-                duration: Seconds::new(s.get("duration")?.as_f64()?),
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let true_counts = v
-        .get("true_counts")?
-        .as_arr()?
-        .iter()
-        .map(parse_counts)
-        .collect::<Result<Vec<_>>>()?;
-    let core_busy = v
-        .get("core_busy")?
-        .as_arr()?
-        .iter()
-        .map(Json::as_bool)
-        .collect::<Result<Vec<_>>>()?;
-    let tp = v.get("true_power")?;
-    Ok(IntervalRecord {
-        index: IntervalIndex(v.get("index")?.as_u64()?),
-        duration: Seconds::new(v.get("duration")?.as_f64()?),
-        samples,
-        true_counts,
-        measured_power: Watts::new(v.get("measured_power")?.as_f64()?),
-        true_power: PowerBreakdown {
-            core_dynamic: parse_watts_vec(tp.get("core_dynamic")?)?,
-            nb_dynamic: Watts::new(tp.get("nb_dynamic")?.as_f64()?),
-            cu_idle: parse_watts_vec(tp.get("cu_idle")?)?,
-            nb_idle: Watts::new(tp.get("nb_idle")?.as_f64()?),
-            base: Watts::new(tp.get("base")?.as_f64()?),
-        },
-        temperature: Kelvin::new(v.get("temperature")?.as_f64()?),
-        cu_vf: parse_assignment(v.get("cu_vf")?, topology.vf_table())?,
-        nb_state: match v.get("nb_state")?.as_str()? {
-            "high" => NbVfState::High,
-            "low" => NbVfState::Low,
-            other => {
-                return Err(Error::InvalidInput(format!(
-                    "trace: unknown nb_state `{other}`"
-                )))
-            }
-        },
-        core_busy,
-    })
-}
-
-/// Reconstructs a recorded sensor name as the `&'static str` the
-/// error variants require; unknown names map to a generic label.
-pub(crate) fn static_sensor_name(name: &str) -> &'static str {
-    match name {
-        "hall-sensor" => "hall-sensor",
-        "thermal-diode" => "thermal-diode",
-        "projection" => "projection",
-        _ => "replayed-sensor",
-    }
-}
-
-pub(crate) fn parse_error(v: &Json) -> Result<Error> {
-    match v.get("kind")?.as_str()? {
-        "sensor-dropout" => Ok(Error::SensorDropout {
-            sensor: static_sensor_name(v.get("sensor")?.as_str()?),
-        }),
-        "sensor-implausible" => Ok(Error::SensorImplausible {
-            sensor: static_sensor_name(v.get("sensor")?.as_str()?),
-            value: v.get("value")?.as_f64()?,
-        }),
-        "msr-read-failed" => Ok(Error::MsrReadFailed {
-            msr: u32::try_from(v.get("msr")?.as_u64()?)
-                .map_err(|_| Error::InvalidInput("trace: msr address out of range".into()))?,
-        }),
-        "missed-interval" => Ok(Error::MissedInterval {
-            missed: u32::try_from(v.get("missed")?.as_u64()?)
-                .map_err(|_| Error::InvalidInput("trace: missed count out of range".into()))?,
-        }),
-        "other" => Ok(Error::Device(v.get("message")?.as_str()?.to_string())),
-        other => Err(Error::InvalidInput(format!(
-            "trace: unknown error kind `{other}`"
-        ))),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Platform adapters
 // ---------------------------------------------------------------------
 
-/// Wraps a live platform and records every sample and apply.
+/// Wraps a live platform and records every sample, fault, apply and
+/// decision into a v2 document.
 #[derive(Debug)]
 pub struct RecordingPlatform<P: Platform> {
     inner: P,
@@ -628,14 +355,15 @@ impl<P: Platform> RecordingPlatform<P> {
         &mut self.inner
     }
 
-    /// The trace recorded so far, as JSON Lines.
-    pub fn trace_jsonl(&self) -> &str {
-        self.writer.as_jsonl()
+    /// The trace recorded so far, as a finished v2 document (the
+    /// recording goes on).
+    pub fn trace(&self) -> Vec<u8> {
+        self.writer.to_bytes()
     }
 
-    /// Stops recording, returning the platform and the JSONL trace.
-    pub fn finish(self) -> (P, String) {
-        (self.inner, self.writer.into_jsonl())
+    /// Stops recording, returning the platform and the v2 document.
+    pub fn finish(self) -> (P, Vec<u8>) {
+        (self.inner, self.writer.finish())
     }
 }
 
@@ -726,15 +454,6 @@ impl ReplayPlatform {
             next_index,
             last_sampled: None,
         }
-    }
-
-    /// Parses a JSONL document and builds a replay platform from it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TraceReader::parse`] errors.
-    pub fn from_jsonl(src: &str) -> Result<Self> {
-        Ok(Self::new(TraceReader::parse(src)?))
     }
 
     /// Enables strict mode: `apply` calls must replay the recorded
@@ -838,7 +557,9 @@ impl Platform for ReplayPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppep_types::CuId;
+    use crate::record::PowerBreakdown;
+    use ppep_pmc::sampler::IntervalSample;
+    use ppep_types::{CuId, Kelvin, Seconds, VfTable};
 
     fn toy_topology() -> Topology {
         Topology::fx8320()
@@ -890,7 +611,7 @@ mod tests {
             },
         );
         w.interval(&r1);
-        let doc = w.into_jsonl();
+        let doc = w.finish();
 
         let trace = TraceReader::parse(&doc).unwrap();
         assert_eq!(trace.topology, topo);
@@ -901,7 +622,7 @@ mod tests {
             _ => None,
         });
         let back0 = intervals.next().unwrap();
-        // Bit-exactness: every f64 survives the JSONL round trip.
+        // Bit-exactness: every f64 survives the v2 round trip.
         assert_eq!(back0.measured_power, r0.measured_power);
         assert_eq!(back0.temperature, r0.temperature);
         assert_eq!(back0.samples, r0.samples);
@@ -935,9 +656,9 @@ mod tests {
         w.fault(IntervalIndex(1), &Error::MsrReadFailed { msr: 0xC001_0201 });
         w.interval(&toy_record(2, &table));
         w.apply(&[table.highest(); 4]);
-        let doc = w.into_jsonl();
+        let doc = w.finish();
 
-        let mut replay = ReplayPlatform::from_jsonl(&doc).unwrap();
+        let mut replay = ReplayPlatform::new(TraceReader::parse(&doc).unwrap());
         assert_eq!(replay.current_interval(), IntervalIndex(0));
         let r0 = replay.sample().unwrap();
         assert_eq!(r0.index, IntervalIndex(0));
@@ -958,13 +679,13 @@ mod tests {
         let mut w = TraceWriter::new(&topo);
         w.interval(&toy_record(0, &table));
         w.apply(&[table.lowest(); 4]);
-        let doc = w.into_jsonl();
+        let doc = w.finish();
 
-        let mut strict = ReplayPlatform::from_jsonl(&doc).unwrap().strict();
+        let mut strict = ReplayPlatform::new(TraceReader::parse(&doc).unwrap()).strict();
         strict.sample().unwrap();
         assert!(strict.apply(&[table.highest(); 4]).is_err());
 
-        let mut tolerant = ReplayPlatform::from_jsonl(&doc).unwrap();
+        let mut tolerant = ReplayPlatform::new(TraceReader::parse(&doc).unwrap());
         tolerant.sample().unwrap();
         tolerant.apply(&[table.highest(); 4]).unwrap();
     }
@@ -978,10 +699,10 @@ mod tests {
         w.apply(&[table.lowest(); 4]);
         w.interval(&toy_record(1, &table));
         w.apply(&[table.lowest(); 4]);
-        let doc = w.into_jsonl();
+        let doc = w.finish();
 
         // Follow the trace for interval 0, diverge at interval 1.
-        let mut strict = ReplayPlatform::from_jsonl(&doc).unwrap().strict();
+        let mut strict = ReplayPlatform::new(TraceReader::parse(&doc).unwrap()).strict();
         strict.sample().unwrap();
         strict.apply(&[table.lowest(); 4]).unwrap();
         strict.sample().unwrap();
@@ -1022,7 +743,7 @@ mod tests {
             cap_violated: None,
         });
         w.interval(&toy_record(1, &table));
-        let doc = w.into_jsonl();
+        let doc = w.finish();
 
         let trace = TraceReader::parse(&doc).unwrap();
         assert_eq!(trace.decisions().count(), 2);
@@ -1030,8 +751,18 @@ mod tests {
             trace.decisions().next().map(|d| d.power_error()),
             Some(Some(Watts::new(1.5)))
         );
-        // Round trip: re-serializing the parsed trace is byte-lossless.
-        assert_eq!(trace.to_jsonl(), doc);
+        // Round trip: re-encoding the parsed trace is byte-lossless.
+        assert_eq!(crate::binary::encode(&trace), doc);
+        // The dump renders the meta line plus one line per event.
+        let dump = trace.to_jsonl();
+        assert!(dump.starts_with("{\"type\":\"meta\",\"version\":1,"));
+        assert_eq!(dump.lines().count(), trace.events.len() + 1);
+        assert_eq!(
+            dump.lines()
+                .filter(|l| l.starts_with("{\"type\":\"decision\""))
+                .count(),
+            2
+        );
 
         // Strict replay sails past the annotations.
         let mut strict = ReplayPlatform::new(trace).strict();
@@ -1053,9 +784,9 @@ mod tests {
         w.apply(&[table.lowest(); 4]);
         w.interval(&toy_record(1, &table));
         w.apply(&[table.lowest(); 4]);
-        let doc = w.into_jsonl();
+        let doc = w.finish();
 
-        let replay = ReplayPlatform::from_jsonl(&doc).unwrap();
+        let replay = ReplayPlatform::new(TraceReader::parse(&doc).unwrap());
         let mut rec = RecordingPlatform::new(replay);
         for _ in 0..2 {
             let r = rec.sample().unwrap();
@@ -1073,8 +804,8 @@ mod tests {
         let table = topo.vf_table().clone();
         let mut w = TraceWriter::new(&topo);
         w.interval(&toy_record(0, &table));
-        let doc = w.into_jsonl();
-        let mut replay = ReplayPlatform::from_jsonl(&doc).unwrap();
+        let doc = w.finish();
+        let mut replay = ReplayPlatform::new(TraceReader::parse(&doc).unwrap());
         replay.sample().unwrap();
         replay.apply_uniform(table.lowest()).unwrap();
         assert_eq!(replay.topology().cu_count(), 4);

@@ -200,10 +200,10 @@ fn recording_through_sample_into_writes_the_same_trace() {
         let _ = fresh.sample();
         let _ = reused.sample_into(&mut buffer);
     }
-    assert_eq!(fresh.trace_jsonl(), reused.trace_jsonl());
+    assert!(fresh.trace() == reused.trace());
 }
 
-/// The JSONL trace of a storm run sampled through a recording platform.
+/// The trace of a storm run sampled through a recording platform.
 fn storm_trace() -> TraceReader {
     let mut recording = RecordingPlatform::new(storm_sim());
     let lowest = recording.vf_table().lowest();
@@ -213,7 +213,7 @@ fn storm_trace() -> TraceReader {
             recording.apply_uniform(lowest).expect("valid assignment");
         }
     }
-    TraceReader::parse(recording.trace_jsonl()).expect("trace parses")
+    TraceReader::parse(&recording.trace()).expect("trace parses")
 }
 
 #[test]

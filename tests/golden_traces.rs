@@ -1,15 +1,18 @@
 //! Golden-trace fixtures: recorded traces as regression tests.
 //!
 //! `tests/fixtures/` pins two small recorded capping runs — one clean,
-//! one under a heavy fault storm — as JSONL documents committed to the
-//! repository. The tests hold three properties over them:
+//! one under a heavy fault storm — as v2 binary documents committed to
+//! the repository. The tests hold four properties over them:
 //!
-//! 1. **Format stability** — parsing a fixture and re-serializing it
-//!    reproduces the committed bytes exactly, so any drift in the v1
-//!    trace format is caught against history.
-//! 2. **Lossless v2 transcoding** — the v2 binary framing encodes each
-//!    fixture smaller and decodes it back bit-identically.
-//! 3. **Pinned decisions** — strict-replaying a fixture under the same
+//! 1. **Recording stability** — a fresh recording of the same run
+//!    reproduces the committed bytes exactly.
+//! 2. **Codec stability** — decoding a fixture and re-encoding it
+//!    reproduces the committed bytes exactly.
+//! 3. **Lossless transcode** — the fixtures were transcoded once from
+//!    JSONL documents; each fixture's JSONL dump still hashes to the
+//!    FNV-1a 64 digest of the file it replaced, so neither the v2
+//!    bytes nor the dump writer can drift against history.
+//! 4. **Pinned decisions** — strict-replaying a fixture under the same
 //!    trained engine and controller reproduces the recorded decision
 //!    sequence position by position; a divergence means the model or
 //!    the controller changed behaviour underneath a recorded run.
@@ -20,6 +23,8 @@
 //! ```text
 //! cargo test --test golden_traces -- --ignored regenerate
 //! ```
+//!
+//! and update the dump digests below to match.
 
 use ppep_core::daemon::PpepDaemon;
 use ppep_core::resilient::{ResilientDaemon, SupervisorConfig};
@@ -29,7 +34,7 @@ use ppep_rig::TrainingRig;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::fault::FaultPlan;
 use ppep_sim::SimPlatform;
-use ppep_telemetry::{RecordingPlatform, ReplayPlatform, TraceReader};
+use ppep_telemetry::{binary, RecordingPlatform, ReplayPlatform, TraceReader};
 use ppep_types::{VfStateId, Watts};
 use ppep_workloads::combos::fig7_workload;
 use std::path::PathBuf;
@@ -87,7 +92,7 @@ fn drive<P: Platform>(
 }
 
 /// Records one fixture run; `storm` adds the fault plan.
-fn record(steps: usize, storm: bool) -> String {
+fn record(steps: usize, storm: bool) -> Vec<u8> {
     let mut sim = ChipSimulator::new(SimConfig::fx8320_pg(SEED));
     sim.load_workload(&fig7_workload(SEED));
     if storm {
@@ -96,14 +101,36 @@ fn record(steps: usize, storm: bool) -> String {
     }
     let recording = RecordingPlatform::new(SimPlatform::new(sim));
     let (_, daemon) = drive(recording, steps);
-    daemon.inner().platform().trace_jsonl().to_string()
+    daemon.inner().platform().trace()
 }
 
-fn fixtures() -> [(&'static str, usize, bool); 2] {
+/// Each fixture: file name, steps, storm flag, and the FNV-1a 64
+/// digest of its JSONL dump.
+fn fixtures() -> [(&'static str, usize, bool, u64); 2] {
     [
-        ("capping_clean.jsonl", CLEAN_STEPS, false),
-        ("capping_storm.jsonl", STORM_STEPS, true),
+        (
+            "capping_clean.bin",
+            CLEAN_STEPS,
+            false,
+            0x0095_5d25_da67_6f02,
+        ),
+        (
+            "capping_storm.bin",
+            STORM_STEPS,
+            true,
+            0x2300_65b2_1594_8c89,
+        ),
     ]
+}
+
+fn pinned(name: &str) -> Vec<u8> {
+    std::fs::read(fixture_path(name)).expect("fixture exists")
+}
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Regenerates the committed fixtures. Ignored by default: run it only
@@ -113,18 +140,16 @@ fn fixtures() -> [(&'static str, usize, bool); 2] {
 #[ignore = "rewrites tests/fixtures/; run after intentional behaviour changes"]
 fn regenerate_golden_fixtures() {
     std::fs::create_dir_all(fixture_path("")).expect("fixtures dir");
-    for (name, steps, storm) in fixtures() {
+    for (name, steps, storm, _) in fixtures() {
         std::fs::write(fixture_path(name), record(steps, storm)).expect("write fixture");
     }
 }
 
 #[test]
 fn golden_fixtures_match_a_fresh_recording() {
-    for (name, steps, storm) in fixtures() {
-        let pinned = std::fs::read_to_string(fixture_path(name)).expect("fixture exists");
-        assert_eq!(
-            record(steps, storm),
-            pinned,
+    for (name, steps, storm, _) in fixtures() {
+        assert!(
+            record(steps, storm) == pinned(name),
             "{name}: a fresh recording no longer matches the pinned fixture; if \
              the behaviour change is intentional, regenerate with \
              `cargo test --test golden_traces -- --ignored regenerate`"
@@ -134,58 +159,54 @@ fn golden_fixtures_match_a_fresh_recording() {
 
 #[test]
 fn golden_fixtures_reserialize_byte_identically() {
-    for (name, _, _) in fixtures() {
-        let pinned = std::fs::read_to_string(fixture_path(name)).expect("fixture exists");
+    for (name, _, _, _) in fixtures() {
+        let pinned = pinned(name);
         let trace = TraceReader::parse(&pinned).expect("fixture parses");
-        assert_eq!(
-            trace.to_jsonl(),
-            pinned,
-            "{name}: v1 serialization drifted from the committed bytes"
+        assert!(
+            binary::encode(&trace) == pinned,
+            "{name}: v2 re-encoding drifted from the committed bytes"
         );
     }
 }
 
 #[test]
 fn golden_fixtures_transcode_to_v2_losslessly() {
-    for (name, _, storm) in fixtures() {
-        let pinned = std::fs::read_to_string(fixture_path(name)).expect("fixture exists");
+    for (name, _, storm, digest) in fixtures() {
+        let pinned = pinned(name);
         let trace = TraceReader::parse(&pinned).expect("fixture parses");
-        let v2 = ppep_telemetry::binary::encode(&trace);
-        assert!(
-            v2.len() < pinned.len(),
-            "{name}: v2 ({} bytes) must be smaller than v1 ({} bytes)",
-            v2.len(),
-            pinned.len()
-        );
-        let back = ppep_telemetry::binary::decode(&v2).expect("v2 decodes");
-        assert_eq!(back.topology, trace.topology, "{name}: topology drifted");
-        // Compare through serialization, not `PartialEq`: the storm
-        // fixture records a quarantined interval whose temperature is
-        // NaN, and NaN breaks `==` even for a bit-perfect decode. The
-        // JSONL form is shortest-exact, so byte equality here is bit
-        // equality of every field.
+        // Compare through the dump, not `PartialEq`: the storm fixture
+        // records a quarantined interval whose temperature is NaN, and
+        // NaN breaks `==` even for a bit-perfect decode. The dump is
+        // shortest-exact, so its bytes pin every field's bits.
+        let dump = trace.to_jsonl();
         assert_eq!(
-            back.to_jsonl(),
-            pinned,
-            "{name}: v1 -> v2 -> v1 transcoding is not lossless"
+            format!("{:016x}", fnv64(dump.as_bytes())),
+            format!("{digest:016x}"),
+            "{name}: the JSONL dump no longer matches the document the fixture was \
+             transcoded from"
+        );
+        assert!(
+            pinned.len() * 4 < dump.len(),
+            "{name}: v2 ({} bytes) must be over 4x smaller than its dump ({} bytes)",
+            pinned.len(),
+            dump.len()
         );
         assert!(
             storm || trace.fault_count() == 0,
-            "{name}: the clean fixture must hold no fault lines"
+            "{name}: the clean fixture must hold no fault events"
         );
     }
 }
 
 #[test]
 fn golden_fixtures_strict_replay_pins_the_decision_sequence() {
-    for (name, steps, _) in fixtures() {
-        let pinned = std::fs::read_to_string(fixture_path(name)).expect("fixture exists");
-        let trace = TraceReader::parse(&pinned).expect("fixture parses");
+    for (name, steps, _, _) in fixtures() {
+        let trace = TraceReader::parse(&pinned(name)).expect("fixture parses");
         let recorded: Vec<Vec<VfStateId>> = trace.decisions().map(|d| d.chosen.clone()).collect();
         assert_eq!(
             recorded.len(),
             steps,
-            "{name}: one decision line per supervised interval"
+            "{name}: one decision per supervised interval"
         );
 
         // Strict replay: every apply must reproduce the recorded one,

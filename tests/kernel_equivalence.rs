@@ -321,11 +321,11 @@ fn trained_engine_matches_across_a_simulated_run() {
 /// identically through production and the oracle.
 #[test]
 fn golden_fixture_records_match_the_oracle() {
-    for name in ["capping_clean.jsonl", "capping_storm.jsonl"] {
+    for name in ["capping_clean.bin", "capping_storm.bin"] {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/fixtures")
             .join(name);
-        let src = std::fs::read_to_string(path).expect("fixture exists");
+        let src = std::fs::read(path).expect("fixture exists");
         let trace = TraceReader::parse(&src).expect("fixture parses");
         let mut projected = 0;
         for event in &trace.events {

@@ -68,17 +68,16 @@ fn run_storm(
     (decisions, power_bits)
 }
 
+/// A recorded storm run: per-interval decisions, measured power bits,
+/// the v2 trace, and the number of scored CPI observations.
+type RecordedStorm = (Vec<Vec<VfStateId>>, Vec<Option<u64>>, Vec<u8>, u64);
+
 /// One supervised capping run under a seeded fault storm, recorded
 /// through a [`RecordingPlatform`], with or without a prediction
 /// scorer attached. Returns the per-interval decisions, the measured
-/// power bits, the recorded trace JSONL, and the number of scored CPI
+/// power bits, the recorded v2 trace, and the number of scored CPI
 /// observations (0 without the scorer).
-fn run_storm_recorded(
-    seed: u64,
-    rate: f64,
-    intervals: usize,
-    with_scorer: bool,
-) -> (Vec<Vec<VfStateId>>, Vec<Option<u64>>, String, u64) {
+fn run_storm_recorded(seed: u64, rate: f64, intervals: usize, with_scorer: bool) -> RecordedStorm {
     let ppep = Ppep::new(models().clone());
     let table = ppep.models().vf_table().clone();
     let cores = ppep.models().topology().core_count();
@@ -107,7 +106,7 @@ fn run_storm_recorded(
         .inner()
         .scorer()
         .map_or(0, |s| s.cores().iter().map(|t| t.scored()).sum());
-    let trace = daemon.inner().platform().trace_jsonl().to_string();
+    let trace = daemon.inner().platform().trace();
     (decisions, power_bits, trace, scored)
 }
 

@@ -17,19 +17,19 @@ use std::sync::OnceLock;
 
 /// One recorded quick capping run (with the standard fault storm),
 /// shared across tests so the simulator and trainer run once.
-fn recorded() -> &'static (Ppep, String, usize) {
-    static RUN: OnceLock<(Ppep, String, usize)> = OnceLock::new();
+fn recorded() -> &'static (Ppep, Vec<u8>, usize) {
+    static RUN: OnceLock<(Ppep, Vec<u8>, usize)> = OnceLock::new();
     RUN.get_or_init(|| {
         let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED);
         let ppep = Ppep::new(ctx.train_models().expect("training succeeds"));
         let rec = replay::record(&ctx, &ppep).expect("recording succeeds");
-        (ppep, rec.trace_jsonl, rec.period)
+        (ppep, rec.trace, rec.period)
     })
 }
 
 fn differ() -> (ReplayDiff, TraceReader) {
-    let (ppep, jsonl, period) = recorded();
-    let trace = TraceReader::parse(jsonl).expect("trace parses");
+    let (ppep, doc, period) = recorded();
+    let trace = TraceReader::parse(doc).expect("trace parses");
     (ReplayDiff::new(ppep.clone(), *period), trace)
 }
 
@@ -124,5 +124,5 @@ fn subcommand_entry_point_matches_the_api() {
         diff_policies::run(&ctx, PolicyKind::OneStep, PolicyKind::Recorded).expect("run succeeds");
     assert!(r.self_replay);
     assert_eq!(r.report.diverged_intervals, 0);
-    assert!(!r.trace_jsonl.is_empty());
+    assert!(r.trace.starts_with(&ppep_telemetry::binary::MAGIC));
 }

@@ -1,7 +1,8 @@
 //! Cross-crate record/replay round trip: a PPEP daemon driven over a
-//! live simulated chip, recorded to JSONL, then replayed with no
-//! simulator at all — the replayed run must reproduce the live run's
-//! decisions bit-for-bit.
+//! live simulated chip, recorded to a v2 binary trace, then replayed
+//! with no simulator at all — the replayed run must reproduce the live
+//! run's decisions bit-for-bit. A corrupted recording must fail to
+//! parse rather than replay different numbers.
 
 use ppep_core::daemon::{DvfsController, PpepDaemon};
 use ppep_core::ppe::PpeProjection;
@@ -10,7 +11,7 @@ use ppep_rig::TrainingRig;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::fault::FaultPlan;
 use ppep_sim::SimPlatform;
-use ppep_telemetry::{RecordingPlatform, ReplayPlatform, TraceReader};
+use ppep_telemetry::{binary, DecisionRecord, RecordingPlatform, ReplayPlatform, TraceReader};
 use ppep_types::{Result, VfStateId, Watts};
 use ppep_workloads::combos::instances;
 use std::sync::OnceLock;
@@ -77,7 +78,7 @@ fn recorded_run_replays_bit_identically() {
     let steps = 12;
     let recording = RecordingPlatform::new(SimPlatform::new(live_sim(7)));
     let (live, daemon) = drive(recording, steps);
-    let doc = daemon.platform().trace_jsonl().to_string();
+    let doc = daemon.platform().trace();
 
     // The trace is structurally sound: meta + one interval and one
     // apply per step.
@@ -108,7 +109,7 @@ fn faulted_run_replays_its_faults() {
     assert!(!live_errors.is_empty(), "the storm must fault some samples");
     let (_, doc) = recording.finish();
 
-    let mut replay = ReplayPlatform::from_jsonl(&doc).expect("trace parses");
+    let mut replay = ReplayPlatform::new(TraceReader::parse(&doc).expect("trace parses"));
     let mut replayed_errors = Vec::new();
     for _ in 0..steps {
         if let Err(e) = replay.sample() {
@@ -116,4 +117,62 @@ fn faulted_run_replays_its_faults() {
         }
     }
     assert_eq!(live_errors, replayed_errors);
+}
+
+/// A fault-storm recording with decisions and applies, as one v2
+/// document.
+fn storm_recording(steps: usize) -> Vec<u8> {
+    let mut sim = live_sim(13);
+    sim.set_fault_plan(FaultPlan::storm(0xB17, steps as u64, 0.4, 8));
+    let mut recording = RecordingPlatform::new(SimPlatform::new(sim));
+    let table = recording.vf_table().clone();
+    let cus = recording.topology().cu_count();
+    for step in 0..steps {
+        let Ok(record) = recording.sample() else {
+            continue;
+        };
+        let vf = if step % 2 == 0 {
+            table.lowest()
+        } else {
+            table.highest()
+        };
+        recording.record_decision(&DecisionRecord {
+            interval: record.index,
+            chosen: vec![vf; cus],
+            predicted_power: Some(record.measured_power),
+            realized_power: Some(record.measured_power),
+            cap: Some(Watts::new(95.0)),
+            cap_violated: Some(false),
+        });
+        recording.apply_uniform(vf).expect("valid assignment");
+    }
+    recording.finish().1
+}
+
+#[test]
+fn a_flipped_bit_never_parses_to_a_different_trace() {
+    let doc = storm_recording(12);
+    let trace = TraceReader::parse(&doc).expect("trace parses");
+    assert!(trace.fault_count() > 0, "the storm must fault some samples");
+    assert!(trace.decisions().count() > 0);
+    // One flipped bit at every byte position, cycling through the bit
+    // within the byte. A decode either fails (magic, version, framing
+    // or CRC) or yields events that re-encode to the original bytes:
+    // the codec is lossless, so equal bytes mean bit-identical events.
+    let mut rejected = 0;
+    for pos in 0..doc.len() {
+        let mut bad = doc.clone();
+        if let Some(byte) = bad.get_mut(pos) {
+            *byte ^= 1 << (pos % 8);
+        }
+        match TraceReader::parse(&bad) {
+            Err(_) => rejected += 1,
+            Ok(back) => assert!(
+                binary::encode(&back) == doc,
+                "flipping bit {} of byte {pos} parsed to a different trace",
+                pos % 8
+            ),
+        }
+    }
+    assert!(rejected > 0);
 }
