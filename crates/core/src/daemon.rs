@@ -211,11 +211,6 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
         self.scorer.as_ref()
     }
 
-    /// The accuracy scorer, mutably (merging shards, resetting).
-    pub fn scorer_mut(&mut self) -> Option<&mut PredictionScorer> {
-        self.scorer.as_mut()
-    }
-
     /// Routes the daemon, its engine, and its platform through one
     /// observability recorder. Recording never feeds back into
     /// decisions: a traced run is bit-identical to an untraced one.
@@ -274,9 +269,9 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
 
     /// The reaction half of a cycle: project → decide → apply, from a
     /// record measured elsewhere. [`step`](Self::step) is
-    /// measure-then-`react`; supervisors that intercept measurement
-    /// call `react` directly so their healthy path is *the same code*
-    /// as the unsupervised daemon's.
+    /// measure-then-`react`. Its decide part, `decide_fresh`, is also
+    /// the supervisor's healthy path, so both run the same decision
+    /// code.
     ///
     /// # Errors
     ///
@@ -286,17 +281,8 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
         let rec = self.recorder.clone();
         self.score_measurement(&record);
         let projection = self.ppep.project(&record)?;
-        let decision = {
-            let _decide = rec.span(Stage::Decide, interval);
-            self.controller.decide(&projection)?
-        };
-        self.note_decision(
-            record.index,
-            Some(record.measured_power),
-            Some(&projection),
-            &decision,
-        );
-        self.stage_prediction(&projection, &decision);
+        let mut decision = Vec::new();
+        self.decide_fresh(interval, &record, &projection, &mut decision)?;
         // Archive the cycle *before* actuation: the projection models
         // the pre-apply VF state, so no code downstream of `apply` may
         // read it directly (ppep-lint L5 enforces this ordering).
@@ -312,12 +298,43 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
         Ok(step)
     }
 
+    /// Decides on the projection of a freshly measured `record`, into
+    /// a caller-owned assignment: the controller's
+    /// [`decide_into`](DvfsController::decide_into) under the decide
+    /// span for `interval`, then [`note_decision`](Self::note_decision)
+    /// and [`stage_prediction`](Self::stage_prediction). It applies
+    /// nothing; the caller archives the projection, then applies
+    /// `decision`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates controller errors.
+    pub(crate) fn decide_fresh(
+        &mut self,
+        interval: u64,
+        record: &IntervalRecord,
+        projection: &PpeProjection,
+        decision: &mut Vec<VfStateId>,
+    ) -> Result<()> {
+        {
+            let _decide = self.recorder.span(Stage::Decide, interval);
+            self.controller.decide_into(projection, decision)?;
+        }
+        self.note_decision(
+            record.index,
+            Some(record.measured_power),
+            Some(projection),
+            decision,
+        );
+        self.stage_prediction(projection, decision);
+        Ok(())
+    }
+
     /// Annotates the platform's trace with a controller decision — a
     /// no-op unless the platform asks for decisions
     /// ([`Platform::wants_decisions`]), so untraced runs do no extra
-    /// work. [`react`](Self::react) calls this between decide and
-    /// apply; supervisors whose degraded paths bypass `react` call it
-    /// directly. The annotation must precede the matching `apply` so
+    /// work. A fresh decision calls this between decide and apply;
+    /// supervisors' degraded paths call it directly. The annotation must precede the matching `apply` so
     /// trace encoders can fold the apply into the decision frame.
     pub fn note_decision(
         &mut self,
@@ -348,9 +365,8 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
     /// match (a faulted, held, or failsafe gap between decisions) is
     /// dropped and counted, never scored against the wrong interval.
     ///
-    /// [`react`](Self::react) calls this on entry; supervisors whose
-    /// recovery paths bypass `react` call it directly before
-    /// projecting.
+    /// [`react`](Self::react) calls this on entry; supervisors call it
+    /// before projecting.
     pub fn score_measurement(&mut self, record: &IntervalRecord) {
         if self.scorer.is_none() {
             return;
@@ -385,9 +401,8 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
     /// Stages this cycle's chosen projection for scoring against the
     /// *next* interval's measurement. A no-op when the scorer is off.
     ///
-    /// [`react`](Self::react) calls this between decide and apply
-    /// (pre-actuation, like the trace annotation); supervisors whose
-    /// fresh paths bypass `react` call it at the same point.
+    /// A fresh decision calls this after the trace annotation, before
+    /// actuation.
     pub fn stage_prediction(&mut self, projection: &PpeProjection, decision: &[VfStateId]) {
         if self.scorer.is_none() {
             return;

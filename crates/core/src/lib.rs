@@ -17,8 +17,7 @@
 //! This crate implements steps 1–4 ([`framework::Ppep`], whose grid
 //! walk runs on a batched struct-of-arrays kernel), the
 //! projection data model ([`ppe`]), next-interval energy prediction
-//! ([`energy`], Fig. 6), optional counter [`smoothing`] against
-//! rapid-phase noise, and a [`daemon`] loop that closes the circle
+//! ([`energy`], Fig. 6), and a [`daemon`] loop that closes the circle
 //! against any [`Platform`] — a measurement/actuation substrate —
 //! with a pluggable decision algorithm (implemented by `ppep-dvfs`).
 //!
@@ -54,8 +53,6 @@ pub mod energy;
 pub mod framework;
 pub mod ppe;
 pub mod resilient;
-pub mod smoothing;
-pub mod stats;
 
 pub use framework::Ppep;
 pub use ppe::{ChipPpe, CoreProjection, PpeProjection};
@@ -73,8 +70,6 @@ pub mod prelude {
     pub use crate::framework::Ppep;
     pub use crate::ppe::{ChipPpe, CoreProjection, PpeProjection};
     pub use crate::resilient::{HealthReport, HealthState, ResilientDaemon, SupervisorConfig};
-    pub use crate::smoothing::SampleSmoother;
-    pub use crate::stats::RunStats;
     pub use ppep_models::trainer::{TrainedModels, TrainingBudget};
     pub use ppep_telemetry::{IntervalRecord, Platform};
     pub use ppep_types::{VfStateId, VfTable, Watts};

@@ -498,9 +498,11 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
         }
     }
 
-    /// The healthy path: the unsupervised daemon's project → decide →
-    /// apply sequence, verbatim, plus recovery bookkeeping. Fills
-    /// `out` in place and swaps it with `last_good`.
+    /// The healthy path: project into the spare buffer, check the
+    /// projection is finite, decide through the unsupervised daemon's
+    /// own [`PpepDaemon::decide_fresh`], apply, then do the recovery
+    /// bookkeeping. Fills `out` in place and swaps it with
+    /// `last_good`.
     fn fresh(&mut self, interval: u64, record: IntervalRecord) -> Result<&SupervisedStep> {
         let rec = self.inner.recorder().clone();
         self.inner.score_measurement(&record);
@@ -522,19 +524,8 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
             };
             return self.degraded(interval, Some(record), fault, true);
         }
-        {
-            let _decide = rec.span(Stage::Decide, interval);
-            self.inner
-                .controller_mut()
-                .decide_into(&projection, &mut self.out.decision)?;
-        }
-        self.inner.note_decision(
-            record.index,
-            Some(record.measured_power),
-            Some(&projection),
-            &self.out.decision,
-        );
-        self.inner.stage_prediction(&projection, &self.out.decision);
+        self.inner
+            .decide_fresh(interval, &record, &projection, &mut self.out.decision)?;
         // Hand out everything that reads the projection *before*
         // actuation: it models the pre-apply VF state, so the step's
         // fields must be set here (ppep-lint L5 enforces the

@@ -4,7 +4,7 @@
 //! ppep-experiments [--quick] [--seed N] [--out DIR] [--jobs N] \
 //!     [--policy-a P] [--policy-b P] [--trace PATH] \
 //!     [--shards N] [--tenants N] [--transport unix|tcp] \
-//!     <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|load-gen|serve-bench|accuracy-watch|summary|all>
+//!     <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|serve-bench|accuracy-watch|summary|all>
 //! ```
 //!
 //! With `--out DIR`, figure commands additionally write their data as
@@ -46,7 +46,7 @@ fn usage() -> ExitCode {
          [--shards N] [--tenants N] [--transport unix|tcp] \
          <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|\
          resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|\
-         load-gen|serve-bench|accuracy-watch|summary|all>\n\
+         serve-bench|accuracy-watch|summary|all>\n\
          policies: one-step | iterative | steepest-drop | energy-optimal | recorded"
     );
     ExitCode::FAILURE
@@ -300,11 +300,6 @@ fn dispatch(
             save(out, "serve_health.jsonl", r.health_jsonl.clone());
             // The containment gate IS the exit code: CI relies on it.
             r.gate()?;
-        }
-        "load-gen" => {
-            let r = serve::run_loadgen(ctx, serve_opts)?;
-            serve::print_loadgen(&r);
-            save(out, "BENCH_serve.json", r.to_json());
         }
         "serve-bench" => {
             let r = serve::run_serve_bench(ctx, serve_opts)?;

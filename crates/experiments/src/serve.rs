@@ -1,8 +1,9 @@
 //! Multi-tenant serving harnesses (beyond the paper): the scripted
-//! service demo, the chaos containment gate, the load generator, and
-//! the sharding benchmark.
+//! service demo, the chaos containment gate, and the sharding
+//! benchmark.
 //!
-//! Four subcommands on the binary drive one [`CappingService`] each:
+//! Three subcommands on the binary drive one
+//! [`CappingService`](ppep_serve::CappingService) each:
 //!
 //! * `serve` — a clean scripted fleet: every tenant admitted, no
 //!   faults, per-tenant health printed at the end.
@@ -12,18 +13,15 @@
 //!   availability floor and the granted budget never exceeds the
 //!   socket cap. `--out` additionally writes the per-tenant
 //!   `serve_health.jsonl` artifact.
-//! * `load-gen` — concurrent trace replay against the service,
-//!   reporting sustained frame throughput and p50/p95/p99 round-trip
-//!   latency (`BENCH_serve.json` under `--out`).
-//! * `serve-bench` — the sharding gate: the same replay in
-//!   single-lock-compat (`shards = 1`) and sharded modes; fails
-//!   unless the per-tenant reply transcripts are byte-identical *and*
-//!   the sharded p99 beats the single-lock p99
+//! * `serve-bench` — the sharding gate: the same concurrent trace
+//!   replay in single-lock-compat (`shards = 1`) and sharded modes;
+//!   fails unless the per-tenant reply transcripts are byte-identical
+//!   *and* the sharded p99 beats the single-lock p99
 //!   (`BENCH_serve_shard.json` under `--out`).
 //!
 //! `--shards N`, `--tenants N`, and `--transport unix|tcp` override
-//! the shard count, fleet size, and (for chaos/load-gen) route the
-//! frames over a real socket instead of in-process calls.
+//! the shard count, fleet size, and route the frames over a real
+//! socket instead of in-process calls.
 
 use crate::common::{Context, Scale};
 use ppep_core::Ppep;
@@ -84,29 +82,6 @@ pub fn run_chaos(ctx: &Context, opts: ServeOpts) -> Result<ChaosReport> {
     config.shards = opts.shards.max(1);
     config.transport = opts.transport;
     chaos::run(&ppep, &config)
-}
-
-/// Runs the load generator (the `load-gen` subcommand). `--jobs` sets
-/// the replay workers; `--tenants` the client count (default: the
-/// worker count, min 2).
-///
-/// # Errors
-///
-/// Propagates training, admission, and wire errors.
-pub fn run_loadgen(ctx: &Context, opts: ServeOpts) -> Result<LoadGenReport> {
-    let ppep = Ppep::new(ctx.train_models()?);
-    let mut config = LoadGenConfig::new(ctx.seed);
-    let workers = (ctx.jobs.max(2)) as u32;
-    config.workers = workers;
-    config.clients = if opts.tenants > 0 {
-        opts.tenants
-    } else {
-        workers
-    };
-    config.intervals = intervals(ctx.scale);
-    config.shards = opts.shards.max(1);
-    config.transport = opts.transport;
-    loadgen::run(&ppep, &config)
 }
 
 /// The sharding benchmark: one replay in single-lock-compat mode, one
@@ -281,36 +256,6 @@ pub fn print_chaos(report: &ChaosReport) {
         Ok(()) => println!("containment gate: PASS"),
         Err(e) => println!("containment gate: FAIL — {e}"),
     }
-}
-
-/// Prints the load-generator summary.
-pub fn print_loadgen(report: &LoadGenReport) {
-    println!("== Multi-tenant capping service: concurrent load generator ==");
-    println!(
-        "{} clients on {} shard(s) via {} ({} workers): {} frames in {:.3} s -> {:.0} frames/s ({} evictions)",
-        report.clients,
-        report.shards,
-        report.transport,
-        report.workers,
-        report.frames,
-        report.wall_seconds,
-        report.throughput_fps,
-        report.evictions
-    );
-    println!(
-        "frame round-trip: p50 {:.0} us, p95 {:.0} us, p99 {:.0} us, max {:.0} us",
-        report.p50_us, report.p95_us, report.p99_us, report.max_us
-    );
-    for (shard, p99) in &report.shard_p99_us {
-        let gauge = report.shard_gauges.iter().find(|g| g.shard == *shard);
-        println!(
-            "  shard {shard}: p99 {:.0} us, {} tenants, queue depth {}",
-            p99,
-            gauge.map_or(0, |g| g.live),
-            gauge.map_or(0, |g| g.queue_depth),
-        );
-    }
-    println!("aggregate granted budget at end: {}", report.total_granted);
 }
 
 /// Prints the sharding-benchmark summary.

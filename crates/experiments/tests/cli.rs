@@ -22,9 +22,13 @@ fn no_arguments_prints_usage_and_fails() {
 
 #[test]
 fn unknown_subcommand_fails_cleanly() {
-    let out = bin().arg("figNaN").output().expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    // `load-gen` is a retired subcommand: it fails like any unknown one.
+    for cmd in ["figNaN", "load-gen"] {
+        let out = bin().arg(cmd).output().expect("binary runs");
+        assert!(!out.status.success(), "{cmd} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "{cmd}: stderr: {stderr}");
+    }
 }
 
 #[test]

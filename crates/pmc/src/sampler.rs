@@ -92,11 +92,6 @@ impl IntervalSampler {
         self.recorder = recorder;
     }
 
-    /// The wrapped PMU.
-    pub fn pmu(&self) -> &Pmu {
-        &self.pmu
-    }
-
     /// Mutable access to the wrapped PMU (fault injection, preloads).
     pub fn pmu_mut(&mut self) -> &mut Pmu {
         &mut self.pmu

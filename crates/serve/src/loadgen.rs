@@ -1,4 +1,5 @@
-//! Concurrent load generator for the capping service.
+//! Concurrent load generator for the capping service: the driver
+//! behind `serve-bench`.
 //!
 //! [`run`] admits N client sessions and replays a synthesized trace
 //! through every one of them against a shared [`CappingService`] —
@@ -10,27 +11,23 @@
 //! client would see: codec, routing, the home shard's critical
 //! section, and (over a socket) the wire.
 //!
-//! Scale comes from three knobs: [`LoadGenConfig::clients`] can go to
-//! thousands (admission floors shrink with the population),
-//! [`LoadGenConfig::workers`] bounds the replay threads (each owns a
-//! disjoint tenant set, so per-tenant frame order is program order),
-//! and [`LoadGenConfig::trace_pool`] bounds how many distinct traces
-//! are synthesized (tenants share them round-robin — simulating a
-//! chip is much slower than serving one).
+//! [`LoadGenConfig::clients`] can go to thousands (admission floors
+//! shrink with the population), and [`LoadGenConfig::workers`] bounds
+//! the replay threads (each owns a disjoint tenant set, so per-tenant
+//! frame order is program order). At most `TRACE_POOL` distinct
+//! traces are synthesized; tenants share them round-robin, because
+//! simulating a chip is much slower than serving one.
 //!
-//! Besides merged latency percentiles, the report carries per-tenant
-//! and per-shard p99 round-trips, per-shard occupancy/queue-depth
-//! gauges, and each tenant's reply-byte transcript — the
-//! `serve-bench` gate replays both the single-lock-compat and sharded
-//! configurations and requires byte-identical transcripts before it
-//! compares their p99s.
+//! Besides merged latency percentiles, the report carries each
+//! tenant's reply-byte transcript: the `serve-bench` gate replays
+//! both the single-lock-compat and sharded configurations and
+//! requires byte-identical transcripts before it compares their p99s.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use ppep_core::Ppep;
 use ppep_obs::metrics::Histogram;
-use ppep_obs::{RecorderHandle, Stage, TraceRecorder};
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::SimPlatform;
 use ppep_telemetry::session::{decode_frame, frame_to_bytes, SessionFrame};
@@ -40,8 +37,17 @@ use ppep_types::{Error, Result, Topology, Watts};
 use ppep_workloads::combos::fig7_workload;
 
 use crate::service::{CappingService, ServeConfig};
-use crate::shard::ShardGauge;
 use crate::transport::{FrameConn, ServeListener, ServiceLane as Lane, TransportKind};
+
+/// The shared socket budget every run serves under.
+const SOCKET_CAP: Watts = Watts::new(120.0);
+
+/// The cap each client requests at admission.
+const REQUESTED_CAP: Watts = Watts::new(40.0);
+
+/// Distinct replay traces synthesized per run (fewer when there are
+/// fewer clients); tenants share them round-robin.
+const TRACE_POOL: u32 = 8;
 
 /// Load-generator parameters.
 #[derive(Debug, Clone, Copy)]
@@ -50,10 +56,6 @@ pub struct LoadGenConfig {
     pub clients: u32,
     /// Intervals each client replays.
     pub intervals: u64,
-    /// Shared socket budget.
-    pub socket_cap: Watts,
-    /// Each client's requested cap.
-    pub requested_cap: Watts,
     /// Seed for the synthesized replay traces.
     pub seed: u64,
     /// Service shards (`1` = single-lock-compat baseline).
@@ -61,26 +63,21 @@ pub struct LoadGenConfig {
     /// Replay threads; clamped to `clients`. Tenants are dealt
     /// round-robin, so each worker owns a disjoint set.
     pub workers: u32,
-    /// Distinct traces to synthesize; tenants share them round-robin.
-    pub trace_pool: u32,
     /// `Some(kind)`: serve over a real socket and replay through it.
     /// `None`: call the service in-process.
     pub transport: Option<TransportKind>,
 }
 
 impl LoadGenConfig {
-    /// Defaults: 4 clients × 50 intervals on a 120 W socket, one
-    /// shard, 4 workers, in-process.
+    /// Defaults: 4 clients × 50 intervals, one shard, 4 workers,
+    /// in-process.
     pub fn new(seed: u64) -> Self {
         Self {
             clients: 4,
             intervals: 50,
-            socket_cap: Watts::new(120.0),
-            requested_cap: Watts::new(40.0),
             seed,
             shards: 1,
             workers: 4,
-            trace_pool: 8,
             transport: None,
         }
     }
@@ -111,24 +108,6 @@ pub struct LoadGenReport {
     pub p95_us: f64,
     /// 99th-percentile frame round-trip, microseconds.
     pub p99_us: f64,
-    /// Worst observed frame round-trip, microseconds.
-    pub max_us: f64,
-    /// Aggregate granted budget when the run ended.
-    pub total_granted: Watts,
-    /// Per-stage p95 latency inside `handle_frame`, microseconds, in
-    /// hot-path order: serve-decode, serve-admit, serve-route,
-    /// serve-step, serve-encode. Shows where a frame's round-trip
-    /// went; at one shard, `serve-route` p95 is the global-lock
-    /// contention the sharded mode exists to collapse.
-    pub stage_p95_us: Vec<(String, f64)>,
-    /// End-to-end p99 round-trip per tenant, µs, sorted by tenant.
-    pub tenant_p99_us: Vec<(u64, f64)>,
-    /// End-to-end p99 round-trip per shard, µs (client-side
-    /// histograms merged by the tenant's home shard), sorted by
-    /// shard.
-    pub shard_p99_us: Vec<(usize, f64)>,
-    /// Post-run occupancy/queue-depth per shard.
-    pub shard_gauges: Vec<ShardGauge>,
     /// Concatenated reply bytes per tenant, in replay order, sorted
     /// by tenant. Byte-identical across shard layouts for the same
     /// workload — the mode-equivalence gates compare these.
@@ -154,64 +133,6 @@ impl LoadGenReport {
             h = fnv64(h, bytes);
         }
         h
-    }
-
-    /// One JSON object for the benchmark artifact (transcripts are
-    /// summarized as their digest).
-    pub fn to_json(&self) -> String {
-        let stages = self
-            .stage_p95_us
-            .iter()
-            .map(|(name, p95)| format!("\"{name}\":{p95:.1}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let tenants = self
-            .tenant_p99_us
-            .iter()
-            .map(|(t, p99)| format!("\"{t}\":{p99:.1}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let shards = self
-            .shard_p99_us
-            .iter()
-            .map(|(s, p99)| format!("\"{s}\":{p99:.1}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let occupancy = self
-            .shard_gauges
-            .iter()
-            .map(|g| g.live.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let queue_depth = self
-            .shard_gauges
-            .iter()
-            .map(|g| g.queue_depth.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"clients\":{},\"shards\":{},\"workers\":{},\"transport\":\"{}\",\
-             \"frames\":{},\"evictions\":{},\"wall_seconds\":{:.6},\
-             \"throughput_fps\":{:.2},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\
-             \"max_us\":{:.1},\"total_granted_w\":{:.3},\"stage_p95_us\":{{{stages}}},\
-             \"tenant_p99_us\":{{{tenants}}},\"shard_p99_us\":{{{shards}}},\
-             \"shard_occupancy\":[{occupancy}],\"shard_queue_depth\":[{queue_depth}],\
-             \"transcript_digest\":\"{:016x}\"}}",
-            self.clients,
-            self.shards,
-            self.workers,
-            self.transport,
-            self.frames,
-            self.evictions,
-            self.wall_seconds,
-            self.throughput_fps,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.max_us,
-            self.total_granted.as_watts(),
-            self.transcript_digest(),
-        )
     }
 }
 
@@ -323,21 +244,14 @@ fn replay_worker(
 /// Admission rejections, wire/transport errors, and worker panics.
 pub fn run(ppep: &Ppep, config: &LoadGenConfig) -> Result<LoadGenReport> {
     let clients = config.clients.max(1);
-    let mut serve_config = ServeConfig::new(config.socket_cap);
+    let mut serve_config = ServeConfig::new(SOCKET_CAP);
     serve_config.max_sessions = clients;
     serve_config.shards = config.shards.max(1);
     // Thousands of tenants must fit under the admission floor: shrink
     // it to the fair share when the population outgrows the default.
-    let fair = config.socket_cap.as_watts() / f64::from(clients);
+    let fair = SOCKET_CAP.as_watts() / f64::from(clients);
     serve_config.min_grant = Watts::new(fair.clamp(1e-3, 5.0));
-    // Trace the service's own hot path so the report can break a
-    // frame's round-trip down by stage (decode / admit / route / step
-    // / encode). Recording never feeds back into decisions.
-    let tracer = Arc::new(TraceRecorder::new());
-    let service = Arc::new(
-        CappingService::new(ppep.clone(), serve_config)
-            .with_recorder(RecorderHandle::new(tracer.clone())),
-    );
+    let service = Arc::new(CappingService::new(ppep.clone(), serve_config));
     let topology = service.topology().clone();
 
     let server = match config.transport {
@@ -358,7 +272,7 @@ pub fn run(ppep: &Ppep, config: &LoadGenConfig) -> Result<LoadGenReport> {
     for tenant in 0..u64::from(clients) {
         let hello = frame_to_bytes(&SessionFrame::Hello {
             tenant,
-            requested_cap: config.requested_cap,
+            requested_cap: REQUESTED_CAP,
         });
         let reply = admit_lane.roundtrip(&hello)?;
         match decode_frame(&reply, &topology)?.0 {
@@ -373,7 +287,7 @@ pub fn run(ppep: &Ppep, config: &LoadGenConfig) -> Result<LoadGenReport> {
     }
     drop(admit_lane);
 
-    let pool_size = config.trace_pool.max(1).min(clients);
+    let pool_size = TRACE_POOL.min(clients);
     let pool: Vec<Vec<TraceEvent>> = (0..u64::from(pool_size))
         .map(|i| {
             synthesize_trace(
@@ -415,11 +329,6 @@ pub fn run(ppep: &Ppep, config: &LoadGenConfig) -> Result<LoadGenReport> {
     });
     let wall_seconds = started.elapsed().as_secs_f64();
 
-    // One closing tick pushes the per-shard occupancy/queue-depth
-    // gauges through the recorder (every tenant submitted this tick,
-    // so the sweep charges no misses and grants are untouched).
-    service.tick()?;
-
     let mut latency = Histogram::latency_us();
     let mut frames = 0u64;
     let mut evictions = 0u64;
@@ -434,34 +343,6 @@ pub fn run(ppep: &Ppep, config: &LoadGenConfig) -> Result<LoadGenReport> {
     }
     clients_out.sort_by_key(|c| c.tenant);
 
-    let mut shard_hists: Vec<Histogram> = (0..service.shard_count())
-        .map(|_| Histogram::latency_us())
-        .collect();
-    for c in &clients_out {
-        let shard = service.shard_of(c.tenant);
-        if let Some(h) = shard_hists.get_mut(shard) {
-            h.merge(&c.latency);
-        }
-    }
-
-    let snapshot = tracer.snapshot();
-    let stage_p95_us = [
-        Stage::ServeDecode,
-        Stage::ServeAdmit,
-        Stage::ServeRoute,
-        Stage::ServeStep,
-        Stage::ServeEncode,
-    ]
-    .iter()
-    .map(|stage| {
-        let mut h = Histogram::latency_us();
-        for span in snapshot.spans.iter().filter(|s| s.stage == *stage) {
-            h.observe(span.dur_ns as f64 / 1e3);
-        }
-        (stage.name().to_string(), h.percentile(0.95))
-    })
-    .collect();
-
     let report = LoadGenReport {
         clients,
         shards: service.shard_count(),
@@ -474,19 +355,6 @@ pub fn run(ppep: &Ppep, config: &LoadGenConfig) -> Result<LoadGenReport> {
         p50_us: latency.percentile(0.50),
         p95_us: latency.percentile(0.95),
         p99_us: latency.percentile(0.99),
-        max_us: latency.max(),
-        total_granted: service.total_granted(),
-        stage_p95_us,
-        tenant_p99_us: clients_out
-            .iter()
-            .map(|c| (c.tenant, c.latency.percentile(0.99)))
-            .collect(),
-        shard_p99_us: shard_hists
-            .iter()
-            .enumerate()
-            .map(|(i, h)| (i, h.percentile(0.99)))
-            .collect(),
-        shard_gauges: service.shard_gauges(),
         transcripts: clients_out
             .into_iter()
             .map(|c| (c.tenant, c.transcript))
@@ -514,44 +382,11 @@ mod tests {
         assert_eq!(report.evictions, 0);
         assert!(report.throughput_fps > 0.0);
         assert!(report.p50_us <= report.p95_us && report.p95_us <= report.p99_us);
-        assert!(report.max_us > 0.0);
-        assert!(report.total_granted <= config.socket_cap);
-        // Every submit crossed decode → route → step → encode; the
-        // stage breakdown must show it.
-        let stages: Vec<&str> = report
-            .stage_p95_us
+        assert_eq!(report.transcripts.len(), 3, "one transcript per tenant");
+        assert!(report
+            .transcripts
             .iter()
-            .map(|(n, _)| n.as_str())
-            .collect();
-        assert_eq!(
-            stages,
-            vec![
-                "serve-decode",
-                "serve-admit",
-                "serve-route",
-                "serve-step",
-                "serve-encode"
-            ]
-        );
-        for (name, p95) in &report.stage_p95_us {
-            if name != "serve-admit" {
-                assert!(*p95 > 0.0, "{name} p95 must be nonzero");
-            }
-        }
-        // Per-tenant and per-shard end-to-end p99s ride the report.
-        assert_eq!(report.tenant_p99_us.len(), 3);
-        assert!(report.tenant_p99_us.iter().all(|(_, p99)| *p99 > 0.0));
-        assert_eq!(report.shard_p99_us.len(), 1, "single-lock-compat");
-        assert_eq!(report.shard_gauges.len(), 1);
-        assert_eq!(report.shard_gauges[0].live, 3);
-        assert_eq!(report.shard_gauges[0].queue_depth, 0, "all consumed");
-        let json = report.to_json();
-        assert!(json.contains("\"frames\":24"), "{json}");
-        assert!(json.contains("\"stage_p95_us\""), "{json}");
-        assert!(json.contains("\"serve-route\""), "{json}");
-        assert!(json.contains("\"tenant_p99_us\""), "{json}");
-        assert!(json.contains("\"shard_p99_us\""), "{json}");
-        assert!(json.contains("\"transcript_digest\""), "{json}");
+            .all(|(_, bytes)| !bytes.is_empty()));
     }
 
     #[test]
@@ -565,7 +400,6 @@ mod tests {
         let sharded = run(engine(), &config).expect("sharded run");
         assert_eq!(single.frames, sharded.frames);
         assert_eq!(sharded.shards, 3);
-        assert_eq!(sharded.shard_p99_us.len(), 3);
         assert_eq!(
             single.transcripts, sharded.transcripts,
             "per-tenant replies must not depend on the shard layout"

@@ -434,22 +434,6 @@ impl CappingService {
             .collect()
     }
 
-    /// Per-shard p99 of the service-side reply round-trip (decode →
-    /// step → encode), µs, merged across the shard's sessions through
-    /// the obs histograms. Index = shard.
-    pub fn shard_reply_p99s(&self) -> Vec<f64> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let mut h = ppep_obs::metrics::Histogram::latency_us();
-                if let Ok(shard) = s.lock() {
-                    shard.merge_reply_latency(&mut h);
-                }
-                h.percentile(0.99)
-            })
-            .collect()
-    }
-
     /// Admits `tenant` with its default one-step capping controller,
     /// returning `(slot, granted cap)`.
     ///
@@ -1249,6 +1233,41 @@ mod tests {
     }
 
     #[test]
+    fn served_frames_record_every_serve_stage() {
+        let tracer = std::sync::Arc::new(ppep_obs::TraceRecorder::new());
+        let svc = service(ServeConfig::new(Watts::new(100.0)))
+            .with_recorder(RecorderHandle::new(tracer.clone()));
+        let hello = SessionFrame::Hello {
+            tenant: 3,
+            requested_cap: Watts::new(40.0),
+        };
+        svc.handle_frame(&ppep_telemetry::session::frame_to_bytes(&hello))
+            .unwrap();
+        let submit = SessionFrame::Submit {
+            tenant: 3,
+            record: Box::new(records(1, 5).into_iter().next().unwrap()),
+        };
+        svc.handle_frame(&ppep_telemetry::session::frame_to_bytes(&submit))
+            .unwrap();
+        // The Hello crosses admission; the Submit crosses decode →
+        // route → step → encode.
+        let spans = tracer.snapshot().spans;
+        for stage in [
+            Stage::ServeDecode,
+            Stage::ServeAdmit,
+            Stage::ServeRoute,
+            Stage::ServeStep,
+            Stage::ServeEncode,
+        ] {
+            assert!(
+                spans.iter().any(|s| s.stage == stage),
+                "no {} span",
+                stage.name()
+            );
+        }
+    }
+
+    #[test]
     fn sharded_mode_routes_tenants_and_exports_per_shard_gauges() {
         let mut cfg = ServeConfig::new(Watts::new(120.0));
         cfg.shards = 3;
@@ -1283,7 +1302,6 @@ mod tests {
         let slots: Vec<u32> = status.iter().map(|t| t.slot).collect();
         assert_eq!(slots, vec![0, 1, 2, 3, 4]);
         assert!(svc.health_jsonl().contains("\"shard\":2"));
-        assert_eq!(svc.shard_reply_p99s().len(), 3);
 
         // Explicit assignments pin tenants wherever the caller says.
         let mut cfg = ServeConfig::new(Watts::new(120.0));

@@ -282,14 +282,6 @@ impl ServiceShard {
         out
     }
 
-    /// Merges every session's reply-latency histogram into `sink` —
-    /// the per-shard end-to-end latency view.
-    pub(crate) fn merge_reply_latency(&self, sink: &mut ppep_obs::metrics::Histogram) {
-        for s in &self.sessions {
-            s.slo.merge_latency_into(sink);
-        }
-    }
-
     fn live_index(&self, tenant: u64) -> Result<usize> {
         self.sessions
             .iter()

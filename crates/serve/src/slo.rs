@@ -75,17 +75,6 @@ impl SloTracker {
         self.reply_latency.percentile(0.99)
     }
 
-    /// The reply-latency histogram.
-    pub fn reply_latency(&self) -> &Histogram {
-        &self.reply_latency
-    }
-
-    /// Folds this tenant's reply-latency histogram into `sink` — the
-    /// per-shard latency view merges its tenants through here.
-    pub fn merge_latency_into(&self, sink: &mut Histogram) {
-        sink.merge(&self.reply_latency);
-    }
-
     /// Joins the tracker with the supervisor's availability into the
     /// wire-format summary.
     pub fn summary(&self, availability: f64) -> SloSummary {

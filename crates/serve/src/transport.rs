@@ -171,10 +171,10 @@ impl ServeListener {
     /// down; the service stays with the caller for ticking.
     pub fn spawn(self, service: Arc<CappingService>) -> ServerHandle {
         let stop = Arc::new(AtomicBool::new(false));
-        let held = Arc::new(AtomicUsize::new(0));
+        let live = Arc::new(AtomicUsize::new(0));
         let addr = self.addr.clone();
         let accept_stop = Arc::clone(&stop);
-        let accept_held = Arc::clone(&held);
+        let accept_live = Arc::clone(&live);
         let accept = std::thread::spawn(move || {
             let mut conns: Vec<JoinHandle<()>> = Vec::new();
             loop {
@@ -191,8 +191,10 @@ impl ServeListener {
                 // holds live ones only instead of growing until shutdown.
                 conns.retain(|c| !c.is_finished());
                 let svc = Arc::clone(&service);
-                conns.push(std::thread::spawn(move || serve_connection(stream, &svc)));
-                accept_held.store(conns.len(), Ordering::Relaxed);
+                let live = LiveConn::enter(&accept_live);
+                conns.push(std::thread::spawn(move || {
+                    serve_connection(stream, &svc, live)
+                }));
             }
             for c in conns {
                 let _ = c.join();
@@ -200,7 +202,7 @@ impl ServeListener {
         });
         ServerHandle {
             stop,
-            held,
+            live,
             addr,
             accept: Some(accept),
         }
@@ -211,7 +213,7 @@ impl ServeListener {
 /// exactly as [`ServerHandle::shutdown`] does.
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
-    held: Arc<AtomicUsize>,
+    live: Arc<AtomicUsize>,
     addr: ServeAddr,
     accept: Option<JoinHandle<()>>,
 }
@@ -222,11 +224,11 @@ impl ServerHandle {
         &self.addr
     }
 
-    /// Connection threads the server holds, as of the last accept:
-    /// the live ones plus any that closed since the accept before it
-    /// (finished threads are reaped on each accept).
+    /// Connections being served right now. A connection counts from
+    /// its accept until its serve loop ends, which is before its
+    /// socket closes: a client that has read EOF is no longer counted.
     pub fn connections(&self) -> usize {
-        self.held.load(Ordering::Relaxed)
+        self.live.load(Ordering::SeqCst)
     }
 
     /// Stops accepting, wakes the accept thread, joins every
@@ -301,11 +303,28 @@ impl std::io::Write for Stream {
     }
 }
 
+/// One live connection in [`ServerHandle::connections`]: counted on
+/// accept, uncounted on drop.
+struct LiveConn(Arc<AtomicUsize>);
+
+impl LiveConn {
+    fn enter(live: &Arc<AtomicUsize>) -> Self {
+        live.fetch_add(1, Ordering::SeqCst);
+        Self(Arc::clone(live))
+    }
+}
+
+impl Drop for LiveConn {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// One connection's serve loop: length-delimited frame in, service,
 /// reply out. A malformed frame (or a frame the service rejects as a
 /// protocol violation) drops the connection — the client's next read
 /// sees EOF, exactly like a server-side reset.
-fn serve_connection(stream: Stream, service: &CappingService) {
+fn serve_connection(stream: Stream, service: &CappingService, live: LiveConn) {
     let Ok(writer) = stream.try_clone() else {
         return;
     };
@@ -322,6 +341,9 @@ fn serve_connection(stream: Stream, service: &CappingService) {
             break;
         }
     }
+    // Uncount the connection before `reader` and `writer` close the
+    // socket, so a client that reads EOF sees it already gone.
+    drop(live);
 }
 
 /// A client-side connection speaking v2 session frames.
@@ -509,14 +531,15 @@ mod tests {
         for cycle in 0..64 {
             let mut conn = FrameConn::connect(handle.addr()).unwrap();
             // A corrupt frame makes the server drop the connection;
-            // reading to EOF waits until its thread has let go of it.
+            // its count drops before the socket closes, so reading to
+            // EOF is enough to see it gone.
             conn.send(&garbage).unwrap();
             while let Ok(Some(_)) = conn.recv() {}
             drop(conn);
-            assert!(
-                handle.connections() <= 2,
-                "cycle {cycle}: {} connection threads held",
-                handle.connections()
+            assert_eq!(
+                handle.connections(),
+                0,
+                "cycle {cycle}: a closed connection is still counted"
             );
         }
         handle.shutdown();

@@ -216,11 +216,6 @@ impl ChipSimulator {
         self.faults = plan;
     }
 
-    /// The installed fault schedule.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// The chip's topology.
     pub fn topology(&self) -> &Topology {
         &self.config.topology
@@ -338,22 +333,6 @@ impl ChipSimulator {
     /// an idle chip; always false while a looping thread is loaded).
     pub fn all_finished(&self) -> bool {
         self.slots.iter().flatten().all(|s| s.cursor.is_finished())
-    }
-
-    /// Read-only access to a core's PMU (for the [`crate::devices`]
-    /// MSR facade).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ppep_types::Error::UnknownCore`] for out-of-range ids.
-    pub fn core_pmu(&self, core: CoreId) -> Result<&ppep_pmc::Pmu> {
-        self.samplers
-            .get(core.0)
-            .map(|s| s.pmu())
-            .ok_or(ppep_types::Error::UnknownCore {
-                core: core.0,
-                count: self.samplers.len(),
-            })
     }
 
     /// Instructions retired so far by a core's thread (0 for empty

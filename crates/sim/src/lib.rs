@@ -15,8 +15,6 @@
 //! * [`thermal`] — a first-order RC thermal model reproducing the
 //!   heating/cooling transients of Fig. 1.
 //! * [`sensor`] — the 20 ms noisy, quantised power sensor.
-//! * [`devices`] — hwmon/`/dev/cpu/N/msr`-style OS facades over the
-//!   simulated hardware, matching the paper's §II tooling.
 //! * [`nb`] — the shared north bridge with a queueing contention model
 //!   that inflates memory latency under load.
 //! * [`engine`] — per-core execution: turns a thread's phase
@@ -42,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod chip;
-pub mod devices;
 pub mod engine;
 pub mod fault;
 pub mod nb;

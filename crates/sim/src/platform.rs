@@ -37,16 +37,6 @@ impl SimPlatform {
     pub fn chip(&self) -> &ChipSimulator {
         &self.chip
     }
-
-    /// The wrapped simulator, mutably.
-    pub fn chip_mut(&mut self) -> &mut ChipSimulator {
-        &mut self.chip
-    }
-
-    /// Unwraps back into the simulator.
-    pub fn into_chip(self) -> ChipSimulator {
-        self.chip
-    }
 }
 
 impl From<ChipSimulator> for SimPlatform {
