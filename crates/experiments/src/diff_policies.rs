@@ -27,9 +27,7 @@
 //! and any nonzero divergence on self-replay means the controller or
 //! the model changed underneath it.
 
-use crate::common::Context;
 use crate::fig07_capping::cap_schedule;
-use crate::replay;
 use ppep_core::daemon::{DvfsController, PpepDaemon};
 use ppep_core::resilient::{ResilientDaemon, SupervisorConfig};
 use ppep_core::{PpeProjection, Ppep};
@@ -53,19 +51,7 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Parses a CLI policy name.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "one-step" => Some(Self::OneStep),
-            "iterative" => Some(Self::Iterative),
-            "steepest-drop" => Some(Self::SteepestDrop),
-            "energy-optimal" => Some(Self::EnergyOptimal),
-            "recorded" => Some(Self::Recorded),
-            _ => None,
-        }
-    }
-
-    /// The CLI/report name.
+    /// The report name.
     pub fn name(self) -> &'static str {
         match self {
             Self::OneStep => "one-step",
@@ -205,130 +191,6 @@ pub struct DiffReport {
     pub cap_violations_b: usize,
     /// The per-interval comparison.
     pub rows: Vec<DiffRow>,
-}
-
-impl DiffReport {
-    /// VF-transition delta (A minus B): positive means A churns more.
-    pub fn vf_transition_delta(&self) -> i64 {
-        self.transitions_a as i64 - self.transitions_b as i64
-    }
-
-    /// Energy delta (A minus B) over the priced intervals.
-    pub fn energy_delta(&self) -> Joules {
-        self.energy_a - self.energy_b
-    }
-
-    /// EDP delta (A minus B) over the priced intervals.
-    pub fn edp_delta(&self) -> f64 {
-        self.edp_a - self.edp_b
-    }
-
-    /// Cap-adherence delta (A minus B violation counts): positive
-    /// means A violates its cap more often.
-    pub fn cap_adherence_delta(&self) -> i64 {
-        self.cap_violations_a as i64 - self.cap_violations_b as i64
-    }
-
-    /// The per-interval report as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "interval,diverged,vf_a,vf_b,transitions_a,transitions_b,\
-             predicted_w_a,predicted_w_b,energy_j_a,energy_j_b,edp_a,edp_b,\
-             cap_w_a,cap_w_b,cap_violated_a,cap_violated_b\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                r.interval,
-                r.diverged,
-                vf_label(&r.decision_a),
-                vf_label(&r.decision_b),
-                r.transitions_a,
-                r.transitions_b,
-                csv_opt(r.predicted_a.map(Watts::as_watts)),
-                csv_opt(r.predicted_b.map(Watts::as_watts)),
-                csv_opt(r.energy_a.map(Joules::as_joules)),
-                csv_opt(r.energy_b.map(Joules::as_joules)),
-                csv_opt(r.edp_a),
-                csv_opt(r.edp_b),
-                csv_opt(r.cap_a.map(Watts::as_watts)),
-                csv_opt(r.cap_b.map(Watts::as_watts)),
-                csv_opt(r.cap_violated_a),
-                csv_opt(r.cap_violated_b),
-            ));
-        }
-        out
-    }
-
-    /// The report as JSON Lines: one summary line, then one line per
-    /// interval.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"kind\":\"summary\",\"policy_a\":\"{}\",\"policy_b\":\"{}\",\
-             \"intervals\":{},\"first_divergence\":{},\"diverged_intervals\":{},\
-             \"transitions_a\":{},\"transitions_b\":{},\
-             \"energy_j_a\":{},\"energy_j_b\":{},\"edp_a\":{},\"edp_b\":{},\
-             \"cap_violations_a\":{},\"cap_violations_b\":{}}}\n",
-            self.policy_a,
-            self.policy_b,
-            self.intervals,
-            json_opt(self.first_divergence),
-            self.diverged_intervals,
-            self.transitions_a,
-            self.transitions_b,
-            self.energy_a.as_joules(),
-            self.energy_b.as_joules(),
-            self.edp_a,
-            self.edp_b,
-            self.cap_violations_a,
-            self.cap_violations_b,
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{{\"kind\":\"interval\",\"interval\":{},\"diverged\":{},\
-                 \"vf_a\":\"{}\",\"vf_b\":\"{}\",\
-                 \"transitions_a\":{},\"transitions_b\":{},\
-                 \"predicted_w_a\":{},\"predicted_w_b\":{},\
-                 \"energy_j_a\":{},\"energy_j_b\":{},\"edp_a\":{},\"edp_b\":{},\
-                 \"cap_w_a\":{},\"cap_w_b\":{},\
-                 \"cap_violated_a\":{},\"cap_violated_b\":{}}}\n",
-                r.interval,
-                r.diverged,
-                vf_label(&r.decision_a),
-                vf_label(&r.decision_b),
-                r.transitions_a,
-                r.transitions_b,
-                json_opt(r.predicted_a.map(Watts::as_watts)),
-                json_opt(r.predicted_b.map(Watts::as_watts)),
-                json_opt(r.energy_a.map(Joules::as_joules)),
-                json_opt(r.energy_b.map(Joules::as_joules)),
-                json_opt(r.edp_a),
-                json_opt(r.edp_b),
-                json_opt(r.cap_a.map(Watts::as_watts)),
-                json_opt(r.cap_b.map(Watts::as_watts)),
-                json_opt(r.cap_violated_a),
-                json_opt(r.cap_violated_b),
-            ));
-        }
-        out
-    }
-}
-
-/// A per-CU assignment as a compact `|`-joined VF-index label.
-fn vf_label(decision: &[VfStateId]) -> String {
-    decision
-        .iter()
-        .map(|vf| vf.index().to_string())
-        .collect::<Vec<_>>()
-        .join("|")
-}
-
-fn csv_opt<T: std::fmt::Display>(v: Option<T>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_default()
-}
-
-fn json_opt<T: std::fmt::Display>(v: Option<T>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| x.to_string())
 }
 
 /// Per-CU changes between consecutive assignments of one policy.
@@ -573,128 +435,5 @@ fn violates(cap: Option<Watts>, predicted: Option<Watts>) -> Option<bool> {
     match (cap, predicted) {
         (Some(c), Some(p)) => Some(p > c),
         _ => None,
-    }
-}
-
-/// The `diff-policies` experiment's result.
-#[derive(Debug, Clone)]
-pub struct DiffResult {
-    /// The divergence report.
-    pub report: DiffReport,
-    /// The recorded v2 trace the diff ran over.
-    pub trace: Vec<u8>,
-    /// Whether the pairing is a self-replay (identical policies, or
-    /// the recording policy vs its own recorded stream) and must
-    /// therefore show zero divergence.
-    pub self_replay: bool,
-}
-
-/// Whether a policy pairing must reproduce itself exactly. The
-/// recording path drives [`OneStepCapping`], so one-step vs the
-/// recorded stream is a self-replay too.
-pub fn is_self_replay(a: PolicyKind, b: PolicyKind) -> bool {
-    use PolicyKind::{OneStep, Recorded};
-    a == b || matches!((a, b), (OneStep, Recorded) | (Recorded, OneStep))
-}
-
-/// Records a supervised capping run and diffs two policies over it.
-///
-/// # Errors
-///
-/// Propagates training, recording, and replay errors.
-pub fn run(ctx: &Context, a: PolicyKind, b: PolicyKind) -> Result<DiffResult> {
-    let ppep = Ppep::new(ctx.train_models()?);
-    let recorded = replay::record(ctx, &ppep)?;
-    let trace = TraceReader::parse(&recorded.trace)?;
-    let differ = ReplayDiff::new(ppep, recorded.period);
-    let report = differ.diff(&trace, a, b)?;
-    Ok(DiffResult {
-        report,
-        trace: recorded.trace,
-        self_replay: is_self_replay(a, b),
-    })
-}
-
-/// Prints the divergence summary.
-pub fn print(result: &DiffResult) {
-    let r = &result.report;
-    println!(
-        "== Policy-differential replay: {} (A) vs {} (B) ==",
-        r.policy_a, r.policy_b
-    );
-    println!(
-        "{} intervals compared, {} priced by the model",
-        r.intervals, r.priced_intervals
-    );
-    match r.first_divergence {
-        Some(first) => println!(
-            "first divergence at interval {first}; {}/{} intervals diverge",
-            r.diverged_intervals, r.intervals
-        ),
-        None => println!("no divergence: both policies chose identically at every interval"),
-    }
-    println!(
-        "VF transitions: {} vs {} (delta {:+})",
-        r.transitions_a,
-        r.transitions_b,
-        r.vf_transition_delta()
-    );
-    println!(
-        "model-priced energy: {:.1} J vs {:.1} J (delta {:+.1} J)",
-        r.energy_a.as_joules(),
-        r.energy_b.as_joules(),
-        r.energy_delta().as_joules()
-    );
-    println!(
-        "model-priced EDP: {:.1} J*s vs {:.1} J*s (delta {:+.1})",
-        r.edp_a,
-        r.edp_b,
-        r.edp_delta()
-    );
-    println!(
-        "cap adherence (predicted vs cap): {} vs {} violating intervals (delta {:+})",
-        r.cap_violations_a,
-        r.cap_violations_b,
-        r.cap_adherence_delta()
-    );
-    if result.self_replay {
-        println!(
-            "self-replay check: {}",
-            if r.diverged_intervals == 0 {
-                "PASS (zero divergence)"
-            } else {
-                "FAIL (the replayed policy no longer reproduces the recording)"
-            }
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn policy_names_round_trip() {
-        for kind in [
-            PolicyKind::OneStep,
-            PolicyKind::Iterative,
-            PolicyKind::SteepestDrop,
-            PolicyKind::EnergyOptimal,
-            PolicyKind::Recorded,
-        ] {
-            assert_eq!(PolicyKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(PolicyKind::parse("nope"), None);
-    }
-
-    #[test]
-    fn self_replay_pairings() {
-        assert!(is_self_replay(PolicyKind::OneStep, PolicyKind::OneStep));
-        assert!(is_self_replay(PolicyKind::OneStep, PolicyKind::Recorded));
-        assert!(is_self_replay(PolicyKind::Recorded, PolicyKind::OneStep));
-        assert!(!is_self_replay(
-            PolicyKind::OneStep,
-            PolicyKind::EnergyOptimal
-        ));
     }
 }

@@ -25,11 +25,16 @@
 //! | [`ablations`] | error attribution (beyond the paper: ideal PMU/sensor) |
 //! | [`resilience`] | Fig. 7 capping under a fault storm (beyond the paper) |
 //! | [`overhead`] | §V — per-stage latency and framework overhead of the 200 ms loop |
-//! | [`replay`] | trace record → JSONL → strict replay round trip (beyond the paper) |
-//! | [`diff_policies`] | policy-differential replay: two controllers over one recorded trace (beyond the paper) |
-//! | [`bench_parallel`] | serial vs sharded sweep wall clock (`BENCH_parallel.json`) |
-//! | [`serve`] | multi-tenant capping service: clean hosting, chaos containment gate, concurrent load generation (beyond the paper) |
-//! | [`accuracy_watch`] | prediction-accuracy scorecard, drift trip-wires, and the clean-trace error gate (beyond the paper) |
+//! | [`serve`] | multi-tenant capping service: clean hosting run and the sharding benchmark (beyond the paper) |
+//!
+//! Three library modules have no subcommand; the test suite drives
+//! them:
+//!
+//! | Module | Harness |
+//! |---|---|
+//! | [`replay`] | records a supervised Fig. 7 capping run as a v2 binary trace (strict replay, re-encode and size checks) |
+//! | [`diff_policies`] | policy-differential replay: two controllers over one recorded trace |
+//! | [`accuracy_watch`] | scores a recorded trace's predictions; the clean-trace CPI error gate |
 //!
 //! The paper-scale sweeps shard across cores through [`fleet`]
 //! (`--jobs N` on the binary); results are identical for any worker
@@ -41,7 +46,6 @@
 pub mod ablations;
 pub mod accuracy_watch;
 pub mod ascii;
-pub mod bench_parallel;
 pub mod common;
 pub mod cpi_accuracy;
 pub mod diff_policies;

@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! ppep-experiments [--quick] [--seed N] [--out DIR] [--jobs N] \
-//!     [--policy-a P] [--policy-b P] [--trace PATH] \
 //!     [--shards N] [--tenants N] [--transport unix|tcp] \
-//!     <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|serve-bench|accuracy-watch|summary|all>
+//!     <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|resilience|overhead|serve|serve-bench|summary|all>
 //! ```
 //!
 //! With `--out DIR`, figure commands additionally write their data as
@@ -18,43 +17,33 @@
 //! summary) across `N` worker threads; `--jobs 0` means "all cores".
 //! Results are identical for every worker count.
 //!
-//! `--policy-a` / `--policy-b` pick the two sides of `diff-policies`
-//! (`one-step`, `iterative`, `steepest-drop`, `energy-optimal`, or
-//! `recorded`); the default pairing `one-step` vs `recorded` is a
-//! self-replay and must report zero divergence.
-//!
 //! `--shards N` / `--tenants N` / `--transport unix|tcp` tune the
 //! serving subcommands: shard count, fleet size, and a real
 //! Unix-socket (or localhost-TCP) transport instead of in-process
 //! calls. `serve-bench` compares single-lock vs sharded replays and
 //! gates on byte-identical transcripts plus a lower sharded p99.
 //!
-//! `--trace PATH` feeds `accuracy-watch` a recorded v2 binary trace
-//! (e.g. `tests/fixtures/capping_clean.bin`); without it the watch
-//! scores a synthesized clean run.
-//! On a clean trace the accuracy gate is the exit code.
+//! The record/replay, policy-diff, parallel-sweep, chaos-containment
+//! and accuracy gates are tests, not subcommands: `cargo test
+//! --workspace --release` runs them.
 
 use ppep_experiments::common::{Context, Scale, DEFAULT_SEED};
-use ppep_experiments::diff_policies::PolicyKind;
 use ppep_experiments::*;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: ppep-experiments [--quick] [--seed N] [--out DIR] [--jobs N] \
-         [--policy-a P] [--policy-b P] [--trace PATH] \
          [--shards N] [--tenants N] [--transport unix|tcp] \
          <fig1|cpi|idle|obs|fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|phenom|ablations|\
-         resilience|overhead|replay|diff-policies|bench-parallel|serve|serve-chaos|\
-         serve-bench|accuracy-watch|summary|all>\n\
-         policies: one-step | iterative | steepest-drop | energy-optimal | recorded"
+         resilience|overhead|serve|serve-bench|summary|all>"
     );
     ExitCode::FAILURE
 }
 
 /// Writes one output file under the `--out` directory, creating it on
 /// first use. Returns the path written.
-fn write_csv(dir: &std::path::Path, name: &str, contents: &[u8]) -> std::io::Result<String> {
+fn write_csv(dir: &std::path::Path, name: &str, contents: &str) -> std::io::Result<String> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
     std::fs::write(&path, contents)?;
@@ -67,27 +56,12 @@ fn main() -> ExitCode {
     let mut jobs = 1usize;
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut command: Option<String> = None;
-    let mut policy_a = PolicyKind::OneStep;
-    let mut policy_b = PolicyKind::Recorded;
-    let mut trace_path: Option<std::path::PathBuf> = None;
     let mut serve_opts = serve::ServeOpts::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => scale = Scale::Quick,
-            "--policy-a" => {
-                let Some(p) = args.next().as_deref().and_then(PolicyKind::parse) else {
-                    return usage();
-                };
-                policy_a = p;
-            }
-            "--policy-b" => {
-                let Some(p) = args.next().as_deref().and_then(PolicyKind::parse) else {
-                    return usage();
-                };
-                policy_b = p;
-            }
             "--seed" => {
                 let Some(v) = args.next().and_then(|s| s.parse().ok()) else {
                     return usage();
@@ -105,12 +79,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 out_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--trace" => {
-                let Some(path) = args.next() else {
-                    return usage();
-                };
-                trace_path = Some(std::path::PathBuf::from(path));
             }
             "--shards" => {
                 let Some(v) = args.next().and_then(|s| s.parse().ok()) else {
@@ -144,14 +112,7 @@ fn main() -> ExitCode {
     };
     let ctx = Context::fx8320(scale, seed).with_jobs(jobs);
 
-    let result = dispatch(
-        &ctx,
-        &command,
-        out_dir.as_deref(),
-        (policy_a, policy_b),
-        trace_path.as_deref(),
-        serve_opts,
-    );
+    let result = dispatch(&ctx, &command, out_dir.as_deref(), serve_opts);
     match result {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => usage(),
@@ -166,22 +127,17 @@ fn dispatch(
     ctx: &Context,
     command: &str,
     out: Option<&std::path::Path>,
-    policies: (PolicyKind, PolicyKind),
-    trace_path: Option<&std::path::Path>,
     serve_opts: serve::ServeOpts,
 ) -> ppep_types::Result<bool> {
     let table = ctx.rig.config().topology.vf_table().clone();
-    let written: std::cell::RefCell<Vec<String>> = Default::default();
-    let save_bytes = |out: Option<&std::path::Path>, name: &str, contents: &[u8]| {
+    let mut written: Vec<String> = Vec::new();
+    let mut save = |out: Option<&std::path::Path>, name: &str, contents: String| {
         if let Some(dir) = out {
-            match write_csv(dir, name, contents) {
-                Ok(path) => written.borrow_mut().push(path),
+            match write_csv(dir, name, &contents) {
+                Ok(path) => written.push(path),
                 Err(e) => eprintln!("could not write {name}: {e}"),
             }
         }
-    };
-    let save = |out: Option<&std::path::Path>, name: &str, contents: String| {
-        save_bytes(out, name, contents.as_bytes());
     };
     match command {
         "fig1" => {
@@ -241,7 +197,6 @@ fn dispatch(
             save(out, "overhead_spans.jsonl", overhead::spans_export(&r));
             save(out, "overhead_trace.json", overhead::trace_export(&r));
             save(out, "overhead_metrics.jsonl", overhead::metrics_export(&r));
-            save(out, "BENCH_overhead.json", report::overhead_bench_json(&r));
             if !r.identical {
                 return Err(ppep_types::Error::InvalidInput(
                     "trace-on and trace-off runs diverged".into(),
@@ -254,82 +209,16 @@ fn dispatch(
                 )));
             }
         }
-        "replay" => {
-            let r = replay::run(ctx)?;
-            replay::print(&r);
-            save_bytes(out, "replay_trace.bin", &r.trace);
-            save_bytes(out, "replay_trace.jsonl", r.dump.as_bytes());
-            if !r.identical {
-                return Err(ppep_types::Error::InvalidInput(
-                    "replayed decisions diverged from the live run".into(),
-                ));
-            }
-        }
-        "diff-policies" => {
-            let (a, b) = policies;
-            let r = diff_policies::run(ctx, a, b)?;
-            diff_policies::print(&r);
-            save(out, "policy_diff.csv", r.report.to_csv());
-            save(out, "policy_diff.jsonl", r.report.to_jsonl());
-            if r.self_replay && r.report.diverged_intervals > 0 {
-                return Err(ppep_types::Error::InvalidInput(
-                    "self-replay diff diverged: the replayed policy no longer \
-                     reproduces its recorded decisions"
-                        .into(),
-                ));
-            }
-        }
-        "bench-parallel" => {
-            let r = bench_parallel::run(ctx)?;
-            bench_parallel::print(&r);
-            save(out, "BENCH_parallel.json", bench_parallel::bench_json(&r));
-            if !r.identical {
-                return Err(ppep_types::Error::InvalidInput(
-                    "sharded sweep traces diverged from the serial ones".into(),
-                ));
-            }
-        }
         "serve" => {
             let r = serve::run_demo(ctx, serve_opts)?;
             serve::print_demo(&r);
             save(out, "serve_health.jsonl", r.health_jsonl.clone());
-        }
-        "serve-chaos" => {
-            let r = serve::run_chaos(ctx, serve_opts)?;
-            serve::print_chaos(&r);
-            save(out, "serve_health.jsonl", r.health_jsonl.clone());
-            // The containment gate IS the exit code: CI relies on it.
-            r.gate()?;
         }
         "serve-bench" => {
             let r = serve::run_serve_bench(ctx, serve_opts)?;
             serve::print_serve_bench(&r);
             save(out, "BENCH_serve_shard.json", r.to_json());
             // The sharding gate IS the exit code: CI relies on it.
-            r.gate()?;
-        }
-        "accuracy-watch" => {
-            let loaded: Option<(String, Vec<u8>)> = match trace_path {
-                Some(path) => {
-                    let bytes = std::fs::read(path).map_err(|e| {
-                        ppep_types::Error::InvalidInput(format!(
-                            "could not read trace {}: {e}",
-                            path.display()
-                        ))
-                    })?;
-                    Some((path.display().to_string(), bytes))
-                }
-                None => None,
-            };
-            let trace = loaded
-                .as_ref()
-                .map(|(name, bytes)| (name.as_str(), &bytes[..]));
-            let r = accuracy_watch::run(ctx, trace)?;
-            accuracy_watch::print(&r);
-            save(out, "accuracy_scorecard.jsonl", r.scorecard_jsonl());
-            save(out, "BENCH_accuracy.json", r.bench_json());
-            // The clean-trace accuracy gate IS the exit code: CI
-            // relies on it.
             r.gate()?;
         }
         "summary" => summary::print(&summary::run(ctx)?),
@@ -402,7 +291,6 @@ fn dispatch(
         }
         _ => return Ok(false),
     }
-    let written = written.into_inner();
     if !written.is_empty() {
         println!("{}", report::written_summary(&written));
     }

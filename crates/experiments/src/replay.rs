@@ -1,26 +1,19 @@
-//! Trace record/replay round trip — the platform-abstraction
-//! demonstrator (beyond the paper's figures).
+//! Trace recording for the record/replay and policy-diff harnesses
+//! (beyond the paper's figures).
 //!
-//! A supervised Fig. 7 capping run (with a mild fault storm, so the
-//! degraded paths are exercised) executes twice:
+//! [`record`] runs a supervised Fig. 7 capping daemon (with a mild
+//! fault storm, so the degraded paths are exercised) over a live
+//! [`SimPlatform`] wrapped in a [`RecordingPlatform`], which streams
+//! every sample, fault, applied assignment, and controller decision
+//! into a v2 binary trace.
 //!
-//! 1. **Record** — the daemon drives a live [`SimPlatform`] wrapped in
-//!    a [`RecordingPlatform`], which streams every sample, fault,
-//!    applied assignment, and controller decision into a v2 binary
-//!    trace.
-//! 2. **Replay** — a fresh daemon with the same trained engine and
-//!    controller drives a [`ReplayPlatform`] built from that trace, in
-//!    strict mode: every `apply` must reproduce the recorded
-//!    assignment, position by position.
-//!
-//! Because the trace codes every `f64` bit-exactly, the replayed
-//! decisions must be bit-identical to the live run's — any divergence
-//! fails the experiment.
-//!
-//! The run also checks that re-encoding the parsed trace reproduces
-//! the recorded bytes, and renders the JSON Lines dump saved next to
-//! the document; the test suite gates on the recorded v2 document
-//! being at least 5x smaller than that dump.
+//! The tests replay that trace through a fresh daemon on a strict
+//! [`ReplayPlatform`](ppep_telemetry::ReplayPlatform): every `apply`
+//! must reproduce the recorded assignment, and because the trace codes
+//! every `f64` bit-exactly the replayed decisions must be
+//! bit-identical to the live run's. They also check that re-encoding
+//! the parsed trace reproduces the recorded bytes, and that the v2
+//! document is at least 5x smaller than its JSON Lines dump.
 
 use crate::common::{Context, Scale};
 use crate::fig07_capping::cap_schedule;
@@ -31,38 +24,9 @@ use ppep_dvfs::capping::OneStepCapping;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::fault::FaultPlan;
 use ppep_sim::SimPlatform;
-use ppep_telemetry::{binary, RecordingPlatform, ReplayPlatform, TraceReader};
-use ppep_types::{Error, Result, VfStateId};
+use ppep_telemetry::RecordingPlatform;
+use ppep_types::{Result, VfStateId};
 use ppep_workloads::combos::fig7_workload;
-
-/// The experiment's result.
-#[derive(Debug, Clone)]
-pub struct ReplayResult {
-    /// Intervals driven in each run.
-    pub intervals: usize,
-    /// Successful samples in the recorded trace.
-    pub trace_intervals: usize,
-    /// Faulted samples in the recorded trace.
-    pub trace_faults: usize,
-    /// Whether the replayed decisions matched the live run's
-    /// bit-for-bit (they must).
-    pub identical: bool,
-    /// The recorded v2 trace document.
-    pub trace: Vec<u8>,
-    /// The same trace as a JSON Lines dump.
-    pub dump: String,
-}
-
-impl ReplayResult {
-    /// How many times smaller the v2 document is than its JSONL dump.
-    pub fn v2_ratio(&self) -> f64 {
-        if self.trace.is_empty() {
-            0.0
-        } else {
-            self.dump.len() as f64 / self.trace.len() as f64
-        }
-    }
-}
 
 /// A recorded supervised capping run: the trace plus the run's shape.
 #[derive(Debug, Clone)]
@@ -107,8 +71,8 @@ fn drive<P: Platform>(
 /// Records one supervised Fig. 7 capping run (with the standard mild
 /// fault storm) over a live simulator, returning the v2 trace.
 ///
-/// This is the shared recording path of the `replay` and
-/// `diff-policies` experiments: both want the same live run, one to
+/// This is the shared recording path of the record/replay and
+/// policy-diff harnesses: both want the same live run, one to
 /// strict-replay it and one to diff controllers over it.
 ///
 /// # Errors
@@ -137,99 +101,55 @@ pub fn record(ctx: &Context, ppep: &Ppep) -> Result<RecordedCapping> {
     })
 }
 
-/// Records a live run and replays it strictly.
-///
-/// # Errors
-///
-/// Propagates training errors, non-transient daemon errors,
-/// trace decode errors, a lossy re-encode, and strict-replay
-/// divergence.
-pub fn run(ctx: &Context) -> Result<ReplayResult> {
-    let models = ctx.train_models()?;
-    let ppep = Ppep::new(models);
-    let recorded = record(ctx, &ppep)?;
-    let RecordedCapping {
-        trace: doc,
-        intervals,
-        period,
-        live_decisions: live,
-    } = recorded;
-
-    // Decode, and verify re-encoding reproduces the recorded bytes.
-    let trace = TraceReader::parse(&doc)?;
-    if binary::encode(&trace) != doc {
-        return Err(Error::InvalidInput(
-            "v2 trace does not re-encode to the recorded bytes".into(),
-        ));
-    }
-    let dump = trace.to_jsonl();
-
-    // Replay, strictly: every apply must match the recorded one.
-    let (trace_intervals, trace_faults) = (trace.interval_count(), trace.fault_count());
-    let replay = ReplayPlatform::new(trace).strict();
-    let (replayed, _) = drive(&ppep, replay, intervals, period)?;
-
-    Ok(ReplayResult {
-        intervals,
-        trace_intervals,
-        trace_faults,
-        identical: live == replayed,
-        trace: doc,
-        dump,
-    })
-}
-
-/// Prints the round-trip verdict.
-pub fn print(result: &ReplayResult) {
-    println!("== Replay: record -> v2 binary -> strict replay round trip ==");
-    println!(
-        "{} intervals driven; trace holds {} samples + {} faults \
-         ({} KiB of JSONL)",
-        result.intervals,
-        result.trace_intervals,
-        result.trace_faults,
-        result.dump.len() / 1024,
-    );
-    println!(
-        "v2 binary framing: {} bytes vs {} bytes of JSONL \
-         ({:.2}x smaller, lossless)",
-        result.trace.len(),
-        result.dump.len(),
-        result.v2_ratio(),
-    );
-    println!(
-        "replayed decisions {}",
-        if result.identical {
-            "bit-identical to the live run"
-        } else {
-            "DIVERGED from the live run"
-        }
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::DEFAULT_SEED;
+    use ppep_telemetry::{binary, ReplayPlatform, TraceReader};
 
     #[test]
     fn replay_reproduces_the_live_run() {
         let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED);
-        let r = run(&ctx).unwrap();
-        assert!(r.identical, "replayed decisions must match the live run");
-        assert_eq!(r.intervals, 48);
-        assert!(r.trace_faults > 0, "the storm must exercise fault lines");
-        assert_eq!(r.trace_intervals + r.trace_faults, r.intervals);
-        assert!(r.trace.starts_with(&binary::MAGIC));
-        assert!(r.dump.lines().count() > r.intervals);
+        let ppep = Ppep::new(ctx.train_models().unwrap());
+        let recorded = record(&ctx, &ppep).unwrap();
+        assert_eq!(recorded.intervals, 48);
+        let doc = &recorded.trace;
+        assert!(doc.starts_with(&binary::MAGIC));
+
+        // Re-encoding the parsed trace must reproduce the recorded
+        // bytes: the codec is lossless.
+        let trace = TraceReader::parse(doc).unwrap();
+        assert!(
+            binary::encode(&trace) == *doc,
+            "v2 trace does not re-encode to the recorded bytes"
+        );
+        assert!(
+            trace.fault_count() > 0,
+            "the storm must exercise fault lines"
+        );
+        assert_eq!(
+            trace.interval_count() + trace.fault_count(),
+            recorded.intervals
+        );
+        let dump = trace.to_jsonl();
+        assert!(dump.lines().count() > recorded.intervals);
         // The v2 binary framing must deliver at least the 5x size cut
         // it was designed for on this (decision-bearing) trace.
+        let ratio = dump.len() as f64 / doc.len() as f64;
         assert!(
-            r.v2_ratio() >= 5.0,
-            "v2 must be >=5x smaller than its JSONL dump: dump {} bytes, v2 {} bytes ({:.2}x)",
-            r.dump.len(),
-            r.trace.len(),
-            r.v2_ratio()
+            ratio >= 5.0,
+            "v2 must be >=5x smaller than its JSONL dump: dump {} bytes, v2 {} bytes ({ratio:.2}x)",
+            dump.len(),
+            doc.len(),
+        );
+
+        // Strict replay: every apply must match the recorded one, and
+        // the decisions must be bit-identical to the live run's.
+        let replay = ReplayPlatform::new(trace).strict();
+        let (replayed, _) = drive(&ppep, replay, recorded.intervals, recorded.period).unwrap();
+        assert!(
+            recorded.live_decisions == replayed,
+            "replayed decisions must match the live run"
         );
     }
 }

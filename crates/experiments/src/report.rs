@@ -267,37 +267,6 @@ pub fn overhead_csv(r: &overhead::OverheadResult) -> String {
     )
 }
 
-/// The overhead experiment's machine-readable verdict
-/// (`BENCH_overhead.json`), consumed by the CI smoke step.
-pub fn overhead_bench_json(r: &overhead::OverheadResult) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"overhead\",");
-    let _ = writeln!(s, "  \"intervals\": {},", r.intervals);
-    let _ = writeln!(s, "  \"budget_ms\": {:.1},", r.budget_ms);
-    let _ = writeln!(s, "  \"identical\": {},", r.identical);
-    let _ = writeln!(s, "  \"mean_fraction\": {:.6},", r.mean_fraction);
-    let _ = writeln!(s, "  \"p95_fraction\": {:.6},", r.p95_fraction);
-    let _ = writeln!(s, "  \"max_fraction\": {:.6},", r.max_fraction);
-    s.push_str("  \"stages\": [\n");
-    for (i, st) in r.stages.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"stage\": \"{}\", \"spans\": {}, \"p50_us\": {:.3}, \
-             \"p95_us\": {:.3}, \"p99_us\": {:.3}, \"max_us\": {:.3}}}",
-            st.stage.name(),
-            st.count,
-            st.p50_us,
-            st.p95_us,
-            st.p99_us,
-            st.max_us
-        );
-        s.push_str(if i + 1 < r.stages.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// A one-line human summary of which files a writer produced.
 pub fn written_summary(paths: &[String]) -> String {
     let mut s = String::new();

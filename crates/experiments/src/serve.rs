@@ -1,18 +1,12 @@
 //! Multi-tenant serving harnesses (beyond the paper): the scripted
-//! service demo, the chaos containment gate, and the sharding
-//! benchmark.
+//! service demo and the sharding benchmark.
 //!
-//! Three subcommands on the binary drive one
+//! Two subcommands on the binary drive one
 //! [`CappingService`](ppep_serve::CappingService) each:
 //!
 //! * `serve` — a clean scripted fleet: every tenant admitted, no
-//!   faults, per-tenant health printed at the end.
-//! * `serve-chaos` — the CI containment gate: a fault storm aimed at
-//!   exactly one tenant; the run *fails* (nonzero exit) unless the
-//!   victim visibly degrades while every survivor sustains its
-//!   availability floor and the granted budget never exceeds the
-//!   socket cap. `--out` additionally writes the per-tenant
-//!   `serve_health.jsonl` artifact.
+//!   faults, per-tenant health printed at the end. `--out`
+//!   additionally writes the per-tenant `serve_health.jsonl`.
 //! * `serve-bench` — the sharding gate: the same concurrent trace
 //!   replay in single-lock-compat (`shards = 1`) and sharded modes;
 //!   fails unless the per-tenant reply transcripts are byte-identical
@@ -22,6 +16,8 @@
 //! `--shards N`, `--tenants N`, and `--transport unix|tcp` override
 //! the shard count, fleet size, and route the frames over a real
 //! socket instead of in-process calls.
+//!
+//! The chaos containment gate is a test of `ppep_serve::chaos`.
 
 use crate::common::{Context, Scale};
 use ppep_core::Ppep;
@@ -61,24 +57,6 @@ pub fn run_demo(ctx: &Context, opts: ServeOpts) -> Result<ChaosReport> {
     config.tenants = if opts.tenants > 0 { opts.tenants } else { 4 };
     config.storm_rate = 0.0; // no faults: a clean hosting run
     config.intervals = intervals(ctx.scale);
-    config.shards = opts.shards.max(1);
-    config.transport = opts.transport;
-    chaos::run(&ppep, &config)
-}
-
-/// Runs the containment gate scenario (the `serve-chaos` subcommand).
-///
-/// # Errors
-///
-/// Propagates training and service-level errors; the *gate* verdict is
-/// the caller's to enforce via [`ChaosReport::gate`].
-pub fn run_chaos(ctx: &Context, opts: ServeOpts) -> Result<ChaosReport> {
-    let ppep = Ppep::new(ctx.train_models()?);
-    let mut config = ChaosConfig::smoke(ctx.seed);
-    config.intervals = intervals(ctx.scale);
-    if opts.tenants > 0 {
-        config.tenants = opts.tenants;
-    }
     config.shards = opts.shards.max(1);
     config.transport = opts.transport;
     chaos::run(&ppep, &config)
@@ -210,7 +188,10 @@ pub fn run_serve_bench(ctx: &Context, opts: ServeOpts) -> Result<ServeBenchRepor
     best.ok_or_else(|| Error::InvalidInput("serve-bench: no attempt completed".into()))
 }
 
-fn print_tenants(report: &ChaosReport) {
+/// Prints the clean hosting summary.
+pub fn print_demo(report: &ChaosReport) {
+    println!("== Multi-tenant capping service: clean hosting run ==");
+    println!("{}", report.summary());
     println!("tenant  slot  health    avail   fresh  held  failsafe  retries  granted");
     for t in &report.tenants {
         let health = match &t.evicted {
@@ -230,32 +211,10 @@ fn print_tenants(report: &ChaosReport) {
             t.granted,
         );
     }
-}
-
-/// Prints the clean hosting summary.
-pub fn print_demo(report: &ChaosReport) {
-    println!("== Multi-tenant capping service: clean hosting run ==");
-    println!("{}", report.summary());
-    print_tenants(report);
     println!(
         "granted budget: peak {} / final {} / socket cap {}",
         report.max_total_granted, report.final_total_granted, report.config.socket_cap
     );
-}
-
-/// Prints the chaos containment summary.
-pub fn print_chaos(report: &ChaosReport) {
-    println!("== Multi-tenant capping service: chaos containment gate ==");
-    println!("{}", report.summary());
-    print_tenants(report);
-    println!(
-        "victim received {} failsafe-pinned replies; granted budget peak {} / cap {}",
-        report.victim_failsafe_replies, report.max_total_granted, report.config.socket_cap
-    );
-    match report.gate() {
-        Ok(()) => println!("containment gate: PASS"),
-        Err(e) => println!("containment gate: FAIL — {e}"),
-    }
 }
 
 /// Prints the sharding-benchmark summary.
@@ -298,14 +257,6 @@ pub fn print_serve_bench(report: &ServeBenchReport) {
 mod tests {
     use super::*;
     use crate::common::DEFAULT_SEED;
-
-    #[test]
-    fn chaos_gate_passes_at_quick_scale() {
-        let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED);
-        let report = run_chaos(&ctx, ServeOpts::default()).expect("chaos run completes");
-        report.gate().expect("containment gate holds");
-        assert_eq!(report.tenants.len(), 8);
-    }
 
     #[test]
     fn serve_bench_gate_passes_at_quick_scale() {

@@ -22,12 +22,23 @@ fn no_arguments_prints_usage_and_fails() {
 
 #[test]
 fn unknown_subcommand_fails_cleanly() {
-    // `load-gen` is a retired subcommand: it fails like any unknown one.
-    for cmd in ["figNaN", "load-gen"] {
-        let out = bin().arg(cmd).output().expect("binary runs");
-        assert!(!out.status.success(), "{cmd} must fail");
+    // Retired subcommands and options fail like any unknown one.
+    let cases: [&[&str]; 9] = [
+        &["figNaN"],
+        &["load-gen"],
+        &["replay"],
+        &["diff-policies"],
+        &["bench-parallel"],
+        &["serve-chaos"],
+        &["accuracy-watch"],
+        &["--trace", "x", "fig4"],
+        &["--policy-a", "one-step", "fig4"],
+    ];
+    for args in cases {
+        let out = bin().args(args).output().expect("binary runs");
+        assert!(!out.status.success(), "{args:?} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("usage:"), "{cmd}: stderr: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: stderr: {stderr}");
     }
 }
 

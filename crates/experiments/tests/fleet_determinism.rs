@@ -49,9 +49,9 @@ proptest! {
     }
 }
 
-/// The headline acceptance check: a figure CSV derived from a sharded
-/// store is byte-identical to the serial one, whatever the worker
-/// count.
+/// The headline acceptance check: at quick scale (the full roster
+/// across the whole VF ladder), a sharded store holds the serial
+/// store's traces and derives a byte-identical figure CSV.
 #[test]
 fn fig02_csv_is_byte_identical_across_worker_counts() {
     let table = Context::fx8320(Scale::Quick, DEFAULT_SEED)
@@ -62,7 +62,7 @@ fn fig02_csv_is_byte_identical_across_worker_counts() {
         .clone();
     let vfs: Vec<VfStateId> = table.states().collect();
 
-    let mut baseline: Option<String> = None;
+    let mut baseline: Option<(TraceStore, String)> = None;
     for jobs in [1, 4] {
         let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED).with_jobs(jobs);
         let store = TraceStore::collect_sharded(
@@ -75,12 +75,18 @@ fn fig02_csv_is_byte_identical_across_worker_counts() {
         let csv = report::fig02_csv(&fig02_model_error::run_with_store(&ctx, &store).unwrap());
         assert!(!csv.is_empty());
         match &baseline {
-            None => baseline = Some(csv),
-            Some(b) => assert_eq!(
-                b.as_bytes(),
-                csv.as_bytes(),
-                "fig2.csv drifted at jobs={jobs}"
-            ),
+            None => baseline = Some((store, csv)),
+            Some((serial, b)) => {
+                assert!(
+                    serial.traces() == store.traces(),
+                    "sharded traces diverged from the serial ones at jobs={jobs}"
+                );
+                assert_eq!(
+                    b.as_bytes(),
+                    csv.as_bytes(),
+                    "fig2.csv drifted at jobs={jobs}"
+                );
+            }
         }
     }
 }

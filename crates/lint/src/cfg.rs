@@ -1,6 +1,6 @@
 //! Intraprocedural control-flow graph at statement granularity.
 //!
-//! [`build`] lowers a parsed [`Block`](crate::ast::Block) into a
+//! [`build`] lowers a parsed [`Block`] into a
 //! [`Cfg`]: one node per simple statement, plus synthetic nodes for
 //! branch conditions, loop headers, match scrutinees/arm patterns,
 //! and block-scope ends (so an analysis can kill a binding exactly

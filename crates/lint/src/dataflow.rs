@@ -1,4 +1,4 @@
-//! Forward dataflow over a [`Cfg`](crate::cfg::Cfg).
+//! Forward dataflow over a [`Cfg`].
 //!
 //! The engine is the classic monotone framework specialized to what
 //! the temporal rules need: facts are elements of a finite set,

@@ -25,7 +25,7 @@
 //! `syn`, so it — like the rest of the workspace — builds with zero
 //! registry access. L1–L4/L6 pattern-match the token stream; the
 //! temporal rules (L5/L7/L8) parse each fn body into an AST
-//! ([`ast`]), lower it to a statement-granularity CFG ([`cfg`]), and
+//! ([`ast`]), lower it to a statement-granularity CFG ([`cfg`](mod@cfg)), and
 //! run forward dataflow ([`dataflow`]) to track facts across
 //! branches and loops.
 

@@ -6,7 +6,7 @@
 //! module provides the same register interface in software: six
 //! `PERF_CTL`/`PERF_CTR` pairs per core at their architectural
 //! addresses, with the event-select encoding of the BKDG (event bits
-//! [7:0] in CTL bits [7:0], event bits [11:8] in CTL bits [35:32],
+//! `[7:0]` in CTL bits `[7:0]`, event bits `[11:8]` in CTL bits `[35:32]`,
 //! enable in bit 22).
 
 use crate::counter::HwCounter;
@@ -32,7 +32,7 @@ pub const fn encode_ctl(event_code: u16, enabled: bool) -> u64 {
 }
 
 /// Encodes an event select together with its unit mask (CTL bits
-/// [15:8]). §IV-C1 notes that retire-width buckets
+/// `[15:8]`). §IV-C1 notes that retire-width buckets
 /// (`Cycles_Retiring_1 … Issue_Width`) are selected through unit-mask
 /// values at the cost of extra counter multiplexing; this is the
 /// register-level support for that refinement.

@@ -18,7 +18,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// Strategy combinators and the [`Strategy`] trait.
+/// Strategy combinators and the [`Strategy`](strategy::Strategy) trait.
 pub mod strategy {
     use super::*;
 
@@ -241,7 +241,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

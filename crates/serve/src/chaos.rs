@@ -97,8 +97,6 @@ pub struct ChaosReport {
     pub max_total_granted: Watts,
     /// Aggregate granted budget when the run ended.
     pub final_total_granted: Watts,
-    /// Reply frames the victim received while Failsafe was pinned.
-    pub victim_failsafe_replies: u64,
     /// The per-tenant health artifact (JSONL, one line per tenant).
     pub health_jsonl: String,
 }
@@ -275,7 +273,6 @@ pub fn run(ppep: &Ppep, config: &ChaosConfig) -> Result<ChaosReport> {
     }
 
     let mut max_total_granted = Watts::ZERO;
-    let mut victim_failsafe_replies = 0u64;
     for _ in 0..config.intervals {
         for client in clients.iter_mut().filter(|c| c.alive) {
             let frame = match client.platform.sample() {
@@ -292,14 +289,7 @@ pub fn run(ppep: &Ppep, config: &ChaosConfig) -> Result<ChaosReport> {
             let response = lane.roundtrip(&frame_to_bytes(&frame))?;
             let (reply, _) = decode_frame(&response, &topology)?;
             match reply {
-                SessionFrame::Reply {
-                    decision, health, ..
-                } => {
-                    if client.tenant == config.victim
-                        && health == ppep_telemetry::session::TenantHealth::Failsafe
-                    {
-                        victim_failsafe_replies += 1;
-                    }
+                SessionFrame::Reply { decision, .. } => {
                     // The client actuates what the service decided —
                     // closing the control loop over the wire.
                     client.platform.apply(&decision)?;
@@ -325,7 +315,6 @@ pub fn run(ppep: &Ppep, config: &ChaosConfig) -> Result<ChaosReport> {
         tenants: service.status(),
         max_total_granted,
         final_total_granted: service.total_granted(),
-        victim_failsafe_replies,
         health_jsonl: service.health_jsonl(),
     })
 }
@@ -390,43 +379,40 @@ mod tests {
         assert_eq!(c.health_jsonl, d.health_jsonl);
     }
 
+    /// The containment gate on the smoke storm at 40 intervals, over
+    /// both serving layouts: one shard in-process, and four shards
+    /// over the Unix socket (TCP where Unix sockets are unavailable),
+    /// where the victim shares a shard with nobody it can drag down.
     #[test]
-    fn containment_holds_across_shards_and_over_the_socket() {
-        let mut config = quick_config();
-        config.shards = 4;
-        config.transport = Some(if cfg!(unix) {
+    fn chaos_gate_passes_at_quick_scale() {
+        let socket = if cfg!(unix) {
             TransportKind::Unix
         } else {
             TransportKind::Tcp
-        });
-        let report = run(engine(), &config).expect("socket chaos run completes");
-        report.gate().expect("containment gate holds over the wire");
+        };
+        for (shards, transport) in [(1, None), (4, Some(socket))] {
+            let mut config = ChaosConfig::smoke(42);
+            config.intervals = 40;
+            config.shards = shards;
+            config.transport = transport;
+            let report = run(engine(), &config).expect("chaos run completes");
+            report
+                .gate()
+                .unwrap_or_else(|e| panic!("{shards} shard(s), {transport:?}: {e}"));
+            assert_eq!(report.tenants.len(), 8);
 
-        let victim = report.victim().expect("victim admitted");
-        let victim_shard = victim.shard;
-        assert_eq!(victim_shard, 0, "tenant 0 homes on shard 0");
-        let mut survivor_shards = std::collections::BTreeSet::new();
-        for t in &report.tenants {
-            if t.tenant == config.victim {
-                continue;
+            if shards > 1 {
+                let victim_shard = report.victim().expect("victim admitted").shard;
+                assert_eq!(victim_shard, 0, "tenant 0 homes on shard 0");
+                assert!(
+                    report
+                        .tenants
+                        .iter()
+                        .any(|t| t.tenant != config.victim && t.shard != victim_shard),
+                    "survivors must sit on other shards"
+                );
             }
-            survivor_shards.insert(t.shard);
-            assert!(t.evicted.is_none(), "blast escaped to tenant {}", t.tenant);
-            assert!(
-                t.availability >= 0.99,
-                "tenant {} availability {}",
-                t.tenant,
-                t.availability
-            );
         }
-        assert!(
-            survivor_shards.iter().any(|s| *s != victim_shard),
-            "survivors must sit on other shards: {survivor_shards:?}"
-        );
-        assert!(
-            report.max_total_granted <= config.socket_cap,
-            "granted budget must respect the socket cap over the wire"
-        );
     }
 
     #[test]

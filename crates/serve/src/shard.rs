@@ -1,9 +1,10 @@
 //! One worker shard of the sharded [`crate::CappingService`].
 //!
-//! A [`ServiceShard`] owns a disjoint tenant group's
-//! [`ResilientDaemon`] bulkheads. Shards are fully independent on the
-//! data path: stepping a tenant touches only its home shard's state
-//! plus the service's *published* grant snapshot (read through a
+//! A `ServiceShard` owns a disjoint tenant group's
+//! [`ResilientDaemon`](ppep_core::resilient::ResilientDaemon)
+//! bulkheads. Shards are fully independent on the data path:
+//! stepping a tenant touches only its home shard's state plus the
+//! service's *published* grant snapshot (read through a
 //! caller-supplied lookup — shards never see the arbiter itself).
 //! Budget-changing events observed on the data path (failsafe
 //! transitions, recoveries, evictions) are buffered as

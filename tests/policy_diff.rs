@@ -10,7 +10,7 @@
 
 use ppep_core::Ppep;
 use ppep_experiments::common::{Context, Scale, DEFAULT_SEED};
-use ppep_experiments::diff_policies::{self, PolicyKind, ReplayDiff};
+use ppep_experiments::diff_policies::{PolicyKind, ReplayDiff};
 use ppep_experiments::replay;
 use ppep_telemetry::TraceReader;
 use std::sync::OnceLock;
@@ -86,43 +86,4 @@ fn one_step_vs_energy_optimal_diverges_on_the_storm_trace() {
     assert!(report.rows.iter().all(|r| r.cap_a.is_some()));
     assert!(report.rows.iter().all(|r| r.cap_b.is_none()));
     assert!(report.priced_intervals > 0, "the model must price rows");
-}
-
-#[test]
-fn report_serializations_are_consistent() {
-    let (differ, trace) = differ();
-    let report = differ
-        .diff(&trace, PolicyKind::OneStep, PolicyKind::SteepestDrop)
-        .expect("diff runs");
-    let csv = report.to_csv();
-    // Header plus one line per compared interval.
-    assert_eq!(csv.lines().count(), report.intervals + 1);
-    let header = csv.lines().next().expect("header");
-    assert_eq!(header.split(',').count(), 16);
-    for line in csv.lines().skip(1) {
-        assert_eq!(line.split(',').count(), 16, "ragged CSV row: {line}");
-    }
-    // JSONL: one summary line plus one line per interval, all valid
-    // enough to re-split on top-level keys.
-    let jsonl = report.to_jsonl();
-    assert_eq!(jsonl.lines().count(), report.intervals + 1);
-    let summary = jsonl.lines().next().expect("summary line");
-    assert!(summary.contains("\"kind\":\"summary\""));
-    assert!(summary.contains("\"policy_a\":\"one-step\""));
-    assert!(summary.contains("\"policy_b\":\"steepest-drop\""));
-    assert!(jsonl
-        .lines()
-        .skip(1)
-        .all(|l| l.starts_with("{\"kind\":\"interval\"") && l.ends_with('}')));
-}
-
-#[test]
-fn subcommand_entry_point_matches_the_api() {
-    // The `diff-policies` subcommand path: record + diff in one call.
-    let ctx = Context::fx8320(Scale::Quick, DEFAULT_SEED);
-    let r =
-        diff_policies::run(&ctx, PolicyKind::OneStep, PolicyKind::Recorded).expect("run succeeds");
-    assert!(r.self_replay);
-    assert_eq!(r.report.diverged_intervals, 0);
-    assert!(r.trace.starts_with(&ppep_telemetry::binary::MAGIC));
 }
