@@ -27,14 +27,14 @@
 //! CPI decomposition → finite Eq. 3 sums), so the first error any
 //! record produces is the same `Error` either way.
 
-use crate::ppe::{CoreAtVf, PpeProjection};
+use crate::ppe::PpeProjection;
 use ppep_models::soa::SoaCoeffs;
 use ppep_models::trainer::TrainedModels;
 use ppep_models::CpiObservation;
 use ppep_obs::{Stage, StageClock};
 use ppep_pmc::EventId;
 use ppep_telemetry::IntervalRecord;
-use ppep_types::{CoreId, Error, Gigahertz, Result, Watts};
+use ppep_types::{CoreId, Error, Gigahertz, Result};
 
 /// The per-core LL-MAB hoists shared by a whole VF row.
 #[derive(Debug, Clone, Copy)]
@@ -68,11 +68,13 @@ impl BatchProjector {
     }
 
     /// Computes the full core × VF-state grid for one record into
-    /// `out`: each core's row in `out.cores` (rows and cells refilled
-    /// in place), and each state's NB dynamic power in the `nb_power`
-    /// of its row in `out.chip`, which is reset to one zeroed row per
-    /// state. Both come out exactly as the per-cell model APIs produce
-    /// them; the other fields of `out` are left to the caller.
+    /// `out`: each core in `out.cores` and its row of `out.cells`
+    /// (refilled in place), and each state's column sums of dynamic
+    /// power, NB dynamic power and IPS in the `power`, `nb_power` and
+    /// `ips` of its row in `out.chip`, which is reset to one row per
+    /// state (see [`PpeProjection::reset_rows`]). Cells and sums come
+    /// out exactly as the per-cell model APIs and a core-order `sum()`
+    /// produce them; the other fields of `out` are left to the caller.
     ///
     /// `memory_factor` and `nb_dyn_scale` are the §V-C2 NB-state
     /// assumptions (1.0 at the stock NB point). `models` must be the
@@ -102,8 +104,11 @@ impl BatchProjector {
         let nb_weights = coeffs.nb_weights();
 
         out.reset_rows(record.samples.len(), table);
-        let PpeProjection { cores, chip, .. } = out;
-        for ((i, sample), row) in record.samples.iter().enumerate().zip(cores.iter_mut()) {
+        let PpeProjection {
+            cores, cells, chip, ..
+        } = out;
+        let rows = cores.iter_mut().zip(cells.chunks_exact_mut(n_vf));
+        for ((i, sample), (core, per_vf)) in record.samples.iter().enumerate().zip(rows) {
             let cu = i / cores_per_cu;
             let from_idx = record
                 .cu_vf
@@ -125,18 +130,10 @@ impl BatchProjector {
                         )))
                     }
                 };
-            row.core = CoreId(i);
-            row.busy = sample.counts.get(EventId::RetiredInstructions) > 0.0;
-            // The row's cells: stage 1 writes each cell's CPI/IPS,
-            // stage 3 its dynamic power.
-            let per_vf = &mut row.per_vf;
-            per_vf.clear();
-            per_vf.extend(table.states().map(|vf| CoreAtVf {
-                vf,
-                dynamic_power: Watts::ZERO,
-                ips: 0.0,
-                cpi: 0.0,
-            }));
+            core.core = CoreId(i);
+            core.busy = sample.counts.get(EventId::RetiredInstructions) > 0.0;
+            // The core's row of cells: stage 1 writes each cell's
+            // CPI/IPS, stage 3 its dynamic power.
 
             // Stage 1 (Eq. 1): validate in the per-cell order, then fill
             // the row's CPI/IPS lanes in one branch-free pass.
@@ -234,8 +231,12 @@ impl BatchProjector {
                     let (core_dyn, nb_dyn) =
                         dynamic.estimate_core_split_prescaled(&rates, scaled_row, nb_weights)?;
                     let nb_dyn = nb_dyn * nb_dyn_scale;
-                    chip_row.nb_power += nb_dyn;
                     cell.dynamic_power = core_dyn + nb_dyn;
+                    // The cell's share of its state's column sums,
+                    // added in core order.
+                    chip_row.nb_power += nb_dyn;
+                    chip_row.power += cell.dynamic_power;
+                    chip_row.ips += cell.ips;
                 }
                 Ok(())
             })?;
@@ -280,8 +281,10 @@ mod tests {
             .expect("grid projects");
         assert_eq!(out.cores.len(), 8);
         assert_eq!(out.chip.len(), 5);
-        for c in &out.cores {
-            assert_eq!(c.per_vf.len(), 5);
+        assert_eq!(out.cells.len(), 8 * 5);
+        for (row, core) in out.rows().zip(&out.cores) {
+            let states: Vec<usize> = row.iter().map(|c| c.vf.index()).collect();
+            assert_eq!(states, [0, 1, 2, 3, 4], "core {:?}", core.core);
         }
     }
 

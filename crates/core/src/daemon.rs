@@ -409,13 +409,12 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
         }
         let cores_per_cu = self.platform.topology().cores_per_cu().max(1);
         let core_cpi: Vec<f64> = projection
-            .cores
-            .iter()
+            .rows()
             .enumerate()
-            .map(|(i, core)| {
+            .map(|(i, row)| {
                 decision
                     .get(i / cores_per_cu)
-                    .and_then(|vf| core.per_vf.get(vf.index()))
+                    .and_then(|vf| row.get(vf.index()))
                     .map_or(f64::NAN, |at| at.cpi)
             })
             .collect();

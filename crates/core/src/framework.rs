@@ -137,10 +137,10 @@ impl Ppep {
         // recorder makes each `time` call a plain closure call.
         let mut clock = StageClock::new(&self.recorder);
 
-        // The kernel fills the core rows and sums each state's NB
-        // dynamic power into its chip row (see
+        // The kernel fills the core grid and sums each state's dynamic
+        // power, NB dynamic power and IPS into its chip row (see
         // [`PpeProjection::reset_rows`]); composition below adds the
-        // NB idle share and fills the rest of each chip row.
+        // idle power and fills the rest of each chip row.
         self.batch.grid(
             &self.models,
             record,
@@ -166,9 +166,8 @@ impl Ppep {
 
         for row in chip.iter_mut() {
             let vf = row.vf;
-            let dynamic_total: Watts = clock.time(Stage::Compose, || {
-                cores.iter().map(|c| c.at(vf).dynamic_power).sum()
-            });
+            // The kernel's column sum; `power` becomes chip power below.
+            let dynamic_total = row.power;
             let (nb_idle, idle_total) =
                 clock.time(Stage::Pidle, || -> Result<(Watts, Watts)> {
                     // NB idle share, separable only with the PG
@@ -201,7 +200,7 @@ impl Ppep {
             clock.time(Stage::Compose, || {
                 let power = idle_total + dynamic_total;
                 let nb_power = nb_idle + row.nb_power;
-                let ips: f64 = cores.iter().map(|c| c.at(vf).ips).sum();
+                let ips = row.ips;
                 let (time_for_work, energy, edp) = if ips > 0.0 && work_instructions > 0.0 {
                     let t = work_instructions / ips;
                     let e = power.as_watts() * t;
@@ -253,11 +252,7 @@ impl Ppep {
         }
         for (cu, vf) in record.cu_vf.iter().take(needed_cus).enumerate() {
             if vf.index() >= table_len {
-                return Err(Error::InvalidInput(format!(
-                    "CU {cu} assigned VF state index {} of a \
-                     {table_len}-state ladder",
-                    vf.index()
-                )));
+                return Err(out_of_ladder(cu, *vf, table_len));
             }
         }
         Ok(())
@@ -265,11 +260,14 @@ impl Ppep {
 
     /// Predicted chip power for an arbitrary per-CU VF assignment —
     /// the primitive the Fig. 7 capping controller searches over.
+    /// `projection` must come from this engine.
     ///
     /// # Errors
     ///
-    /// Propagates model errors; requires a PG model when any CU is
-    /// idle and gating is enabled on the chip.
+    /// Returns [`Error::InvalidInput`] for an assignment of the wrong
+    /// length or with a state outside the ladder, and propagates model
+    /// errors; requires a PG model when any CU is idle and gating is
+    /// enabled on the chip.
     pub fn chip_power_with_assignment(
         &self,
         projection: &PpeProjection,
@@ -284,10 +282,19 @@ impl Ppep {
                 topo.cu_count()
             )));
         }
+        let ladder = self.models.vf_table().len().min(projection.row_len());
+        // One pass checks each CU's state and sums its cores' dynamic
+        // power at that state, in core order.
         let mut dynamic = Watts::ZERO;
-        for (cores, &vf) in projection.cores.chunks(cores_per_cu).zip(cu_vf) {
-            for core in cores {
-                dynamic += core.at(vf).dynamic_power;
+        let mut rows = projection.rows();
+        for (cu, vf) in cu_vf.iter().enumerate() {
+            if vf.index() >= ladder {
+                return Err(out_of_ladder(cu, *vf, ladder));
+            }
+            for row in rows.by_ref().take(cores_per_cu) {
+                if let Some(cell) = row.get(vf.index()) {
+                    dynamic += cell.dynamic_power;
+                }
             }
         }
         let cu_active = projection
@@ -312,6 +319,16 @@ impl Ppep {
         };
         Ok(idle + dynamic)
     }
+}
+
+/// The error for CU `cu` assigned `vf` outside a `ladder`-state
+/// ladder. Out of line, so the loops that check for it stay small.
+#[cold]
+fn out_of_ladder(cu: usize, vf: VfStateId, ladder: usize) -> Error {
+    Error::InvalidInput(format!(
+        "CU {cu} assigned VF state index {} of a {ladder}-state ladder",
+        vf.index()
+    ))
 }
 
 #[cfg(test)]
@@ -345,9 +362,8 @@ mod tests {
         assert_eq!(p.chip.len(), 5);
         assert_eq!(p.busy_core_count(), 2);
         assert!(p.work_instructions > 0.0);
-        for c in &p.cores {
-            assert_eq!(c.per_vf.len(), 5);
-        }
+        assert_eq!(p.cells.len(), 8 * 5);
+        assert_eq!(p.rows().len(), 8);
     }
 
     #[test]
@@ -444,6 +460,25 @@ mod tests {
         assert!(ppep
             .chip_power_with_assignment(&p, &[table.lowest()])
             .is_err());
+    }
+
+    #[test]
+    fn assignment_outside_the_ladder_is_a_typed_error() {
+        let ppep = shared_ppep();
+        let p = ppep.project(&record_for("433.milc", 4)).unwrap();
+        let lowest = ppep.models().vf_table().lowest();
+        // Index 6 from the boosted seven-state ladder, against the
+        // engine's five-state bundle.
+        let boosted = ppep_types::VfTable::fx8320_with_boost().highest();
+        let err = ppep
+            .chip_power_with_assignment(&p, &[lowest, lowest, boosted, lowest])
+            .expect_err("out-of-range state must not panic");
+        assert!(matches!(err, Error::InvalidInput(_)), "{err:?}");
+        assert!(
+            err.to_string()
+                .contains("CU 2 assigned VF state index 6 of a 5-state ladder"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -8,6 +8,12 @@
 
 use ppep_types::time::IntervalIndex;
 use ppep_types::{CoreId, Joules, Kelvin, Seconds, VfStateId, VfTable, Watts};
+use std::slice::ChunksExact;
+
+/// The value `Iterator::sum` folds `f64`s from (−0.0, not +0.0), so a
+/// column sum the kernel builds up cell by cell, in core order, has the
+/// bits of that column's `sum()`, even for a record without cores.
+const SUM_START: f64 = -0.0;
 
 /// A core's predicted behaviour at one VF state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,26 +28,14 @@ pub struct CoreAtVf {
     pub cpi: f64,
 }
 
-/// One core's projections across the whole VF ladder.
+/// One core of the source interval. Its predictions at every VF state
+/// are its row of [`PpeProjection::cells`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreProjection {
     /// Which core.
     pub core: CoreId,
     /// Whether the core retired instructions in the source interval.
     pub busy: bool,
-    /// One entry per VF state, slowest first.
-    pub per_vf: Vec<CoreAtVf>,
-}
-
-impl CoreProjection {
-    /// The projection at a specific state.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a VF index outside the ladder.
-    pub fn at(&self, vf: VfStateId) -> &CoreAtVf {
-        &self.per_vf[vf.index()]
-    }
 }
 
 /// Chip-level PPE numbers at one VF state, for the work observed in
@@ -94,8 +88,12 @@ pub struct PpeProjection {
     pub temperature: Kelvin,
     /// Per-CU source VF states of the measured interval.
     pub source_vf: Vec<VfStateId>,
-    /// Per-core projections.
+    /// The source interval's cores, in core order.
     pub cores: Vec<CoreProjection>,
+    /// The core × VF grid in one buffer, core-major: core `i`'s row is
+    /// the `chip.len()` cells from `i * chip.len()`, one per VF state,
+    /// slowest first. [`PpeProjection::rows`] walks it row by row.
+    pub cells: Vec<CoreAtVf>,
     /// Chip-level PPE at every (uniform) VF state, slowest first.
     pub chip: Vec<ChipPpe>,
     /// Total instructions retired in the source interval (the "work").
@@ -103,27 +101,54 @@ pub struct PpeProjection {
 }
 
 impl PpeProjection {
-    /// Readies the buffer for a projection kernel: `cores` core rows,
-    /// keeping the rows (and their cell allocations) already there, and
-    /// one zeroed chip row per state of `table`, slowest first. The
-    /// kernel overwrites every field of every core row and sums each
-    /// state's NB dynamic power into its chip row's `nb_power`.
+    /// Readies the buffer for a projection kernel, whatever shape it
+    /// held before: `cores` core entries; a `cores × table.len()` cell
+    /// grid with each cell's `vf` set and its numbers zeroed, sized
+    /// with one reservation (none once the buffer is that large); and
+    /// one chip row per state of `table`, slowest first. The kernel
+    /// overwrites every core entry and every cell's numbers, and sums
+    /// each state's column into its chip row: dynamic power into
+    /// `power`, NB dynamic power into `nb_power` and IPS into `ips`.
+    /// Composition then turns `power` into chip power.
     pub(crate) fn reset_rows(&mut self, cores: usize, table: &VfTable) {
         self.cores.resize_with(cores, || CoreProjection {
             core: CoreId(0),
             busy: false,
-            per_vf: Vec::new(),
         });
+        self.cells.clear();
+        self.cells.reserve(cores * table.len());
+        for _ in 0..cores {
+            self.cells.extend(table.states().map(|vf| CoreAtVf {
+                vf,
+                dynamic_power: Watts::ZERO,
+                ips: 0.0,
+                cpi: 0.0,
+            }));
+        }
         self.chip.clear();
         self.chip.extend(table.states().map(|vf| ChipPpe {
             vf,
-            power: Watts::ZERO,
+            power: Watts::new(SUM_START),
             nb_power: Watts::ZERO,
-            ips: 0.0,
+            ips: SUM_START,
             time_for_work: Seconds::ZERO,
             energy: Joules::ZERO,
             edp: 0.0,
         }));
+    }
+
+    /// Cells per core row: the ladder length, and never 0, so a
+    /// projection without chip rows has no core rows either.
+    #[inline]
+    pub fn row_len(&self) -> usize {
+        self.chip.len().max(1)
+    }
+
+    /// Each core's row of [`PpeProjection::cells`], in core order: its
+    /// predictions at every VF state, slowest first.
+    #[inline]
+    pub fn rows(&self) -> ChunksExact<'_, CoreAtVf> {
+        self.cells.chunks_exact(self.row_len())
     }
 
     /// Chip-level PPE at a specific state.
@@ -204,6 +229,7 @@ mod tests {
             temperature: Kelvin::new(320.0),
             source_vf: vec![table.highest(); 4],
             cores: vec![],
+            cells: vec![],
             chip,
             work_instructions: 1.0e9,
         }

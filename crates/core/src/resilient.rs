@@ -685,10 +685,8 @@ fn projection_is_finite(p: &PpeProjection) -> bool {
                 && c.energy.as_joules().is_finite()
                 && c.edp.is_finite()
         })
-        && p.cores.iter().all(|core| {
-            core.per_vf.iter().all(|v| {
-                v.dynamic_power.as_watts().is_finite() && v.ips.is_finite() && v.cpi.is_finite()
-            })
+        && p.cells.iter().all(|v| {
+            v.dynamic_power.as_watts().is_finite() && v.ips.is_finite() && v.cpi.is_finite()
         })
 }
 

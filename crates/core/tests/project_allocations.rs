@@ -34,11 +34,10 @@ fn engine_and_record() -> (Ppep, IntervalRecord) {
     (Ppep::new(models), record)
 }
 
-/// Allocations per call: one `Vec` of
-/// cores, one row of cells per core, the NB accumulator, the chip rows,
-/// the copied source assignment, and one uniform-assignment buffer for
-/// the PG idle path.
-const ALLOCATIONS_PER_PROJECTION: usize = 13;
+/// Allocations per call: the cores, the core × VF cell grid (one
+/// buffer, reserved once), the chip rows, and the copied source
+/// assignment.
+const ALLOCATIONS_PER_PROJECTION: usize = 4;
 
 #[test]
 fn projection_allocations_are_pinned() {

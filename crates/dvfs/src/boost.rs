@@ -12,6 +12,7 @@
 //! (`ppep_sim::chip::SimConfig::fx8320_boost`) and models trained on
 //! its seven-state ladder.
 
+use crate::capping::ips_at;
 use ppep_core::daemon::DvfsController;
 use ppep_core::ppe::PpeProjection;
 use ppep_core::Ppep;
@@ -110,15 +111,16 @@ impl BoostController {
                 }
                 // Promote the CU with the most predicted throughput gain.
                 let cores_per_cu = self.ppep.models().topology().cores_per_cu();
+                let n_vf = projection.row_len();
                 let gain: f64 =
                     projection
-                        .cores
-                        .chunks(cores_per_cu)
+                        .cells
+                        .chunks(cores_per_cu * n_vf)
                         .nth(cu)
-                        .map_or(0.0, |cores| {
-                            cores
-                                .iter()
-                                .map(|core| core.at(up).ips - core.at(assignment[cu]).ips)
+                        .map_or(0.0, |cells| {
+                            cells
+                                .chunks(n_vf)
+                                .map(|row| ips_at(row, up) - ips_at(row, assignment[cu]))
                                 .sum()
                         });
                 if best.as_ref().is_none_or(|(_, _, g)| gain > *g) {

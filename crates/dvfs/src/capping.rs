@@ -14,7 +14,7 @@
 //! lockstep, as commodity governors do.
 
 use ppep_core::daemon::DvfsController;
-use ppep_core::ppe::PpeProjection;
+use ppep_core::ppe::{CoreAtVf, PpeProjection};
 use ppep_core::Ppep;
 use ppep_obs::RecorderHandle;
 use ppep_types::{Result, VfStateId, Watts};
@@ -24,6 +24,12 @@ use ppep_types::{Result, VfStateId, Watts};
 /// transitions the decision will trigger when applied.
 fn count_transitions(from: &[VfStateId], to: &[VfStateId]) -> u64 {
     from.iter().zip(to).filter(|(a, b)| a != b).count() as u64
+}
+
+/// A core's predicted throughput at `vf`, from its row of
+/// [`PpeProjection::cells`]; 0 for a state past the row's end.
+pub(crate) fn ips_at(row: &[CoreAtVf], vf: VfStateId) -> f64 {
+    row.get(vf.index()).map_or(0.0, |c| c.ips)
 }
 
 /// Sets one CU's state in an assignment; a CU past its end is ignored.
@@ -163,14 +169,15 @@ impl OneStepCapping {
         to: VfStateId,
     ) -> f64 {
         let cores_per_cu = self.ppep.models().topology().cores_per_cu();
+        let n_vf = projection.row_len();
         projection
-            .cores
-            .chunks(cores_per_cu)
+            .cells
+            .chunks(cores_per_cu * n_vf)
             .nth(cu)
-            .map_or(0.0, |cores| {
-                cores
-                    .iter()
-                    .map(|core| core.at(to).ips - core.at(from).ips)
+            .map_or(0.0, |cells| {
+                cells
+                    .chunks(n_vf)
+                    .map(|row| ips_at(row, to) - ips_at(row, from))
                     .sum()
             })
     }
@@ -389,13 +396,17 @@ impl SteepestDrop {
         let target = self.cap * (1.0 - self.guard_band);
         let mut assignment = projection.source_vf.clone();
 
+        let n_vf = projection.row_len();
         let cu_ips = |assignment: &[VfStateId], cu: usize| -> f64 {
             projection
-                .cores
-                .chunks(cores_per_cu)
+                .cells
+                .chunks(cores_per_cu * n_vf)
                 .nth(cu)
-                .map_or(0.0, |cores| {
-                    cores.iter().map(|core| core.at(assignment[cu]).ips).sum()
+                .map_or(0.0, |cells| {
+                    cells
+                        .chunks(n_vf)
+                        .map(|row| ips_at(row, assignment[cu]))
+                        .sum()
                 })
         };
 

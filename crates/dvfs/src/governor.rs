@@ -79,7 +79,6 @@ mod tests {
             .map(|i| CoreProjection {
                 core: CoreId(i),
                 busy: i < busy,
-                per_vf: vec![],
             })
             .collect();
         PpeProjection {
@@ -87,6 +86,7 @@ mod tests {
             temperature: Kelvin::new(310.0),
             source_vf: vec![table.highest(); 4],
             cores,
+            cells: vec![],
             chip,
             work_instructions: 0.0,
         }

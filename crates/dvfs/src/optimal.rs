@@ -184,6 +184,7 @@ mod tests {
             temperature: Kelvin::new(320.0),
             source_vf: vec![table.highest(); 4],
             cores: vec![],
+            cells: vec![],
             chip,
             work_instructions: work,
         }

@@ -331,9 +331,15 @@ impl ReplayDiff {
         let ips: f64 = projection
             .cores
             .iter()
+            .zip(projection.rows())
             .enumerate()
-            .filter(|(_, c)| c.busy)
-            .filter_map(|(i, c)| decision.get(i / cores_per_cu).map(|vf| c.at(*vf).ips))
+            .filter(|(_, (c, _))| c.busy)
+            .filter_map(|(i, (_, row))| {
+                decision
+                    .get(i / cores_per_cu)
+                    .and_then(|vf| row.get(vf.index()))
+                    .map(|c| c.ips)
+            })
             .sum();
         let time = if ips > 0.0 {
             projection.work_instructions / ips

@@ -11,7 +11,9 @@
 //!   right after a failed MSR read or a sensor dropout;
 //! - a borrowed `step()` sequence, cloned per step, equals `run()`'s
 //!   owned steps field for field, and each fresh step's projection
-//!   equals a fresh `project` of its record.
+//!   equals a fresh `project` of its record;
+//! - `project_into` a buffer last filled from a projection of another
+//!   shape (core count and ladder length) equals a fresh projection.
 
 use ppep_core::daemon::PpepDaemon;
 use ppep_core::ppe::PpeProjection;
@@ -82,8 +84,12 @@ fn projection_bits(p: &PpeProjection) -> Vec<u64> {
     v.extend(p.source_vf.iter().map(|vf| vf.index() as u64));
     v.push(p.cores.len() as u64);
     for c in &p.cores {
-        v.extend([c.core.0 as u64, u64::from(c.busy), c.per_vf.len() as u64]);
-        for cell in &c.per_vf {
+        v.extend([c.core.0 as u64, u64::from(c.busy)]);
+    }
+    v.extend([p.cells.len() as u64, p.rows().len() as u64]);
+    for row in p.rows() {
+        v.push(row.len() as u64);
+        for cell in row {
             v.extend([
                 cell.vf.index() as u64,
                 cell.dynamic_power.as_watts().to_bits(),
@@ -315,5 +321,40 @@ fn borrowed_steps_cloned_equal_the_owned_run() {
             actions.iter().any(|a| a == action),
             "the storm must produce a {action} step"
         );
+    }
+}
+
+#[test]
+fn project_into_reshapes_a_warm_buffer() {
+    // A 6-core, 4-state Phenom II X6 projection and an 8-core, 5-state
+    // FX-8320 one, filled alternately into one buffer: each fill must
+    // resize the core grid and change its stride.
+    let phenom = Ppep::new(
+        TrainingRig::phenom_ii_x6(SEED)
+            .train_quick()
+            .expect("training succeeds"),
+    );
+    let phenom_record = dirty_buffer();
+    let mut fx = SimPlatform::from_config(SimConfig::fx8320(SEED));
+    fx.load_workload(&instances("433.milc", 6, SEED));
+    let fx_record = fx.sample().expect("fault-free interval");
+    let sources = [
+        (&phenom, &phenom_record, 6 * 4),
+        (trained(), &fx_record, 8 * 5),
+    ];
+    let mut buffer = PpeProjection::default();
+    for nb in [NbVfState::High, NbVfState::Low] {
+        for (engine, record, cells) in sources.iter().chain(&sources) {
+            engine
+                .project_into(record, nb, &mut buffer)
+                .expect("projects");
+            assert_eq!(buffer.cells.len(), *cells);
+            let fresh = engine.project_nb(record, nb).expect("projects");
+            assert_eq!(
+                projection_bits(&buffer),
+                projection_bits(&fresh),
+                "{nb:?}, {cells} cells"
+            );
+        }
     }
 }

@@ -355,6 +355,11 @@ fn named_corner_cases_agree() {
     let record = build_record(&models, &[0; 8], &[0.0; 8], &ratios, &picks, None);
     assert_matches_oracle(&engine, &record).expect("idle record");
 
+    // No sampled cores: each state's sums run over an empty column.
+    let mut record = build_record(&models, &[0; 8], &[0.0; 8], &ratios, &picks, None);
+    record.samples.clear();
+    assert_matches_oracle(&engine, &record).expect("record without samples");
+
     // All cores wrap-adjacent.
     let record = build_record(&models, &[2; 8], &[1.0e3; 8], &ratios, &picks, None);
     assert_matches_oracle(&engine, &record).expect("wrap-adjacent record");

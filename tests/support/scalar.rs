@@ -17,7 +17,7 @@ use ppep_models::event_pred::HwEventPredictor;
 use ppep_pmc::EventId;
 use ppep_telemetry::IntervalRecord;
 use ppep_types::vf::NbVfState;
-use ppep_types::{CoreId, Error, Joules, Result, Seconds, Watts};
+use ppep_types::{CoreId, Error, Joules, Result, Seconds, VfStateId, Watts};
 
 /// Projects `record` at NB point `nb` the slow way: the oracle for
 /// [`Ppep::project_nb`], bit for bit, errors included.
@@ -48,9 +48,9 @@ pub fn project_nb_scalar(
     // sum per state, starting from zero.
     let mut nb_dynamic = vec![Watts::ZERO; table.len()];
     let mut cores = Vec::with_capacity(record.samples.len());
+    let mut cells = Vec::with_capacity(record.samples.len() * table.len());
     for (i, sample) in record.samples.iter().enumerate() {
         let from = table.point(record.cu_vf[i / cores_per_cu]);
-        let mut per_vf = Vec::with_capacity(table.len());
         for (vf, nb_sum) in table.states().zip(nb_dynamic.iter_mut()) {
             let to = table.point(vf);
             let projected = predictor.project_cpi(sample, from, to, memory_factor)?;
@@ -59,7 +59,7 @@ pub fn project_nb_scalar(
                 dynamic.estimate_core_split(&predicted.power_rates(), to.voltage)?;
             let nb_dyn = nb_dyn * nb_dyn_scale;
             *nb_sum += nb_dyn;
-            per_vf.push(CoreAtVf {
+            cells.push(CoreAtVf {
                 vf,
                 dynamic_power: core_dyn + nb_dyn,
                 ips: predicted.ips,
@@ -69,9 +69,10 @@ pub fn project_nb_scalar(
         cores.push(CoreProjection {
             core: CoreId(i),
             busy: sample.counts.get(EventId::RetiredInstructions) > 0.0,
-            per_vf,
         });
     }
+    // Core `i`'s cell at state `vf`, in the core-major grid.
+    let cell = |i: usize, vf: VfStateId| &cells[i * table.len() + vf.index()];
 
     // Composition: chip power, NB share, throughput and the energy of
     // the interval's work at every uniform state.
@@ -89,7 +90,7 @@ pub fn project_nb_scalar(
     let pg_model = models.chip_power().pg_model();
     let mut chip = Vec::with_capacity(table.len());
     for (vf, nb_dyn_sum) in table.states().zip(nb_dynamic) {
-        let dynamic_total: Watts = cores.iter().map(|c| c.at(vf).dynamic_power).sum();
+        let dynamic_total: Watts = (0..cores.len()).map(|i| cell(i, vf).dynamic_power).sum();
         let nb_idle = match pg_model {
             Some(pg) if any_active => pg.pidle_nb(vf)? * nb_idle_scale,
             _ => Watts::ZERO,
@@ -109,7 +110,7 @@ pub fn project_nb_scalar(
                 .estimate(table.point(vf).voltage, record.temperature)?,
         };
         let power = idle_total + dynamic_total;
-        let ips: f64 = cores.iter().map(|c| c.at(vf).ips).sum();
+        let ips: f64 = (0..cores.len()).map(|i| cell(i, vf).ips).sum();
         let t = if ips > 0.0 && work_instructions > 0.0 {
             work_instructions / ips
         } else {
@@ -133,6 +134,7 @@ pub fn project_nb_scalar(
         temperature: record.temperature,
         source_vf: record.cu_vf.clone(),
         cores,
+        cells,
         chip,
         work_instructions,
     })
@@ -165,8 +167,8 @@ fn validate_record(engine: &Ppep, record: &IntervalRecord) -> Result<()> {
 }
 
 /// `to_bits()` equality over every float either projection carries,
-/// plus the source interval and assignment and the core rows' shape
-/// and busy flags.
+/// plus the source interval and assignment, the cores' busy flags and
+/// the grid's shape and states.
 ///
 /// # Errors
 ///
@@ -192,25 +194,33 @@ pub fn bits_eq(got: &PpeProjection, want: &PpeProjection) -> std::result::Result
         want.work_instructions,
         "work_instructions"
     );
-    if got.cores.len() != want.cores.len() {
-        return Err("core counts differ".into());
+    if got.cores != want.cores {
+        return Err("core ids or busy flags differ".into());
     }
-    for (g, w) in got.cores.iter().zip(&want.cores) {
-        if g.busy != w.busy || g.per_vf.len() != w.per_vf.len() {
-            return Err(format!("core {:?} shape/busy differ", g.core));
-        }
-        for (gc, wc) in g.per_vf.iter().zip(&w.per_vf) {
-            check!(gc.ips, wc.ips, format!("core {:?} {} ips", g.core, gc.vf));
-            check!(gc.cpi, wc.cpi, format!("core {:?} {} cpi", g.core, gc.vf));
+    if got.chip.len() != want.chip.len() || got.cells.len() != want.cells.len() {
+        return Err("grid shapes differ".into());
+    }
+    for ((g, w), core) in got.rows().zip(want.rows()).zip(&got.cores) {
+        for (gc, wc) in g.iter().zip(w) {
+            if gc.vf != wc.vf {
+                return Err(format!("core {:?} states differ", core.core));
+            }
+            check!(
+                gc.ips,
+                wc.ips,
+                format!("core {:?} {} ips", core.core, gc.vf)
+            );
+            check!(
+                gc.cpi,
+                wc.cpi,
+                format!("core {:?} {} cpi", core.core, gc.vf)
+            );
             check!(
                 gc.dynamic_power.as_watts(),
                 wc.dynamic_power.as_watts(),
-                format!("core {:?} {} pdyn", g.core, gc.vf)
+                format!("core {:?} {} pdyn", core.core, gc.vf)
             );
         }
-    }
-    if got.chip.len() != want.chip.len() {
-        return Err("chip lengths differ".into());
     }
     for (g, w) in got.chip.iter().zip(&want.chip) {
         check!(
