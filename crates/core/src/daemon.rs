@@ -102,11 +102,13 @@ impl DvfsController for StaticController {
 }
 
 /// The projection the daemon staged for the *next* interval, held
-/// until the matching measurement arrives and can be scored.
-#[derive(Debug, Clone)]
+/// until the matching measurement arrives and can be scored. The
+/// daemon keeps one and refills it, so staging reuses its buffer.
+#[derive(Debug, Clone, Default)]
 struct PendingPrediction {
-    /// Interval index the prediction targets (source interval + 1).
-    interval: u64,
+    /// Interval index the prediction targets (source interval + 1);
+    /// `None` when nothing is pending.
+    interval: Option<u64>,
     /// Predicted per-core CPI at the chosen VF state.
     core_cpi: Vec<f64>,
     /// Predicted chip power under the chosen assignment, when the
@@ -178,7 +180,7 @@ pub struct PpepDaemon<P: Platform, C: DvfsController> {
     controller: C,
     recorder: RecorderHandle,
     scorer: Option<PredictionScorer>,
-    pending: Option<PendingPrediction>,
+    pending: PendingPrediction,
 }
 
 impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
@@ -190,7 +192,7 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
             controller,
             recorder: RecorderHandle::noop(),
             scorer: None,
-            pending: None,
+            pending: PendingPrediction::default(),
         }
     }
 
@@ -371,16 +373,17 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
         if self.scorer.is_none() {
             return;
         }
-        let Some(pending) = self.pending.take() else {
+        let Some(interval) = self.pending.interval.take() else {
             return;
         };
         let Some(scorer) = self.scorer.as_mut() else {
             return;
         };
-        if pending.interval != record.index.0 {
+        if interval != record.index.0 {
             scorer.note_stale_drop();
             return;
         }
+        let pending = &self.pending;
         for (core, predicted) in pending.core_cpi.iter().copied().enumerate() {
             let measured = record.samples.get(core).and_then(|s| s.cpi());
             if let Some(ape) = scorer.score_core_cpi(core, predicted, measured) {
@@ -408,26 +411,22 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
             return;
         }
         let cores_per_cu = self.platform.topology().cores_per_cu().max(1);
-        let core_cpi: Vec<f64> = projection
-            .rows()
-            .enumerate()
-            .map(|(i, row)| {
+        let pending = &mut self.pending;
+        pending.core_cpi.clear();
+        pending
+            .core_cpi
+            .extend(projection.rows().enumerate().map(|(i, row)| {
                 decision
                     .get(i / cores_per_cu)
                     .and_then(|vf| row.get(vf.index()))
                     .map_or(f64::NAN, |at| at.cpi)
-            })
-            .collect();
-        let chip_power = self
+            }));
+        pending.chip_power = self
             .ppep
             .chip_power_with_assignment(projection, decision)
             .ok()
             .map(|w| w.as_watts());
-        self.pending = Some(PendingPrediction {
-            interval: projection.interval.0 + 1,
-            core_cpi,
-            chip_power,
-        });
+        pending.interval = Some(projection.interval.0 + 1);
     }
 
     /// Applies a per-CU VF assignment to the platform.

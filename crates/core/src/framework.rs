@@ -15,6 +15,7 @@ use ppep_pmc::EventId;
 use ppep_telemetry::IntervalRecord;
 use ppep_types::vf::NbVfState;
 use ppep_types::{Error, Joules, Result, Seconds, VfStateId, Watts};
+use std::sync::Arc;
 
 /// The §V-C2 NB-DVFS study assumptions for the low NB point.
 mod nb_low {
@@ -26,20 +27,55 @@ mod nb_low {
     pub const DYN_SCALE: f64 = 0.64;
 }
 
+/// The assumptions a projection to one NB operating point runs under:
+/// none at the stock point, the §V-C2 ones at the low point.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NbAssumptions {
+    /// Scale on the leading-load (memory) cycles.
+    pub(crate) memory_factor: f64,
+    /// Scale on NB idle power.
+    pub(crate) idle_scale: f64,
+    /// Scale on NB dynamic power.
+    pub(crate) dyn_scale: f64,
+}
+
+impl NbAssumptions {
+    /// The assumptions for projecting to `nb`.
+    pub(crate) fn of(nb: NbVfState) -> Self {
+        match nb {
+            NbVfState::High => Self {
+                memory_factor: 1.0,
+                idle_scale: 1.0,
+                dyn_scale: 1.0,
+            },
+            NbVfState::Low => Self {
+                memory_factor: nb_low::MEMORY_FACTOR,
+                idle_scale: nb_low::IDLE_SCALE,
+                dyn_scale: nb_low::DYN_SCALE,
+            },
+        }
+    }
+}
+
 /// The PPEP prediction engine: wraps the trained models and turns
 /// interval records into all-VF projections.
 #[derive(Debug, Clone)]
 pub struct Ppep {
     models: TrainedModels,
     recorder: RecorderHandle,
-    batch: BatchProjector,
+    /// The kernel's tables, shared by every clone of the engine: a
+    /// serving fleet clones one engine per session.
+    batch: Arc<BatchProjector>,
 }
 
 impl Ppep {
     /// Builds the engine from trained models, flattening their
-    /// coefficient tables for the projection kernel.
+    /// coefficient tables for the projection kernel and pricing, once,
+    /// everything a projection needs that no record changes: an idle
+    /// core's row and, with a PG model, the chip idle of each uniform
+    /// assignment.
     pub fn new(models: TrainedModels) -> Self {
-        let batch = BatchProjector::new(&models);
+        let batch = Arc::new(BatchProjector::new(&models));
         Self {
             models,
             recorder: RecorderHandle::noop(),
@@ -124,12 +160,8 @@ impl Ppep {
     ) -> Result<()> {
         self.validate_record(record)?;
         let table = self.models.vf_table();
-        let topo = self.models.topology();
-        let cores_per_cu = topo.cores_per_cu();
-        let (memory_factor, nb_idle_scale, nb_dyn_scale) = match nb_target {
-            NbVfState::High => (1.0, 1.0, 1.0),
-            NbVfState::Low => (nb_low::MEMORY_FACTOR, nb_low::IDLE_SCALE, nb_low::DYN_SCALE),
-        };
+        let cores_per_cu = self.models.topology().cores_per_cu();
+        let nb_idle_scale = NbAssumptions::of(nb_target).idle_scale;
 
         // One clock for the whole projection: per-stage time across
         // the (core × VF) loops accumulates and flushes as one span
@@ -141,14 +173,8 @@ impl Ppep {
         // power, NB dynamic power and IPS into its chip row (see
         // [`PpeProjection::reset_rows`]); composition below adds the
         // idle power and fills the rest of each chip row.
-        self.batch.grid(
-            &self.models,
-            record,
-            memory_factor,
-            nb_dyn_scale,
-            &mut clock,
-            out,
-        )?;
+        self.batch
+            .grid(&self.models, record, nb_target, &mut clock, out)?;
         let work_instructions: f64 = record
             .samples
             .iter()
@@ -156,13 +182,18 @@ impl Ppep {
             .sum();
 
         let PpeProjection { cores, chip, .. } = out;
-        // CU activity pattern for the PG idle path.
+        // The CU activity pattern, for the PG idle path: the idle
+        // power of a uniform assignment depends only on how many CUs
+        // are active and how many CUs the cores fill.
         let cu_active = || {
             cores
                 .chunks(cores_per_cu)
                 .map(|cu| cu.iter().any(|c| c.busy))
         };
-        let any_active = cores.iter().any(|c| c.busy);
+        let cu_chunks = cores.chunks(cores_per_cu).len();
+        let active_cus = cu_active().filter(|active| *active).count();
+        let any_active = active_cus > 0;
+        let pg = self.models.chip_power().pg_model();
 
         for row in chip.iter_mut() {
             let vf = row.vf;
@@ -170,30 +201,37 @@ impl Ppep {
             let dynamic_total = row.power;
             let (nb_idle, idle_total) =
                 clock.time(Stage::Pidle, || -> Result<(Watts, Watts)> {
-                    // NB idle share, separable only with the PG
-                    // decomposition.
-                    let nb_idle = match self.models.chip_power().pg_model() {
-                        Some(pg) if any_active => pg.pidle_nb(vf)? * nb_idle_scale,
-                        _ => Watts::ZERO,
-                    };
-                    let idle_total = match self.models.chip_power().pg_model() {
-                        Some(pg) => {
-                            // The PG path prices the uniform per-CU
-                            // assignment at this state.
-                            let uniform_vf = std::iter::repeat_n(vf, topo.cu_count());
-                            let stock = pg.chip_idle_pg_enabled_with(cu_active(), uniform_vf)?;
-                            // Replace the stock NB idle contribution with
-                            // the scaled one.
-                            if any_active {
-                                stock - pg.pidle_nb(vf)? + nb_idle
-                            } else {
-                                stock
-                            }
-                        }
-                        None => self
+                    let Some(pg) = pg else {
+                        let idle = self
                             .models
                             .idle_model()
-                            .estimate(table.point(vf).voltage, record.temperature)?,
+                            .estimate(table.point(vf).voltage, record.temperature)?;
+                        return Ok((Watts::ZERO, idle));
+                    };
+                    // NB idle share, separable only with the PG
+                    // decomposition: the NB idles ungated while any CU
+                    // is active.
+                    let stock_nb = if any_active {
+                        Some(pg.pidle_nb(vf)?)
+                    } else {
+                        None
+                    };
+                    let nb_idle = stock_nb.map_or(Watts::ZERO, |nb| nb * nb_idle_scale);
+                    // The uniform per-CU assignment at this state, priced
+                    // when the engine was built; a record whose cores do
+                    // not fill the CUs gets the model's own answer.
+                    let stock = match self.batch.uniform_idle(vf, active_cus, cu_chunks) {
+                        Some(stock) => stock?,
+                        None => pg.chip_idle_pg_enabled_with(
+                            cu_active(),
+                            std::iter::repeat_n(vf, self.models.topology().cu_count()),
+                        )?,
+                    };
+                    // Replace the stock NB idle contribution with the
+                    // scaled one.
+                    let idle_total = match stock_nb {
+                        Some(nb) => stock - nb + nb_idle,
+                        None => stock,
                     };
                     Ok((nb_idle, idle_total))
                 })?;
@@ -324,7 +362,7 @@ impl Ppep {
 /// The error for CU `cu` assigned `vf` outside a `ladder`-state
 /// ladder. Out of line, so the loops that check for it stay small.
 #[cold]
-fn out_of_ladder(cu: usize, vf: VfStateId, ladder: usize) -> Error {
+pub(crate) fn out_of_ladder(cu: usize, vf: VfStateId, ladder: usize) -> Error {
     Error::InvalidInput(format!(
         "CU {cu} assigned VF state index {} of a {ladder}-state ladder",
         vf.index()

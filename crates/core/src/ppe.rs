@@ -103,28 +103,27 @@ pub struct PpeProjection {
 impl PpeProjection {
     /// Readies the buffer for a projection kernel, whatever shape it
     /// held before: `cores` core entries; a `cores × table.len()` cell
-    /// grid with each cell's `vf` set and its numbers zeroed, sized
-    /// with one reservation (none once the buffer is that large); and
-    /// one chip row per state of `table`, slowest first. The kernel
-    /// overwrites every core entry and every cell's numbers, and sums
-    /// each state's column into its chip row: dynamic power into
-    /// `power`, NB dynamic power into `nb_power` and IPS into `ips`.
-    /// Composition then turns `power` into chip power.
+    /// grid, sized with one reservation (none once the buffer is that
+    /// large) and otherwise left as it was; and one chip row per state
+    /// of `table`, slowest first. The kernel overwrites every core
+    /// entry and every field of every cell, and sums each state's
+    /// column into its chip row: dynamic power into `power`, NB
+    /// dynamic power into `nb_power` and IPS into `ips`. Composition
+    /// then turns `power` into chip power.
     pub(crate) fn reset_rows(&mut self, cores: usize, table: &VfTable) {
         self.cores.resize_with(cores, || CoreProjection {
             core: CoreId(0),
             busy: false,
         });
-        self.cells.clear();
-        self.cells.reserve(cores * table.len());
-        for _ in 0..cores {
-            self.cells.extend(table.states().map(|vf| CoreAtVf {
-                vf,
+        self.cells.resize(
+            cores * table.len(),
+            CoreAtVf {
+                vf: VfStateId::default(),
                 dynamic_power: Watts::ZERO,
                 ips: 0.0,
                 cpi: 0.0,
-            }));
-        }
+            },
+        );
         self.chip.clear();
         self.chip.extend(table.states().map(|vf| ChipPpe {
             vf,

@@ -13,6 +13,7 @@ use ppep_core::ppe::PpeProjection;
 use ppep_core::resilient::{Action, ResilientDaemon, SupervisorConfig};
 use ppep_core::Ppep;
 use ppep_dvfs::OneStepCapping;
+use ppep_obs::ScorerConfig;
 use ppep_rig::TrainingRig;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::fault::FaultPlan;
@@ -43,20 +44,32 @@ fn engine() -> Ppep {
 /// The paper's capping loop: a PG-enabled FX-8320 running the Fig. 7
 /// mix under a 95 W cap, with `plan` injected; no recorder, no scorer.
 fn daemon(plan: FaultPlan) -> ResilientDaemon<SimPlatform, OneStepCapping> {
+    supervised(plan, None)
+}
+
+/// [`daemon`], scoring each staged prediction when `scorer` is set.
+fn supervised(
+    plan: FaultPlan,
+    scorer: Option<ScorerConfig>,
+) -> ResilientDaemon<SimPlatform, OneStepCapping> {
     let ppep = engine();
     let lowest = ppep.models().vf_table().lowest();
     let mut sim = ChipSimulator::new(SimConfig::fx8320_pg(SEED));
     sim.load_workload(&fig7_workload(SEED));
     sim.set_fault_plan(plan);
     let controller = OneStepCapping::new(ppep.clone(), Watts::new(95.0));
-    let inner = PpepDaemon::new(ppep, SimPlatform::new(sim), controller);
+    let mut inner = PpepDaemon::new(ppep, SimPlatform::new(sim), controller);
+    if let Some(config) = scorer {
+        inner = inner.with_scorer(config);
+    }
     ResilientDaemon::new(inner, SupervisorConfig::new(lowest))
 }
 
-#[test]
-fn healthy_interval_allocates_nothing() {
-    let mut d = daemon(FaultPlan::none());
-    // Warm-up: the first two fresh intervals grow the two step buffers.
+/// Steps `d` through a warm-up, then asserts that each of 200 healthy
+/// intervals allocates nothing.
+fn assert_healthy_intervals_allocate_nothing(d: &mut ResilientDaemon<SimPlatform, OneStepCapping>) {
+    // Warm-up: the first two fresh intervals grow the two step
+    // buffers, and the first staged prediction its CPI buffer.
     for _ in 0..20 {
         d.step().expect("no faults");
     }
@@ -65,6 +78,23 @@ fn healthy_interval_allocates_nothing() {
         assert_eq!(action, Action::Fresh);
         assert_eq!(n, 0, "healthy interval {i} made {n} allocations");
     }
+}
+
+#[test]
+fn healthy_interval_allocates_nothing() {
+    assert_healthy_intervals_allocate_nothing(&mut daemon(FaultPlan::none()));
+}
+
+#[test]
+fn scored_healthy_interval_allocates_nothing() {
+    let mut d = supervised(FaultPlan::none(), Some(ScorerConfig::default()));
+    assert_healthy_intervals_allocate_nothing(&mut d);
+    let scorer = d.inner().scorer().expect("scoring is on");
+    assert_eq!(
+        scorer.intervals(),
+        219,
+        "every fresh interval after the first is scored"
+    );
 }
 
 #[test]

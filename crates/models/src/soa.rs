@@ -16,9 +16,14 @@
 //! the rate yields the identical bits. The differential harness
 //! (`tests/kernel_equivalence.rs`) pins this with `to_bits()`
 //! equality over adversarial inputs.
+//!
+//! The table also holds what an idle cell costs: each state's Eq. 3
+//! split of an all-zero rate vector, stored as the exact `Result` the
+//! model returns for it, so a degenerate weight fails a table lookup
+//! with the error the per-cell call would have raised.
 
 use crate::dynamic::{DynamicPowerModel, DYN_EVENT_COUNT, NB_PROXY_START};
-use ppep_types::{VfTable, Volts};
+use ppep_types::{Result, VfTable, Volts, Watts};
 
 /// Number of voltage-scaled core events (E1–E7) per VF state.
 pub const CORE_EVENT_COUNT: usize = NB_PROXY_START;
@@ -29,7 +34,7 @@ pub const NB_EVENT_COUNT: usize = DYN_EVENT_COUNT - NB_PROXY_START;
 /// Flattened per-VF-state coefficients for one (VF ladder, dynamic
 /// model) pair: target frequencies, rail voltages, and pre-scaled
 /// Eq. 3 core-event weights, each in ladder order (slowest first).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SoaCoeffs {
     len: usize,
     /// Target frequency per state, in GHz (the Eq. 1 `f'`).
@@ -45,6 +50,11 @@ pub struct SoaCoeffs {
     scaled_weights: Vec<f64>,
     /// The unscaled NB-proxy weights (E8, E9), shared by all states.
     nb_weights: [f64; NB_EVENT_COUNT],
+    /// Per state, the Eq. 3 (core, NB) split of an idle cell's
+    /// all-zero rate vector, or the error pricing it raises.
+    idle_splits: Vec<Result<(Watts, Watts)>>,
+    /// Whether every target frequency is positive.
+    frequencies_positive: bool,
 }
 
 impl SoaCoeffs {
@@ -74,6 +84,13 @@ impl SoaCoeffs {
         {
             *dst = *w;
         }
+        let idle_splits = scaled_weights
+            .chunks_exact(CORE_EVENT_COUNT)
+            .map(|row| {
+                dynamic.estimate_core_split_prescaled(&[0.0; DYN_EVENT_COUNT], row, &nb_weights)
+            })
+            .collect();
+        let frequencies_positive = !to_ghz.iter().any(|f| *f <= 0.0);
         Self {
             len,
             to_ghz,
@@ -82,6 +99,8 @@ impl SoaCoeffs {
             scale,
             scaled_weights,
             nb_weights,
+            idle_splits,
+            frequencies_positive,
         }
     }
 
@@ -136,6 +155,24 @@ impl SoaCoeffs {
     pub fn nb_weights(&self) -> &[f64; NB_EVENT_COUNT] {
         &self.nb_weights
     }
+
+    /// Per state, in ladder order, the Eq. 3 split of an idle cell:
+    /// exactly what
+    /// [`DynamicPowerModel::estimate_core_split_prescaled`] returns for
+    /// an all-zero rate vector against that state's row, error
+    /// included.
+    #[inline]
+    pub fn idle_splits(&self) -> &[Result<(Watts, Watts)>] {
+        &self.idle_splits
+    }
+
+    /// Whether every target frequency is positive (never false for a
+    /// validated [`VfTable`]; the kernel checks it in the per-cell
+    /// order all the same).
+    #[inline]
+    pub fn frequencies_positive(&self) -> bool {
+        self.frequencies_positive
+    }
 }
 
 #[cfg(test)]
@@ -177,6 +214,38 @@ mod tests {
         assert_eq!(coeffs.nb_weights()[0], dynamic.weights()[7]);
         assert_eq!(coeffs.nb_weights()[1], dynamic.weights()[8]);
         assert!(coeffs.scaled_weight_row(table.len()).is_none());
+        assert!(coeffs.frequencies_positive());
+    }
+
+    #[test]
+    fn idle_splits_are_the_zero_rate_split_errors_included() {
+        let table = VfTable::fx8320();
+        let mut weights = *model().weights();
+        for poison in [None, Some(f64::NAN), Some(f64::INFINITY)] {
+            if let Some(w) = poison {
+                weights[7] = w;
+            }
+            let dynamic = DynamicPowerModel::from_parts(weights, 1.6, Volts::new(1.320));
+            let coeffs = SoaCoeffs::build(&table, &dynamic);
+            assert_eq!(coeffs.idle_splits().len(), table.len());
+            for (i, split) in coeffs.idle_splits().iter().enumerate() {
+                let row = coeffs.scaled_weight_row(i).expect("row in range");
+                let want = dynamic.estimate_core_split_prescaled(
+                    &[0.0; DYN_EVENT_COUNT],
+                    row,
+                    coeffs.nb_weights(),
+                );
+                match (split, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got.0.as_watts().to_bits(), want.0.as_watts().to_bits());
+                        assert_eq!(got.1.as_watts().to_bits(), want.1.as_watts().to_bits());
+                    }
+                    (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                    (got, want) => panic!("state {i}: {got:?} vs {want:?}"),
+                }
+                assert_eq!(split.is_err(), poison.is_some(), "state {i}");
+            }
+        }
     }
 
     #[test]

@@ -358,3 +358,38 @@ fn project_into_reshapes_a_warm_buffer() {
         }
     }
 }
+
+#[test]
+fn project_into_alternates_idle_and_busy_records() {
+    // An idle core's row is a copy of one priced when the engine was
+    // built. Filled alternately into one buffer, an all-busy record
+    // leaves every cell non-zero for the all-idle record that follows:
+    // a copy that missed a field would leave a busy cell behind.
+    let mut idle = SimPlatform::from_config(SimConfig::fx8320_pg(SEED));
+    let idle_record = idle.sample().expect("fault-free interval");
+    let mut busy = SimPlatform::from_config(SimConfig::fx8320_pg(SEED));
+    busy.load_workload(&instances("458.sjeng", 8, SEED));
+    let busy_record = busy.sample().expect("fault-free interval");
+    let engine = trained();
+    let mut buffer = PpeProjection::default();
+    for nb in [NbVfState::High, NbVfState::Low] {
+        for (record, busy_cores) in [(&busy_record, 8), (&idle_record, 0)].repeat(2) {
+            engine
+                .project_into(record, nb, &mut buffer)
+                .expect("projects");
+            assert_eq!(buffer.busy_core_count(), busy_cores);
+            if busy_cores > 0 {
+                assert!(
+                    buffer.cells.iter().all(|c| c.ips > 0.0 && c.cpi > 0.0),
+                    "every busy cell is non-zero"
+                );
+            }
+            let fresh = engine.project_nb(record, nb).expect("projects");
+            assert_eq!(
+                projection_bits(&buffer),
+                projection_bits(&fresh),
+                "{nb:?}, {busy_cores} busy cores"
+            );
+        }
+    }
+}

@@ -12,6 +12,13 @@
 //! topologies, and both NB operating points — and over real ones:
 //! simulated runs, the golden capping fixtures, and collected sweep
 //! records. It compares with `to_bits()` equality per cell.
+//!
+//! The synthetic bundles also carry PG idle decompositions — fully
+//! swept, with a state never swept, and with non-finite entries — and
+//! weights salted with NaN/±inf, so the idle tables the engine prices
+//! once are pinned on their value and their error paths. Every
+//! projection both sides accept is also priced under a set of per-CU
+//! assignments, against `support::scalar::chip_power_scalar`.
 
 mod support;
 
@@ -19,6 +26,7 @@ use ppep_core::Ppep;
 use ppep_experiments::common::{Context, Scale, TraceStore};
 use ppep_models::green_governors::GreenGovernors;
 use ppep_models::idle::{IdlePowerModel, IdleSample};
+use ppep_models::pg::{PgIdleEntry, PgIdleModel};
 use ppep_models::trainer::{TrainedModels, TrainingBudget};
 use ppep_models::{ChipPowerModel, DynamicPowerModel};
 use ppep_pmc::sampler::IntervalSample;
@@ -27,11 +35,11 @@ use ppep_telemetry::record::{IntervalRecord, PowerBreakdown};
 use ppep_telemetry::{TraceEvent, TraceReader};
 use ppep_types::time::IntervalIndex;
 use ppep_types::vf::NbVfState;
-use ppep_types::{Gigahertz, Kelvin, Seconds, Topology, VfPoint, VfTable, Volts, Watts};
+use ppep_types::{Gigahertz, Kelvin, Seconds, Topology, VfPoint, VfStateId, VfTable, Volts, Watts};
 use ppep_workloads::combos::instances;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use support::scalar::{bits_eq, project_nb_scalar};
+use support::scalar::{bits_eq, chip_power_scalar, project_nb_scalar};
 
 /// One counter value adjacent to the 48-bit PMC wrap boundary.
 const PMC_WRAP: f64 = (1u64 << 48) as f64;
@@ -56,14 +64,63 @@ fn build_table(n_states: usize, dv: &[f64], df: &[f64]) -> VfTable {
     VfTable::new(points).expect("increments keep the ladder strictly increasing")
 }
 
+/// Which synthetic PG idle decomposition a bundle carries.
+#[derive(Debug, Clone, Copy)]
+enum PgBundle {
+    /// No PG model: the Eq. 2 idle path.
+    Off,
+    /// Every state swept.
+    Swept,
+    /// The top state never swept: its lookups are `NotTrained`.
+    Unswept,
+    /// A NaN `Pidle(NB)` at the lowest state and an infinite
+    /// `Pidle(CU)` at the top one.
+    NonFinite,
+}
+
+const PG_BUNDLES: [PgBundle; 4] = [
+    PgBundle::Off,
+    PgBundle::Swept,
+    PgBundle::Unswept,
+    PgBundle::NonFinite,
+];
+
+/// The PG decomposition `bundle` names over `table`, for `cus` CUs.
+fn build_pg(table: &VfTable, cus: usize, bundle: PgBundle) -> Option<PgIdleModel> {
+    let mut entries: Vec<PgIdleEntry> = (0..table.len())
+        .map(|i| PgIdleEntry {
+            pidle_cu: Watts::new(3.1 + 0.45 * i as f64),
+            pidle_nb: Watts::new(6.7 + 0.35 * i as f64),
+        })
+        .collect();
+    match bundle {
+        PgBundle::Off => return None,
+        PgBundle::Swept => {}
+        PgBundle::Unswept => {
+            entries.pop();
+        }
+        PgBundle::NonFinite => {
+            if let Some(lowest) = entries.first_mut() {
+                lowest.pidle_nb = Watts::new(f64::NAN);
+            }
+            if let Some(top) = entries.last_mut() {
+                top.pidle_cu = Watts::new(f64::INFINITY);
+            }
+        }
+    }
+    Some(PgIdleModel::from_parts(entries, Watts::new(4.6), cus))
+}
+
 /// A synthetic trained bundle over an arbitrary ladder/topology —
-/// no rig, so the proptest can vary every model parameter.
+/// no rig, so the proptest can vary every model parameter — with the
+/// PG decomposition `pg` names.
 fn build_models(
     table: &VfTable,
     cus: usize,
     cores_per_cu: usize,
     weights: &[f64],
     alpha: f64,
+    pg: PgBundle,
 ) -> TrainedModels {
     let mut w = [0.0; 9];
     w.copy_from_slice(&weights[..9]);
@@ -85,13 +142,11 @@ fn build_models(
     let governors = GreenGovernors::from_parts(vec![Watts::new(10.0); table.len()], 1.0e-9);
     let topology = Topology::new("prop", cus, cores_per_cu, table.clone(), false, 4.0, 20.0)
         .expect("positive counts");
-    TrainedModels::from_parts(
-        ChipPowerModel::new(idle, dynamic),
-        governors,
-        alpha,
-        table.clone(),
-        topology,
-    )
+    let mut chip_power = ChipPowerModel::new(idle, dynamic);
+    if let Some(pg) = build_pg(table, cus, pg) {
+        chip_power = chip_power.with_pg(pg);
+    }
+    TrainedModels::from_parts(chip_power, governors, alpha, table.clone(), topology)
 }
 
 /// Per-core counter block: `kind` selects idle / ordinary /
@@ -187,7 +242,22 @@ fn assert_matches_oracle(engine: &Ppep, record: &IntervalRecord) -> Result<(), S
         let batch = engine.project_nb(record, nb);
         let scalar = project_nb_scalar(engine, record, nb);
         match (batch, scalar) {
-            (Ok(b), Ok(s)) => bits_eq(&b, &s).map_err(|e| format!("{nb:?}: {e}"))?,
+            (Ok(b), Ok(s)) => {
+                bits_eq(&b, &s).map_err(|e| format!("{nb:?}: {e}"))?;
+                let mut assignments = probe_assignments(engine.models().vf_table(), record);
+                assignments.push(record.cu_vf.clone());
+                assert_prices_match(engine, &b, &assignments)
+                    .map_err(|e| format!("{nb:?}: {e}"))?;
+                // The same cells with every core busy: each CU's
+                // `Pidle(CU)` and the NB's idle power are then priced,
+                // whichever states their entries poison.
+                let mut all_busy = b;
+                for core in &mut all_busy.cores {
+                    core.busy = true;
+                }
+                assert_prices_match(engine, &all_busy, &assignments)
+                    .map_err(|e| format!("{nb:?}, every core busy: {e}"))?;
+            }
             (Err(b), Err(s)) => {
                 if b.to_string() != s.to_string() {
                     return Err(format!("{nb:?}: error mismatch: {b} vs {s}"));
@@ -199,6 +269,51 @@ fn assert_matches_oracle(engine: &Ppep, record: &IntervalRecord) -> Result<(), S
                     b.is_ok(),
                     s.is_ok()
                 ))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The assignments every accepted projection is priced under: each
+/// uniform state, a staircase, and a state past the ladder at the last
+/// CU — each as long as the record's assignment.
+fn probe_assignments(table: &VfTable, record: &IntervalRecord) -> Vec<Vec<VfStateId>> {
+    let cus = record.cu_vf.len();
+    let mut out: Vec<Vec<VfStateId>> = table.states().map(|vf| vec![vf; cus]).collect();
+    out.push(
+        (0..cus)
+            .map(|cu| {
+                table
+                    .state(cu % table.len())
+                    .expect("index reduced mod len")
+            })
+            .collect(),
+    );
+    let mut past = vec![table.lowest(); cus];
+    if let Some(last) = past.last_mut() {
+        *last = VfTable::fx8320_with_boost().highest();
+    }
+    out.push(past);
+    out
+}
+
+/// `chip_power_with_assignment` against the oracle for each of
+/// `assignments`: bit-equal watts, or string-equal errors.
+fn assert_prices_match(
+    engine: &Ppep,
+    projection: &ppep_core::PpeProjection,
+    assignments: &[Vec<VfStateId>],
+) -> Result<(), String> {
+    for cu_vf in assignments {
+        let want = chip_power_scalar(engine, projection, cu_vf);
+        let got = engine.chip_power_with_assignment(projection, cu_vf);
+        match (&got, &want) {
+            (Ok(g), Ok(w)) if g.as_watts().to_bits() == w.as_watts().to_bits() => {}
+            (Err(g), Err(w)) if g.to_string() == w.to_string() => {}
+            _ => {
+                let states: Vec<usize> = cu_vf.iter().map(|vf| vf.index()).collect();
+                return Err(format!("price at {states:?}: {got:?} vs oracle {want:?}"));
             }
         }
     }
@@ -246,10 +361,12 @@ const SALT_VALUES: [f64; 6] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary ladders, topologies, model weights, counter blocks
-    /// (idle / ordinary / wrap-adjacent / subnormal), degenerate-value
-    /// salting, and both NB states: production output is bit-identical
-    /// to the oracle's, and errors are string-identical.
+    /// Arbitrary ladders, topologies, finite model weights, no PG model
+    /// or a fully swept one, counter blocks (idle / ordinary /
+    /// wrap-adjacent / subnormal), degenerate-value salting of counters,
+    /// and both NB states: production output is bit-identical to the
+    /// oracle's, errors are string-identical, and so are the prices of
+    /// the probe assignments.
     #[test]
     fn batch_kernel_is_bit_identical_to_scalar(
         n_states in 2usize..=7,
@@ -266,13 +383,52 @@ proptest! {
         salt_core in 0usize..16,
         salt_event in 0usize..12,
         salt_pick in 0usize..6,
+        pg_swept in any::<bool>(),
     ) {
         let table = build_table(n_states, &dv, &df);
-        let models = build_models(&table, cus, cores_per_cu, &weights, alpha);
+        let pg = if pg_swept { PgBundle::Swept } else { PgBundle::Off };
+        let models = build_models(&table, cus, cores_per_cu, &weights, alpha, pg);
         // Half the time the salt lands on a real core and poisons one
         // counter with a NaN/±inf/subnormal/negative value.
         let salt = (salt_core < 8).then_some((salt_core, salt_event, SALT_VALUES[salt_pick]));
         let record = build_record(&models, &kinds, &inst_mags, &ratios, &cu_vf_picks, salt);
+        let engine = Ppep::new(models);
+        if let Err(e) = assert_matches_oracle(&engine, &record) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
+    /// The error paths of the tables `Ppep::new` prices once: a model
+    /// weight salted with NaN/±inf, which poisons busy and idle cells
+    /// alike, and the PG bundles with a state never swept or with
+    /// non-finite entries, over the same arbitrary ladders, topologies
+    /// and counter blocks. Errors are string-identical to the oracle's,
+    /// and whatever both sides accept is bit-identical.
+    #[test]
+    fn degenerate_tables_fail_as_the_oracle_does(
+        n_states in 2usize..=7,
+        cus in 1usize..=4,
+        cores_per_cu in 1usize..=2,
+        dv in prop::collection::vec(finite(0.02, 0.12), 7),
+        df in prop::collection::vec(finite(0.15, 0.6), 7),
+        weights in prop::collection::vec(finite(1.0e-11, 1.0e-9), 9),
+        alpha in finite(1.0, 2.2),
+        kinds in prop::collection::vec(0u8..4, 8),
+        inst_mags in prop::collection::vec(finite(1.0e6, 1.0e9), 8),
+        ratios in prop::collection::vec(finite(0.0, 2.0), 88),
+        cu_vf_picks in prop::collection::vec(0usize..64, 4),
+        pg_pick in 0usize..4,
+        weight_slot in 0usize..18,
+        weight_pick in 0usize..3,
+    ) {
+        let table = build_table(n_states, &dv, &df);
+        // Half the time one Eq. 3 weight is NaN or ±inf.
+        let mut weights = weights;
+        if let Some(w) = weights.get_mut(weight_slot) {
+            *w = SALT_VALUES[weight_pick];
+        }
+        let models = build_models(&table, cus, cores_per_cu, &weights, alpha, PG_BUNDLES[pg_pick]);
+        let record = build_record(&models, &kinds, &inst_mags, &ratios, &cu_vf_picks, None);
         let engine = Ppep::new(models);
         if let Err(e) = assert_matches_oracle(&engine, &record) {
             prop_assert!(false, "{}", e);
@@ -341,35 +497,108 @@ fn golden_fixture_records_match_the_oracle() {
 }
 
 /// Explicit pins for the corners the proptest samples: an all-idle
-/// record, a wrap-adjacent record, and each salt value in a fixed
-/// slot — kept as named cases so a regression points at the corner.
+/// record, a record without cores, a partly idle record, a
+/// wrap-adjacent record, and each salt value in a fixed slot, under
+/// every PG bundle and with each degenerate weight — kept as named
+/// cases so a regression points at the corner.
 #[test]
 fn named_corner_cases_agree() {
     let table = VfTable::fx8320();
-    let models = build_models(&table, 4, 2, &[5.0e-10; 9], 1.6);
-    let engine = Ppep::new(models.clone());
     let ratios: Vec<f64> = (0..88).map(|i| 0.01 * (i % 20) as f64).collect();
     let picks = [4usize, 0, 2, 1];
+    let mut weight_sets = vec![("finite weights", [5.0e-10; 9])];
+    for (slot, value) in [(0, f64::NAN), (4, f64::INFINITY), (8, f64::NEG_INFINITY)] {
+        let mut weights = [5.0e-10; 9];
+        weights[slot] = value;
+        weight_sets.push(("a degenerate weight", weights));
+    }
+    for pg in PG_BUNDLES {
+        for (what, weights) in &weight_sets {
+            let models = build_models(&table, 4, 2, weights, 1.6, pg);
+            let engine = Ppep::new(models.clone());
+            let check = |record: &IntervalRecord, name: &str| {
+                assert_matches_oracle(&engine, record)
+                    .unwrap_or_else(|e| panic!("{pg:?} bundle, {what}, {name}: {e}"));
+            };
 
-    // All cores idle.
-    let record = build_record(&models, &[0; 8], &[0.0; 8], &ratios, &picks, None);
-    assert_matches_oracle(&engine, &record).expect("idle record");
+            // All cores idle.
+            let record = build_record(&models, &[0; 8], &[0.0; 8], &ratios, &picks, None);
+            check(&record, "idle record");
 
-    // No sampled cores: each state's sums run over an empty column.
-    let mut record = build_record(&models, &[0; 8], &[0.0; 8], &ratios, &picks, None);
-    record.samples.clear();
-    assert_matches_oracle(&engine, &record).expect("record without samples");
+            // No sampled cores: each state's sums run over an empty
+            // column.
+            let mut record = build_record(&models, &[0; 8], &[0.0; 8], &ratios, &picks, None);
+            record.samples.clear();
+            check(&record, "record without samples");
 
-    // All cores wrap-adjacent.
-    let record = build_record(&models, &[2; 8], &[1.0e3; 8], &ratios, &picks, None);
-    assert_matches_oracle(&engine, &record).expect("wrap-adjacent record");
+            // Busy and idle cores in every CU pattern: CU 0 fully busy,
+            // CU 1 half busy, CUs 2 and 3 idle.
+            let kinds = [1, 1, 0, 1, 0, 0, 0, 0];
+            let record = build_record(&models, &kinds, &[5.0e8; 8], &ratios, &picks, None);
+            check(&record, "partly idle record");
 
-    // Every salt value, planted in the busiest slot.
-    for (i, value) in SALT_VALUES.iter().enumerate() {
-        let salt = Some((0, i, *value));
-        let record = build_record(&models, &[1; 8], &[5.0e8; 8], &ratios, &picks, salt);
-        assert_matches_oracle(&engine, &record)
-            .unwrap_or_else(|e| panic!("salt value {value:?}: {e}"));
+            // All cores wrap-adjacent.
+            let record = build_record(&models, &[2; 8], &[1.0e3; 8], &ratios, &picks, None);
+            check(&record, "wrap-adjacent record");
+
+            // Every salt value, planted in the busiest slot.
+            for (i, value) in SALT_VALUES.iter().enumerate() {
+                let salt = Some((0, i, *value));
+                let record = build_record(&models, &[1; 8], &[5.0e8; 8], &ratios, &picks, salt);
+                check(&record, &format!("salt {value:?}"));
+            }
+        }
+    }
+}
+
+/// Every one of the 625 per-CU assignments of the FX-8320 ladder,
+/// priced against an all-idle, a partly busy and a fully busy
+/// projection of the trained PG-aware engine: bit-equal to the
+/// in-order dynamic sum plus `PgIdleModel::chip_idle_pg_enabled_with`.
+/// A state past the ladder, at each CU, is the oracle's typed error.
+#[test]
+fn assignment_prices_match_the_oracle_over_the_fx8320_space() {
+    use ppep_sim::chip::{ChipSimulator, SimConfig};
+    let engine = trained();
+    assert!(engine.models().chip_power().pg_model().is_some());
+    let table = engine.models().vf_table().clone();
+    let states: Vec<VfStateId> = table.states().collect();
+    let mut assignments = Vec::with_capacity(625 + 4);
+    for code in 0..states.len().pow(4) {
+        let mut rest = code;
+        let cu_vf: Vec<VfStateId> = (0..4)
+            .map(|_| {
+                let vf = states[rest % states.len()];
+                rest /= states.len();
+                vf
+            })
+            .collect();
+        assignments.push(cu_vf);
+    }
+    assert_eq!(assignments.len(), 625);
+    let boosted = VfTable::fx8320_with_boost().highest();
+    for cu in 0..4 {
+        let mut cu_vf = vec![table.lowest(); 4];
+        cu_vf[cu] = boosted;
+        assignments.push(cu_vf);
+    }
+    for (name, threads) in [("all idle", 0), ("partly busy", 3), ("fully busy", 8)] {
+        let mut sim = ChipSimulator::new(SimConfig::fx8320_pg(42));
+        if threads > 0 {
+            sim.load_workload(&instances("458.sjeng", threads, 42));
+        }
+        let record = sim.run_intervals(4).pop().expect("simulated interval");
+        let projection = engine.project(&record).expect("projects");
+        let busy = projection.busy_core_count();
+        assert_eq!(busy, threads, "{name}");
+        assert_prices_match(engine, &projection, &assignments)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for past in &assignments[625..] {
+            let err = engine
+                .chip_power_with_assignment(&projection, past)
+                .expect_err("a state past the ladder is rejected");
+            assert!(matches!(err, ppep_types::Error::InvalidInput(_)), "{err:?}");
+        }
     }
 }
 
@@ -379,7 +608,7 @@ fn named_corner_cases_agree() {
 fn one_by_one_topology_agrees() {
     let table = VfTable::fx8320();
     let weights: Vec<f64> = (1..=9).map(|i| f64::from(i) * 1.0e-10).collect();
-    let models = build_models(&table, 1, 1, &weights, 1.6);
+    let models = build_models(&table, 1, 1, &weights, 1.6, PgBundle::Off);
     let engine = Ppep::new(models.clone());
     // CCPI 1.2, MCPI 0.2, DSPI 0.45, 1.5 uops, 0.3 DC accesses and
     // 0.01 L2 misses per instruction.

@@ -9,7 +9,8 @@
 //! operation, and the order of every error, is the production
 //! sequence's; a change to either side that moves a bit fails
 //! `tests/kernel_equivalence.rs`, and `tests/kernel_speedup.rs` times
-//! production against this walk.
+//! production against this walk. [`chip_power_scalar`] is the same
+//! kind of oracle for pricing a per-CU assignment.
 
 use ppep_core::ppe::{ChipPpe, CoreAtVf, CoreProjection};
 use ppep_core::{PpeProjection, Ppep};
@@ -138,6 +139,75 @@ pub fn project_nb_scalar(
         chip,
         work_instructions,
     })
+}
+
+/// Prices `cu_vf` against `projection` the slow way: the oracle for
+/// [`Ppep::chip_power_with_assignment`], bit for bit, errors included.
+/// Each core's dynamic power at its CU's state, summed in core order,
+/// plus `PgIdleModel::chip_idle_pg_enabled_with` over the
+/// projection's CU activity, or the Eq. 2 idle model at the fastest
+/// assigned state without a PG model.
+///
+/// # Errors
+///
+/// Those of [`Ppep::chip_power_with_assignment`], with the same
+/// messages, for a projection from `engine`.
+// `kernel_speedup` compiles this module without pricing assignments.
+#[allow(dead_code)]
+pub fn chip_power_scalar(
+    engine: &Ppep,
+    projection: &PpeProjection,
+    cu_vf: &[VfStateId],
+) -> Result<Watts> {
+    let models = engine.models();
+    let topo = models.topology();
+    let cores_per_cu = topo.cores_per_cu();
+    if cu_vf.len() != topo.cu_count() {
+        return Err(Error::InvalidInput(format!(
+            "{} CU assignments for {} CUs",
+            cu_vf.len(),
+            topo.cu_count()
+        )));
+    }
+    let ladder = models.vf_table().len().min(projection.row_len());
+    for (cu, vf) in cu_vf.iter().enumerate() {
+        if vf.index() >= ladder {
+            return Err(Error::InvalidInput(format!(
+                "CU {cu} assigned VF state index {} of a {ladder}-state ladder",
+                vf.index()
+            )));
+        }
+    }
+    let mut dynamic = Watts::ZERO;
+    for (i, row) in projection.rows().enumerate() {
+        if let Some(cell) = cu_vf
+            .get(i / cores_per_cu)
+            .and_then(|vf| row.get(vf.index()))
+        {
+            dynamic += cell.dynamic_power;
+        }
+    }
+    let idle = match models.chip_power().pg_model() {
+        Some(pg) => {
+            let cu_active = projection
+                .cores
+                .chunks(cores_per_cu)
+                .map(|cu| cu.iter().any(|c| c.busy));
+            pg.chip_idle_pg_enabled_with(cu_active, cu_vf.iter().copied())?
+        }
+        None => {
+            let max_vf = cu_vf
+                .iter()
+                .copied()
+                .max()
+                .ok_or_else(|| Error::InvalidInput("empty VF assignment".into()))?;
+            models.idle_model().estimate(
+                models.vf_table().point(max_vf).voltage,
+                projection.temperature,
+            )?
+        }
+    };
+    Ok(idle + dynamic)
 }
 
 /// The engine's record check: enough per-CU assignments for the
