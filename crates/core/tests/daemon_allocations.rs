@@ -116,8 +116,6 @@ fn project_into_a_warm_buffer_allocates_nothing() {
 /// Most allocations an interval under the storm may make, whatever
 /// the supervisor did with it:
 ///
-/// - the simulator collects the interval's scheduled faults, when it
-///   has any (1);
 /// - pinning the failsafe VF builds the uniform assignment that
 ///   `Platform::apply_uniform` hands to `apply` (1);
 /// - a health transition appends to the report's transition log, which
@@ -125,7 +123,7 @@ fn project_into_a_warm_buffer_allocates_nothing() {
 ///
 /// Errors carry only static strings and numbers here, so recording and
 /// returning the fault allocates nothing.
-const FAULTED_BOUND: usize = 3;
+const FAULTED_BOUND: usize = 2;
 
 #[test]
 fn held_and_failsafe_intervals_stay_bounded_under_a_storm() {

@@ -47,7 +47,7 @@ impl BoostController {
         tdp: Watts,
         thermal_limit: Kelvin,
     ) -> Result<Self> {
-        let table = ppep.models().vf_table().clone();
+        let table = ppep.models().vf_table();
         if software_states == 0 || software_states >= table.len() {
             return Err(ppep_types::Error::InvalidConfig(format!(
                 "need 0 < software_states < ladder length {}, got {software_states}",
@@ -77,7 +77,7 @@ impl BoostController {
     ///
     /// Propagates projection-evaluation errors.
     pub fn choose(&self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
-        let table = self.ppep.models().vf_table().clone();
+        let table = self.ppep.models().vf_table();
         let cu_count = projection.source_vf.len();
         let mut assignment = vec![self.nominal_top; cu_count];
 
@@ -95,23 +95,25 @@ impl BoostController {
         {
             return Ok(assignment);
         }
+        let cores_per_cu = self.ppep.models().topology().cores_per_cu();
+        let n_vf = projection.row_len();
         loop {
             let mut best: Option<(usize, VfStateId, f64)> = None;
             for cu in 0..cu_count {
-                let Some(up) = table.step_up(assignment[cu]) else {
+                let from = assignment[cu];
+                let Some(up) = table.step_up(from) else {
                     continue;
                 };
-                let mut candidate = assignment.clone();
-                candidate[cu] = up;
+                // Try the step in place, then undo it.
+                assignment[cu] = up;
                 let power = self
                     .ppep
-                    .chip_power_with_assignment(projection, &candidate)?;
-                if power > budget {
+                    .chip_power_with_assignment(projection, &assignment);
+                assignment[cu] = from;
+                if power? > budget {
                     continue;
                 }
                 // Promote the CU with the most predicted throughput gain.
-                let cores_per_cu = self.ppep.models().topology().cores_per_cu();
-                let n_vf = projection.row_len();
                 let gain: f64 =
                     projection
                         .cells
@@ -120,7 +122,7 @@ impl BoostController {
                         .map_or(0.0, |cells| {
                             cells
                                 .chunks(n_vf)
-                                .map(|row| ips_at(row, up) - ips_at(row, assignment[cu]))
+                                .map(|row| ips_at(row, up) - ips_at(row, from))
                                 .sum()
                         });
                 if best.as_ref().is_none_or(|(_, _, g)| gain > *g) {

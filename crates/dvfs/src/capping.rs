@@ -120,12 +120,13 @@ impl OneStepCapping {
 
         // Greedy refinement: repeatedly raise the CU whose step-up
         // still fits and adds the most predicted throughput. Each
-        // step-up is tried in place and undone before the next.
+        // step-up is tried in place and undone before the next; the
+        // applied step's price is the next round's current power.
+        let mut current_power = self
+            .ppep
+            .chip_power_with_assignment(projection, assignment)?;
         loop {
-            let current_power = self
-                .ppep
-                .chip_power_with_assignment(projection, assignment)?;
-            let mut best: Option<(usize, VfStateId, f64)> = None;
+            let mut best: Option<(usize, VfStateId, f64, Watts)> = None;
             for cu in 0..cu_count {
                 let Some(from) = assignment.get(cu).copied() else {
                     continue;
@@ -149,12 +150,15 @@ impl OneStepCapping {
                 }
                 let watts = (power - current_power).as_watts().max(1e-9);
                 let score = gain / watts;
-                if best.as_ref().is_none_or(|(_, _, s)| score > *s) {
-                    best = Some((cu, up, score));
+                if best.as_ref().is_none_or(|(_, _, s, _)| score > *s) {
+                    best = Some((cu, up, score, power));
                 }
             }
             match best {
-                Some((cu, up, _)) => set_cu(assignment, cu, up),
+                Some((cu, up, _, power)) => {
+                    set_cu(assignment, cu, up);
+                    current_power = power;
+                }
                 None => break,
             }
         }
@@ -390,54 +394,57 @@ impl SteepestDrop {
     ///
     /// Propagates projection-evaluation errors.
     pub fn choose(&self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
-        let table = self.ppep.models().vf_table().clone();
+        let table = self.ppep.models().vf_table();
         let cores_per_cu = self.ppep.models().topology().cores_per_cu();
         let cu_count = projection.source_vf.len();
         let target = self.cap * (1.0 - self.guard_band);
         let mut assignment = projection.source_vf.clone();
 
+        // A CU's predicted throughput with the CU at `vf`.
         let n_vf = projection.row_len();
-        let cu_ips = |assignment: &[VfStateId], cu: usize| -> f64 {
+        let cu_ips = |cu: usize, vf: VfStateId| -> f64 {
             projection
                 .cells
                 .chunks(cores_per_cu * n_vf)
                 .nth(cu)
                 .map_or(0.0, |cells| {
-                    cells
-                        .chunks(n_vf)
-                        .map(|row| ips_at(row, assignment[cu]))
-                        .sum()
+                    cells.chunks(n_vf).map(|row| ips_at(row, vf)).sum()
                 })
+        };
+        // The predicted power with `cu` moved to `vf`: the step is
+        // tried in place and undone.
+        let priced_with = |assignment: &mut [VfStateId], cu: usize, vf: VfStateId| {
+            let from = std::mem::replace(&mut assignment[cu], vf);
+            let power = self.ppep.chip_power_with_assignment(projection, assignment);
+            assignment[cu] = from;
+            power
         };
 
         // Descend: drop the CU with the steepest watts-per-lost-ips.
-        while self
+        // The applied step's price is the next round's current power.
+        let mut current = self
             .ppep
-            .chip_power_with_assignment(projection, &assignment)?
-            > target
-        {
-            let current = self
-                .ppep
-                .chip_power_with_assignment(projection, &assignment)?;
-            let mut best: Option<(usize, VfStateId, f64)> = None;
+            .chip_power_with_assignment(projection, &assignment)?;
+        while current > target {
+            let mut best: Option<(usize, VfStateId, f64, Watts)> = None;
             for cu in 0..cu_count {
-                let Some(down) = table.step_down(assignment[cu]) else {
+                let from = assignment[cu];
+                let Some(down) = table.step_down(from) else {
                     continue;
                 };
-                let mut candidate = assignment.clone();
-                candidate[cu] = down;
-                let power = self
-                    .ppep
-                    .chip_power_with_assignment(projection, &candidate)?;
+                let power = priced_with(&mut assignment, cu, down)?;
                 let saved = (current - power).as_watts();
-                let lost = (cu_ips(&assignment, cu) - cu_ips(&candidate, cu)).max(1.0);
+                let lost = (cu_ips(cu, from) - cu_ips(cu, down)).max(1.0);
                 let steepness = saved / lost;
-                if best.as_ref().is_none_or(|(_, _, s)| steepness > *s) {
-                    best = Some((cu, down, steepness));
+                if best.as_ref().is_none_or(|(_, _, s, _)| steepness > *s) {
+                    best = Some((cu, down, steepness, power));
                 }
             }
             match best {
-                Some((cu, down, _)) => assignment[cu] = down,
+                Some((cu, down, _, power)) => {
+                    assignment[cu] = down;
+                    current = power;
+                }
                 None => break, // floor reached: nothing left to drop
             }
         }
@@ -445,18 +452,15 @@ impl SteepestDrop {
         loop {
             let mut best: Option<(usize, VfStateId, f64)> = None;
             for cu in 0..cu_count {
-                let Some(up) = table.step_up(assignment[cu]) else {
+                let from = assignment[cu];
+                let Some(up) = table.step_up(from) else {
                     continue;
                 };
-                let mut candidate = assignment.clone();
-                candidate[cu] = up;
-                let power = self
-                    .ppep
-                    .chip_power_with_assignment(projection, &candidate)?;
+                let power = priced_with(&mut assignment, cu, up)?;
                 if power > target {
                     continue;
                 }
-                let gain = cu_ips(&candidate, cu) - cu_ips(&assignment, cu);
+                let gain = cu_ips(cu, up) - cu_ips(cu, from);
                 if best.as_ref().is_none_or(|(_, _, g)| gain > *g) {
                     best = Some((cu, up, gain));
                 }

@@ -280,24 +280,34 @@ impl Pmu {
         if self.multiplexing {
             // Only the active group's slots count this sub-tick.
             let layout = self.active_group.layout();
-            for (slot, &event) in layout.event.iter().enumerate() {
-                // Count, then read back through the MSR interface, as
-                // msr-tools would.
-                let now = self
-                    .device
-                    .count_and_read(slot, round_count(true_counts.get(event)))?;
-                // Counters are 48 bits wide: a mid-interval wrap makes
-                // `now < baseline`, and the delta must be taken modulo
-                // 2⁴⁸ (a plain u64 subtraction would inflate it by
-                // 2⁶⁴ − 2⁴⁸).
-                let delta = now.wrapping_sub(self.slot_baseline[slot]) & COUNTER_MASK;
-                self.slot_baseline[slot] = now;
-                self.accumulated[event.index()] += delta;
+            // A silent tick: every active count is ±0, no read can fail
+            // and every counter still sits at its baseline, so each
+            // count-and-read below would advance a counter by 0, read
+            // back its baseline and add a delta of 0. Skip them.
+            let silent = layout.event.iter().all(|&e| true_counts.get(e) == 0.0)
+                && self.device.pending_read_failures() == 0
+                && self.device.peek_all() == self.slot_baseline;
+            if !silent {
+                for (slot, &event) in layout.event.iter().enumerate() {
+                    // Count, then read back through the MSR interface, as
+                    // msr-tools would.
+                    let now = self
+                        .device
+                        .count_and_read(slot, round_count(true_counts.get(event)))?;
+                    // Counters are 48 bits wide: a mid-interval wrap makes
+                    // `now < baseline`, and the delta must be taken modulo
+                    // 2⁴⁸ (a plain u64 subtraction would inflate it by
+                    // 2⁶⁴ − 2⁴⁸).
+                    let delta = now.wrapping_sub(self.slot_baseline[slot]) & COUNTER_MASK;
+                    self.slot_baseline[slot] = now;
+                    self.accumulated[event.index()] += delta;
+                }
             }
             self.active_time[self.active_group as usize] += dt;
             // Reprogram the slots for the other group. Every baseline
-            // was just set to its counter's value and programming does
-            // not move counters, so no re-sync is needed.
+            // now equals its counter's value (just set, or already
+            // equal on a silent tick) and programming does not move
+            // counters, so no re-sync is needed.
             self.active_group = self.active_group.toggled();
             self.device.program_all(&self.active_group.layout().ctl);
         } else {

@@ -1,11 +1,158 @@
 //! Property tests for the PMC substrate.
 
 use ppep_pmc::counter::{HwCounter, COUNTER_MASK};
-use ppep_pmc::events::{EventId, ALL_EVENTS};
-use ppep_pmc::msr::{decode_ctl, encode_ctl};
+use ppep_pmc::events::{EventId, ALL_EVENTS, EVENT_COUNT};
+use ppep_pmc::msr::{decode_ctl, encode_ctl, MsrDevice, PERF_CTL_BASE, PERF_CTR_BASE, SLOT_COUNT};
+use ppep_pmc::pmu::MuxGroup;
 use ppep_pmc::{EventCounts, Pmu};
-use ppep_types::Seconds;
+use ppep_types::{Error, Result, Seconds};
 use proptest::prelude::*;
+
+/// The multiplexed PMU as it was before silent ticks were skipped:
+/// every tick counts and reads back all six slots through the public
+/// MSR interface. It is the oracle for `Pmu`'s multiplexing path.
+struct PerSlotPmu {
+    device: MsrDevice,
+    group: MuxGroup,
+    accumulated: [u64; EVENT_COUNT],
+    active_time: [f64; 2],
+    total_time: f64,
+    baseline: [u64; SLOT_COUNT],
+}
+
+impl PerSlotPmu {
+    fn new() -> Self {
+        let mut pmu = Self {
+            device: MsrDevice::new(),
+            group: MuxGroup::A,
+            accumulated: [0; EVENT_COUNT],
+            active_time: [0.0; 2],
+            total_time: 0.0,
+            baseline: [0; SLOT_COUNT],
+        };
+        pmu.program_group();
+        pmu.resync();
+        pmu
+    }
+
+    fn program_group(&mut self) {
+        for (slot, event) in self.group.events().into_iter().enumerate() {
+            self.device.program_slot(slot, event.code(), true).unwrap();
+        }
+    }
+
+    fn resync(&mut self) {
+        for (slot, base) in self.baseline.iter_mut().enumerate() {
+            *base = self.device.peek_slot(slot).unwrap();
+        }
+    }
+
+    fn preload_counters(&mut self, raw: u64) {
+        for slot in 0..SLOT_COUNT {
+            self.device
+                .wrmsr(PERF_CTR_BASE + 2 * slot as u32, raw)
+                .unwrap();
+        }
+        self.resync();
+    }
+
+    fn reset_interval(&mut self) {
+        self.accumulated = [0; EVENT_COUNT];
+        self.active_time = [0.0; 2];
+        self.total_time = 0.0;
+        self.program_group();
+        self.resync();
+    }
+
+    /// `Pmu::tick` for valid inputs (positive `dt`, finite counts
+    /// `>= 0`), slot by slot.
+    fn tick(&mut self, counts: &EventCounts, dt: f64) -> Result<()> {
+        self.total_time += dt;
+        for (slot, event) in self.group.events().into_iter().enumerate() {
+            let events = counts.get(event).round().max(0.0) as u64;
+            self.device.count_events(slot, events)?;
+            let now = self.device.read_slot(slot)?;
+            let delta = now.wrapping_sub(self.baseline[slot]) & COUNTER_MASK;
+            self.baseline[slot] = now;
+            self.accumulated[event.index()] += delta;
+        }
+        self.active_time[self.group as usize] += dt;
+        self.group = self.group.toggled();
+        self.program_group();
+        Ok(())
+    }
+
+    fn drain_interval(&mut self) -> Result<EventCounts> {
+        if self.total_time <= 0.0 {
+            return Err(Error::Device(
+                "drain_interval called with no elapsed time".into(),
+            ));
+        }
+        let mut out = EventCounts::zero();
+        for group in [MuxGroup::A, MuxGroup::B] {
+            let active = self.active_time[group as usize];
+            let scale = (active > 0.0).then(|| self.total_time / active);
+            for event in group.events() {
+                let estimate = scale.map_or(0.0, |s| self.accumulated[event.index()] as f64 * s);
+                out.set(event, estimate);
+            }
+        }
+        self.accumulated = [0; EVENT_COUNT];
+        self.active_time = [0.0; 2];
+        self.total_time = 0.0;
+        Ok(out)
+    }
+}
+
+/// SplitMix64: spreads one drawn word over the values an op needs.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// One event's count: ±0, a fraction that rounds to 0, a count at the
+/// rounding edge, a fractional count (exact halves included), or a
+/// large integral one.
+fn count_value(h: u64) -> f64 {
+    let v = h >> 8;
+    match h % 6 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => (v % 1000) as f64 / 4000.0,
+        3 => [0.499_999_999_999_999_94, 0.5, 0.75][(v % 3) as usize],
+        4 => (v % 1_000_000_000) as f64 / 1000.0,
+        _ => (v % (1 << 40)) as f64,
+    }
+}
+
+/// A sub-tick's counts: all ±0, partly zero, or mixed.
+fn tick_counts(word: u64) -> EventCounts {
+    let mut counts = EventCounts::zero();
+    for e in ALL_EVENTS {
+        let h = mix(word ^ e.index() as u64);
+        let value = match (word >> 4) % 3 {
+            0 => [0.0, -0.0][(h & 1) as usize],
+            1 if h & 0x100 != 0 => 0.0,
+            _ => count_value(h >> 9),
+        };
+        counts.set(e, value);
+    }
+    counts
+}
+
+/// The two PMUs' results must agree, errors in value and in text.
+fn same_result<T: PartialEq + std::fmt::Debug>(
+    new: &Result<T>,
+    old: &Result<T>,
+) -> std::result::Result<(), String> {
+    let text = |r: &Result<T>| r.as_ref().map_err(ToString::to_string).err();
+    if new != old || text(new) != text(old) {
+        return Err(format!("Pmu {new:?} vs per-slot oracle {old:?}"));
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -100,5 +247,73 @@ proptest! {
         let back = c.to_rates(dt).to_counts(dt);
         let got = back.get(EventId::DataCacheAccesses);
         prop_assert!((got - value).abs() <= value * 1e-12 + 1e-9);
+    }
+
+    /// Skipping a silent tick's slot reads changes nothing: a `Pmu`
+    /// and the per-slot oracle, driven through the same random script
+    /// of ticks (all-zero, partly zero, fractional counts), armed read
+    /// failures, preloads near the 2⁴⁸ wrap, raw counter and control
+    /// writes, `count_events`, resets and drains, return the same
+    /// `Result` from every tick and drain and keep the same registers.
+    #[test]
+    fn silent_ticks_match_the_per_slot_tick(
+        script in prop::collection::vec(any::<u64>(), 1..160),
+    ) {
+        let mut new = Pmu::new();
+        let mut old = PerSlotPmu::new();
+        for &word in script.iter().chain(&[9]) {
+            let arg = mix(word);
+            let slot = (arg % SLOT_COUNT as u64) as usize;
+            match word % 16 {
+                0..=8 => {
+                    let counts = tick_counts(arg);
+                    let dt = 0.02 * (1 + (arg >> 60) % 3) as f64;
+                    let ticked = new.tick(&counts, Seconds::new(dt));
+                    same_result(&ticked, &old.tick(&counts, dt))?;
+                }
+                9 => {
+                    let drained = new.drain_interval().map(|c| c.as_array().map(f64::to_bits));
+                    let expected = old.drain_interval().map(|c| c.as_array().map(f64::to_bits));
+                    same_result(&drained, &expected)?;
+                }
+                10 => {
+                    let reads = 1 + (arg >> 8) as u32 % 3;
+                    new.msr_mut().inject_read_failures(reads);
+                    old.device.inject_read_failures(reads);
+                }
+                11 => {
+                    let raw = COUNTER_MASK - (arg >> 8) % 3000;
+                    new.preload_counters(raw);
+                    old.preload_counters(raw);
+                }
+                12 => {
+                    let address = PERF_CTR_BASE + 2 * slot as u32;
+                    let raw = if arg & 0x100 != 0 { COUNTER_MASK - (arg >> 9) % 100 } else { arg >> 9 };
+                    new.msr_mut().wrmsr(address, raw).unwrap();
+                    old.device.wrmsr(address, raw).unwrap();
+                }
+                13 => {
+                    let events = (arg >> 8) % 5000;
+                    new.msr_mut().count_events(slot, events).unwrap();
+                    old.device.count_events(slot, events).unwrap();
+                }
+                14 => {
+                    let event = ALL_EVENTS[(arg >> 8) as usize % EVENT_COUNT];
+                    let ctl = encode_ctl(event.code(), arg & 0x8000 != 0);
+                    new.msr_mut().wrmsr(PERF_CTL_BASE + 2 * slot as u32, ctl).unwrap();
+                    old.device.wrmsr(PERF_CTL_BASE + 2 * slot as u32, ctl).unwrap();
+                }
+                _ => {
+                    new.reset_interval();
+                    old.reset_interval();
+                }
+            }
+            prop_assert_eq!(new.active_group(), old.group);
+            prop_assert_eq!(new.msr().pending_read_failures(), old.device.pending_read_failures());
+            for slot in 0..SLOT_COUNT {
+                prop_assert_eq!(new.msr().peek_slot(slot).unwrap(), old.device.peek_slot(slot).unwrap());
+                prop_assert_eq!(new.msr().slot_config(slot).unwrap(), old.device.slot_config(slot).unwrap());
+            }
+        }
     }
 }

@@ -409,15 +409,16 @@ impl ChipSimulator {
     ///
     /// [`step_interval_checked`]: ChipSimulator::step_interval_checked
     pub fn step_interval_into(&mut self, record: &mut IntervalRecord) -> Result<()> {
-        let faults: Vec<FaultKind> = self.faults.kinds_at(self.interval.0).collect();
+        let faults = self.faults.events_at(self.interval.0);
         if self.recorder.enabled() {
-            for k in &faults {
+            for e in faults {
                 self.recorder.incr("fault.injected");
-                self.recorder.incr(&format!("fault.injected.{}", k.name()));
+                self.recorder
+                    .incr(&format!("fault.injected.{}", e.kind.name()));
             }
         }
-        for k in &faults {
-            match *k {
+        for e in faults {
+            match e.kind {
                 FaultKind::CounterWrap => {
                     // Park every counter 1000 events below the wrap
                     // point so the first busy sub-tick wraps it.
@@ -498,14 +499,15 @@ impl ChipSimulator {
                 // Cores that execute nothing count nothing, and their
                 // dynamic power is exactly zero.
                 self.subtick_switching[core] = None;
-                let counts = if let Some(slot) = self.slots[core].as_mut() {
-                    if slot.cursor.is_finished() {
-                        EventCounts::zero()
-                    } else {
+                let counts = &mut self.subtick_counts[core];
+                let mut counted = false;
+                if let Some(slot) = self.slots[core].as_mut() {
+                    if !slot.cursor.is_finished() {
                         let fp = slot.cursor.fingerprint(&slot.program);
                         let plan = plan_subtick(fp, &ctx, dt);
                         let executed = slot.cursor.advance(&slot.program, plan.instructions);
                         if executed > 0.0 {
+                            counted = true;
                             busy_any[core] = true;
                             self.subtick_switching[core] = Some(fp.switching_factor);
                             event_counts(
@@ -514,17 +516,16 @@ impl ChipSimulator {
                                 executed,
                                 self.config.jitter_sigma,
                                 &mut self.rng,
-                            )
-                        } else {
-                            EventCounts::zero()
+                                counts,
+                            );
                         }
                     }
-                } else {
-                    EventCounts::zero()
-                };
+                }
+                if !counted {
+                    *counts = EventCounts::zero();
+                }
                 total_misses += counts.get(EventId::L2CacheMisses);
-                true_totals[core] += counts;
-                self.subtick_counts[core] = counts;
+                true_totals[core] += *counts;
             }
 
             self.nb.observe_traffic(total_misses, dt);
@@ -617,8 +618,8 @@ impl ChipSimulator {
         // Corrupting faults reshape the finished observables; erroring
         // faults discard them. Truth (power breakdown, counts) is
         // never touched — experiments grade against it.
-        for k in &faults {
-            match *k {
+        for e in faults {
+            match e.kind {
                 FaultKind::SensorSpike { factor } => sensor_readings[0] *= factor,
                 FaultKind::SensorStuck => {
                     let latched = self.last_sensor_reading;
@@ -635,8 +636,8 @@ impl ChipSimulator {
             }
         }
         let mut reported_temperature = self.thermal.temperature();
-        for k in &faults {
-            match *k {
+        for e in faults {
+            match e.kind {
                 FaultKind::ThermalNan => reported_temperature = Kelvin::new(f64::NAN),
                 FaultKind::ThermalFrozen => {
                     reported_temperature = self.last_reported_temperature;
@@ -657,8 +658,8 @@ impl ChipSimulator {
         let index = self.interval;
         self.interval = self.interval.next();
 
-        for k in &faults {
-            match *k {
+        for e in faults {
+            match e.kind {
                 FaultKind::SensorDropout => {
                     return Err(ppep_types::Error::SensorDropout {
                         sensor: "hall-sensor",

@@ -63,8 +63,9 @@ pub fn plan_subtick(fp: &PhaseFingerprint, ctx: &ExecutionContext, dt: Seconds) 
     }
 }
 
-/// Computes the event counts produced by retiring `instructions`
-/// instructions of this fingerprint at the CPIs of `plan`.
+/// Writes into `c` the event counts produced by retiring
+/// `instructions` instructions of this fingerprint at the CPIs of
+/// `plan`; every event is overwritten.
 ///
 /// `jitter` adds per-event multiplicative noise (σ as a fraction;
 /// pass 0 for exact counts) modelling cycle-level variability that the
@@ -75,7 +76,8 @@ pub fn event_counts(
     instructions: f64,
     jitter_sigma: f64,
     rng: &mut StdRng,
-) -> EventCounts {
+    c: &mut EventCounts,
+) {
     let mut jitter = |v: f64| -> f64 {
         if jitter_sigma > 0.0 {
             (v * (1.0 + jitter_sigma * rng.gen_range(-1.732..1.732))).max(0.0)
@@ -87,7 +89,6 @@ pub fn event_counts(
     let stall_cpi = fp.dispatch_stall_cpi_with(mcpi);
     let total_cpi = plan.cpi;
 
-    let mut c = EventCounts::zero();
     c.set(
         EventId::RetiredUops,
         jitter(fp.uops_per_inst * instructions),
@@ -126,7 +127,6 @@ pub fn event_counts(
     c.set(EventId::CpuClocksNotHalted, total_cpi * instructions);
     c.set(EventId::RetiredInstructions, instructions);
     c.set(EventId::MabWaitCycles, mcpi * instructions);
-    c
 }
 
 #[cfg(test)]
@@ -144,7 +144,9 @@ mod tests {
         rng: &mut StdRng,
     ) -> EventCounts {
         let plan = plan_subtick(fp, ctx, Seconds::new(0.02));
-        event_counts(fp, &plan, instructions, jitter_sigma, rng)
+        let mut counts = EventCounts::zero();
+        event_counts(fp, &plan, instructions, jitter_sigma, rng, &mut counts);
+        counts
     }
 
     fn ctx(f: f64) -> ExecutionContext {

@@ -111,6 +111,10 @@ pub struct FaultEvent {
 
 /// A deterministic schedule of faults, indexed by interval.
 ///
+/// Events are kept sorted by interval (stably: the faults of one
+/// interval keep the order they were added in), so the faults of an
+/// interval are one contiguous run, found by binary search.
+///
 /// ```
 /// use ppep_sim::fault::{FaultKind, FaultPlan};
 ///
@@ -133,10 +137,12 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Adds one fault at `interval` (builder style).
+    /// Adds one fault at `interval` (builder style), after any fault
+    /// already scheduled for that interval.
     #[must_use]
     pub fn with(mut self, interval: u64, kind: FaultKind) -> Self {
-        self.events.push(FaultEvent { interval, kind });
+        let at = self.events.partition_point(|e| e.interval <= interval);
+        self.events.insert(at, FaultEvent { interval, kind });
         self
     }
 
@@ -194,17 +200,22 @@ impl FaultPlan {
         self.events.len()
     }
 
-    /// All scheduled events, in insertion order.
+    /// All scheduled events, sorted by interval, insertion order
+    /// within one.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
-    /// The faults scheduled for one interval.
+    /// The events scheduled for one interval, in insertion order.
+    pub(crate) fn events_at(&self, interval: u64) -> &[FaultEvent] {
+        let start = self.events.partition_point(|e| e.interval < interval);
+        let end = self.events.partition_point(|e| e.interval <= interval);
+        self.events.get(start..end).unwrap_or_default()
+    }
+
+    /// The faults scheduled for one interval, in insertion order.
     pub fn kinds_at(&self, interval: u64) -> impl Iterator<Item = FaultKind> + '_ {
-        self.events
-            .iter()
-            .filter(move |e| e.interval == interval)
-            .map(|e| e.kind)
+        self.events_at(interval).iter().map(|e| e.kind)
     }
 
     /// Number of intervals (within `0..intervals`) that suffer at
@@ -242,6 +253,53 @@ mod tests {
         assert_eq!(p.kinds_at(3).count(), 0);
         // Only the dropout interval errors; NaN and wrap do not.
         assert_eq!(p.erroring_intervals(10), 1);
+    }
+
+    #[test]
+    fn out_of_order_builds_look_up_in_insertion_order() {
+        let spike = |factor| FaultKind::SensorSpike { factor };
+        let p = FaultPlan::none()
+            .with(7, spike(7.0))
+            .with(2, FaultKind::MissedInterval { missed: 1 })
+            .with(7, FaultKind::ThermalNan)
+            .with(0, FaultKind::CounterWrap)
+            .with(2, spike(2.0))
+            .with(7, FaultKind::SensorDropout)
+            .with(4, FaultKind::ThermalFrozen);
+        let intervals: Vec<u64> = p.events().iter().map(|e| e.interval).collect();
+        assert_eq!(intervals, [0, 2, 2, 4, 7, 7, 7]);
+        let at = |i| p.kinds_at(i).collect::<Vec<_>>();
+        assert_eq!(at(0), [FaultKind::CounterWrap]);
+        assert_eq!(at(1), []);
+        assert_eq!(at(2), [FaultKind::MissedInterval { missed: 1 }, spike(2.0)]);
+        assert_eq!(at(4), [FaultKind::ThermalFrozen]);
+        assert_eq!(
+            at(7),
+            [spike(7.0), FaultKind::ThermalNan, FaultKind::SensorDropout]
+        );
+        assert_eq!(at(8), []);
+        // Intervals 2 and 7 error, whatever order they were added in.
+        assert_eq!(p.erroring_intervals(10), 2);
+        assert_eq!(p.erroring_intervals(7), 1);
+        assert_eq!(p.erroring_intervals(0), 0);
+    }
+
+    #[test]
+    fn storms_emit_sorted_runs() {
+        let storm = FaultPlan::storm(3, 300, 0.7, 8);
+        assert!(storm
+            .events()
+            .windows(2)
+            .all(|w| w[0].interval < w[1].interval));
+        // The lookup finds every scheduled event and nothing else.
+        let found: Vec<FaultEvent> = (0..300)
+            .flat_map(|i| {
+                storm
+                    .kinds_at(i)
+                    .map(move |kind| FaultEvent { interval: i, kind })
+            })
+            .collect();
+        assert_eq!(found, storm.events());
     }
 
     #[test]
