@@ -10,7 +10,7 @@
 
 use crate::framework::Ppep;
 use crate::ppe::PpeProjection;
-use ppep_obs::{PredictionScorer, RecorderHandle, ScorerConfig, Stage};
+use ppep_obs::{PredictionScorer, RecorderHandle, Stage};
 use ppep_telemetry::{DecisionRecord, IntervalRecord, Platform};
 use ppep_types::time::IntervalIndex;
 use ppep_types::{Error, Result, VfStateId, Watts};
@@ -201,9 +201,9 @@ impl<P: Platform, C: DvfsController> PpepDaemon<P, C> {
     /// measured CPI and power. Scoring is strictly observational — it
     /// never feeds back into decisions, so a scored run stays
     /// bit-identical to an unscored one.
-    pub fn with_scorer(mut self, config: ScorerConfig) -> Self {
+    pub fn with_scorer(mut self) -> Self {
         let cores = self.platform.topology().core_count();
-        self.scorer = Some(PredictionScorer::new(cores, config));
+        self.scorer = Some(PredictionScorer::new(cores));
         self
     }
 
@@ -537,7 +537,6 @@ mod tests {
 
     #[test]
     fn scorer_scores_next_interval_without_touching_decisions() {
-        use ppep_obs::ScorerConfig;
         let run = |score: bool| {
             let ppep = engine();
             let table = ppep.models().vf_table().clone();
@@ -549,7 +548,7 @@ mod tests {
                 StaticController { vf: table.lowest() },
             );
             if score {
-                daemon = daemon.with_scorer(ScorerConfig::default());
+                daemon = daemon.with_scorer();
             }
             let steps = daemon.run(6).into_result().unwrap();
             let decisions: Vec<Vec<VfStateId>> = steps.iter().map(|s| s.decision.clone()).collect();

@@ -16,10 +16,10 @@
 //! * **Degraded** — a measurement was lost (transient error) or
 //!   quarantined (implausible observables). The supervisor holds the
 //!   last good projection and lets the controller re-decide on it, so
-//!   DVFS stays live through the glitch. [`SupervisorConfig::recovery_streak`]
+//!   DVFS stays live through the glitch. [`RECOVERY_STREAK`]
 //!   consecutive good intervals restore Healthy.
 //! * **Failsafe** — faults persisted past
-//!   [`SupervisorConfig::max_consecutive_faults`] (or struck before
+//!   [`MAX_CONSECUTIVE_FAULTS`] (or struck before
 //!   any good measurement existed). The chip is pinned to a
 //!   configured safe VF state until measurements return.
 //!
@@ -95,51 +95,41 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Tunables of the degradation supervisor.
+/// Consecutive faulted intervals tolerated (holding the last good
+/// projection) before entering Failsafe.
+pub const MAX_CONSECUTIVE_FAULTS: u32 = 3;
+/// Consecutive good intervals required to return from Degraded to
+/// Healthy.
+pub const RECOVERY_STREAK: u32 = 2;
+/// A measured power more than this factor away (either direction)
+/// from the last good interval's is quarantined as implausible.
+pub const POWER_OUTLIER_FACTOR: f64 = 4.0;
+/// Diode readings below this are quarantined.
+pub const MIN_PLAUSIBLE_TEMPERATURE: Kelvin = Kelvin::new(250.0);
+/// Diode readings above this are quarantined.
+pub const MAX_PLAUSIBLE_TEMPERATURE: Kelvin = Kelvin::new(450.0);
+
+/// Tunables of the degradation supervisor. Its thresholds, sized for
+/// an FX-8320-class chip, are the constants [`MAX_CONSECUTIVE_FAULTS`],
+/// [`RECOVERY_STREAK`], [`POWER_OUTLIER_FACTOR`] and the diode's
+/// plausible range
+/// [`MIN_PLAUSIBLE_TEMPERATURE`]–[`MAX_PLAUSIBLE_TEMPERATURE`].
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
-    /// Consecutive faulted intervals tolerated (holding the last good
-    /// projection) before entering Failsafe.
-    pub max_consecutive_faults: u32,
-    /// Consecutive good intervals required to return from Degraded to
-    /// Healthy.
-    pub recovery_streak: u32,
     /// The safe VF state pinned while in Failsafe (typically the
     /// lowest: thermally and electrically safest).
     pub failsafe_vf: VfStateId,
-    /// A measured power more than this factor away (either direction)
-    /// from the last good interval's is quarantined as implausible.
-    pub power_outlier_factor: f64,
-    /// Diode readings below this are quarantined.
-    pub min_plausible_temperature: Kelvin,
-    /// Diode readings above this are quarantined.
-    pub max_plausible_temperature: Kelvin,
     /// In-interval retry policy for transient sample failures.
     pub retry: RetryPolicy,
-    /// When the inner daemon's accuracy scorer reports drift
-    /// (short-window prediction error well above the run's own
-    /// baseline — see `ppep_obs::DriftDetector`), treat the interval
-    /// like a soft fault: reset the recovery streak and hold the
-    /// supervisor in Degraded. Decisions themselves are untouched.
-    /// Off by default, and inert unless a scorer is installed, so
-    /// existing runs stay bit-identical.
-    pub degrade_on_drift: bool,
 }
 
 impl SupervisorConfig {
-    /// Defaults for an FX-8320-class chip: three strikes to Failsafe,
-    /// two clean intervals to recover, 4× power outlier gate, diode
-    /// plausible within 250–450 K.
+    /// Pins `failsafe_vf` in Failsafe and retries with
+    /// [`RetryPolicy::new`].
     pub fn new(failsafe_vf: VfStateId) -> Self {
         Self {
-            max_consecutive_faults: 3,
-            recovery_streak: 2,
             failsafe_vf,
-            power_outlier_factor: 4.0,
-            min_plausible_temperature: Kelvin::new(250.0),
-            max_plausible_temperature: Kelvin::new(450.0),
             retry: RetryPolicy::new(),
-            degrade_on_drift: false,
         }
     }
 }
@@ -377,8 +367,8 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
         }
         let t = record.temperature.as_kelvin();
         if !t.is_finite()
-            || t < self.config.min_plausible_temperature.as_kelvin()
-            || t > self.config.max_plausible_temperature.as_kelvin()
+            || t < MIN_PLAUSIBLE_TEMPERATURE.as_kelvin()
+            || t > MAX_PLAUSIBLE_TEMPERATURE.as_kelvin()
         {
             return Some(Error::SensorImplausible {
                 sensor: "thermal-diode",
@@ -387,8 +377,7 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
         }
         if let Some(good) = self.last_good.as_ref().and_then(|g| g.record.as_ref()) {
             let base = good.measured_power.as_watts();
-            let f = self.config.power_outlier_factor;
-            if base > 0.0 && (p > base * f || p < base / f) {
+            if base > 0.0 && (p > base * POWER_OUTLIER_FACTOR || p < base / POWER_OUTLIER_FACTOR) {
                 return Some(Error::SensorImplausible {
                     sensor: "hall-sensor",
                     value: p,
@@ -548,23 +537,10 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
                 self.enter(HealthState::Degraded);
             }
             HealthState::Degraded => {
-                if self.good_streak >= self.config.recovery_streak {
+                if self.good_streak >= RECOVERY_STREAK {
                     self.enter(HealthState::Healthy);
                 }
             }
-        }
-        // Optional drift supervision: sustained prediction error keeps
-        // the supervisor in Degraded (measurements and decisions are
-        // fine — the *models* are suspect), never Failsafe.
-        if self.config.degrade_on_drift && self.inner.scorer().is_some_and(|s| s.drifted()) {
-            self.good_streak = 0;
-            if self.state == HealthState::Healthy {
-                let recorder = self.inner.recorder();
-                if recorder.enabled() {
-                    recorder.event("accuracy.drift_degrade", interval);
-                }
-            }
-            self.enter(HealthState::Degraded);
         }
         self.report.fresh_decisions += 1;
         let out = &mut self.out;
@@ -594,7 +570,7 @@ impl<P: Platform, C: DvfsController> ResilientDaemon<P, C> {
         self.good_streak = 0;
         self.report.last_error = Some(fault.clone());
 
-        let exhausted = self.consecutive_faults >= self.config.max_consecutive_faults;
+        let exhausted = self.consecutive_faults >= MAX_CONSECUTIVE_FAULTS;
         let pinned = exhausted || self.state == HealthState::Failsafe;
         let held = self
             .last_good

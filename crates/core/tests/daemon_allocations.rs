@@ -13,7 +13,6 @@ use ppep_core::ppe::PpeProjection;
 use ppep_core::resilient::{Action, ResilientDaemon, SupervisorConfig};
 use ppep_core::Ppep;
 use ppep_dvfs::OneStepCapping;
-use ppep_obs::ScorerConfig;
 use ppep_rig::TrainingRig;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::fault::FaultPlan;
@@ -44,14 +43,11 @@ fn engine() -> Ppep {
 /// The paper's capping loop: a PG-enabled FX-8320 running the Fig. 7
 /// mix under a 95 W cap, with `plan` injected; no recorder, no scorer.
 fn daemon(plan: FaultPlan) -> ResilientDaemon<SimPlatform, OneStepCapping> {
-    supervised(plan, None)
+    supervised(plan, false)
 }
 
 /// [`daemon`], scoring each staged prediction when `scorer` is set.
-fn supervised(
-    plan: FaultPlan,
-    scorer: Option<ScorerConfig>,
-) -> ResilientDaemon<SimPlatform, OneStepCapping> {
+fn supervised(plan: FaultPlan, scorer: bool) -> ResilientDaemon<SimPlatform, OneStepCapping> {
     let ppep = engine();
     let lowest = ppep.models().vf_table().lowest();
     let mut sim = ChipSimulator::new(SimConfig::fx8320_pg(SEED));
@@ -59,8 +55,8 @@ fn supervised(
     sim.set_fault_plan(plan);
     let controller = OneStepCapping::new(ppep.clone(), Watts::new(95.0));
     let mut inner = PpepDaemon::new(ppep, SimPlatform::new(sim), controller);
-    if let Some(config) = scorer {
-        inner = inner.with_scorer(config);
+    if scorer {
+        inner = inner.with_scorer();
     }
     ResilientDaemon::new(inner, SupervisorConfig::new(lowest))
 }
@@ -87,7 +83,7 @@ fn healthy_interval_allocates_nothing() {
 
 #[test]
 fn scored_healthy_interval_allocates_nothing() {
-    let mut d = supervised(FaultPlan::none(), Some(ScorerConfig::default()));
+    let mut d = supervised(FaultPlan::none(), true);
     assert_healthy_intervals_allocate_nothing(&mut d);
     let scorer = d.inner().scorer().expect("scoring is on");
     assert_eq!(

@@ -12,7 +12,7 @@
 //! (`ppep_sim::chip::SimConfig::fx8320_boost`) and models trained on
 //! its seven-state ladder.
 
-use crate::capping::ips_at;
+use crate::capping::{ips_at, GUARD_BAND};
 use ppep_core::daemon::DvfsController;
 use ppep_core::ppe::PpeProjection;
 use ppep_core::Ppep;
@@ -28,8 +28,6 @@ pub struct BoostController {
     pub tdp: Watts,
     /// Diode temperature above which boosting is vetoed outright.
     pub thermal_limit: Kelvin,
-    /// Guard band under the TDP (fraction), like the capping policy.
-    pub guard_band: f64,
     nominal_top: VfStateId,
 }
 
@@ -59,7 +57,6 @@ impl BoostController {
             ppep,
             tdp,
             thermal_limit,
-            guard_band: 0.05,
             nominal_top,
         })
     }
@@ -85,7 +82,7 @@ impl BoostController {
         if projection.temperature > self.thermal_limit {
             return Ok(assignment);
         }
-        let budget = self.tdp * (1.0 - self.guard_band);
+        let budget = self.tdp * (1.0 - GUARD_BAND);
         // Nominal must fit; otherwise this is a capping problem, not a
         // boosting one — stay nominal and let a capping policy demote.
         if self

@@ -19,6 +19,16 @@ use ppep_core::Ppep;
 use ppep_obs::RecorderHandle;
 use ppep_types::{Result, VfStateId, Watts};
 
+/// The predictive controllers ([`OneStepCapping`], [`SteepestDrop`]
+/// and [`crate::BoostController`]) target `budget · (1 − GUARD_BAND)`
+/// so that model bias and sensor noise do not turn into persistent
+/// budget violations. Production capping firmware does the same.
+pub(crate) const GUARD_BAND: f64 = 0.05;
+
+/// Fraction of headroom below the cap [`IterativeCapping`] requires
+/// before stepping up (hysteresis against oscillation).
+const STEP_UP_MARGIN: f64 = 0.10;
+
 /// Counts the CUs whose VF state differs between the measured
 /// assignment and the controller's decision — the number of VF
 /// transitions the decision will trigger when applied.
@@ -44,10 +54,6 @@ fn set_cu(assignment: &mut [VfStateId], cu: usize, vf: VfStateId) {
 pub struct OneStepCapping {
     ppep: Ppep,
     cap: Watts,
-    /// Guard band: the controller targets `cap · (1 − guard_band)` so
-    /// that model bias and sensor noise do not turn into persistent
-    /// cap violations. Production capping firmware does the same.
-    pub guard_band: f64,
     recorder: RecorderHandle,
 }
 
@@ -57,7 +63,6 @@ impl OneStepCapping {
         Self {
             ppep,
             cap,
-            guard_band: 0.05,
             recorder: RecorderHandle::noop(),
         }
     }
@@ -109,7 +114,7 @@ impl OneStepCapping {
     ) -> Result<()> {
         let table = self.ppep.models().vf_table();
         let cu_count = projection.source_vf.len();
-        let target = self.cap * (1.0 - self.guard_band);
+        let target = self.cap * (1.0 - GUARD_BAND);
 
         // Fastest uniform state under the target (fall back to lowest).
         let uniform = projection
@@ -229,9 +234,6 @@ impl DvfsController for OneStepCapping {
 #[derive(Debug, Clone)]
 pub struct IterativeCapping {
     cap: Watts,
-    /// Fraction of headroom below the cap required before stepping up
-    /// (hysteresis against oscillation).
-    pub step_up_margin: f64,
     /// Decision period: the controller holds each setting for this
     /// many intervals to measure its stable power before moving again
     /// (commodity governors average over a window; 1 = react every
@@ -249,7 +251,6 @@ impl IterativeCapping {
     pub fn new(cap: Watts, table: &ppep_types::VfTable) -> Self {
         Self {
             cap,
-            step_up_margin: 0.10,
             hold_intervals: 1,
             current: table.highest(),
             table: table.clone(),
@@ -293,7 +294,7 @@ impl IterativeCapping {
                         self.current = down;
                         self.since_change = 0;
                     }
-                } else if p.as_watts() < self.cap.as_watts() * (1.0 - self.step_up_margin) {
+                } else if p.as_watts() < self.cap.as_watts() * (1.0 - STEP_UP_MARGIN) {
                     if let Some(up) = self.table.step_up(self.current) {
                         self.current = up;
                         self.since_change = 0;
@@ -359,8 +360,6 @@ impl DvfsController for IterativeCapping {
 pub struct SteepestDrop {
     ppep: Ppep,
     cap: Watts,
-    /// Guard band under the cap, as for [`OneStepCapping`].
-    pub guard_band: f64,
     recorder: RecorderHandle,
 }
 
@@ -370,7 +369,6 @@ impl SteepestDrop {
         Self {
             ppep,
             cap,
-            guard_band: 0.05,
             recorder: RecorderHandle::noop(),
         }
     }
@@ -397,7 +395,7 @@ impl SteepestDrop {
         let table = self.ppep.models().vf_table();
         let cores_per_cu = self.ppep.models().topology().cores_per_cu();
         let cu_count = projection.source_vf.len();
-        let target = self.cap * (1.0 - self.guard_band);
+        let target = self.cap * (1.0 - GUARD_BAND);
         let mut assignment = projection.source_vf.clone();
 
         // A CU's predicted throughput with the CU at `vf`.

@@ -22,7 +22,7 @@ use ppep_core::daemon::PpepDaemon;
 use ppep_core::resilient::{ResilientDaemon, SupervisorConfig};
 use ppep_core::Ppep;
 use ppep_dvfs::capping::OneStepCapping;
-use ppep_obs::{PredictionScorer, ScorerConfig};
+use ppep_obs::PredictionScorer;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::fault::FaultPlan;
 use ppep_sim::SimPlatform;
@@ -81,8 +81,7 @@ pub fn score_trace(ppep: &Ppep, trace: &TraceReader) -> Result<PredictionScorer>
     let table = ppep.models().vf_table().clone();
     let controller = OneStepCapping::new(ppep.clone(), cap_schedule(0, 4));
     let replay = ReplayPlatform::new(trace.clone());
-    let inner =
-        PpepDaemon::new(ppep.clone(), replay, controller).with_scorer(ScorerConfig::default());
+    let inner = PpepDaemon::new(ppep.clone(), replay, controller).with_scorer();
     let mut daemon = ResilientDaemon::new(inner, SupervisorConfig::new(table.lowest()));
     for step in 0..steps {
         let cap = caps

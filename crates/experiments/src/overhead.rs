@@ -19,9 +19,7 @@ use ppep_core::resilient::{ResilientDaemon, SupervisorConfig};
 use ppep_core::Ppep;
 use ppep_dvfs::capping::OneStepCapping;
 use ppep_obs::export::{chrome_trace_snapshot, metrics_jsonl, spans_jsonl};
-use ppep_obs::{
-    OverheadProfile, RecorderHandle, ScorerConfig, Stage, TraceRecorder, TraceSnapshot,
-};
+use ppep_obs::{OverheadProfile, RecorderHandle, Stage, TraceRecorder, TraceSnapshot};
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::fault::FaultPlan;
 use ppep_sim::SimPlatform;
@@ -96,7 +94,7 @@ fn run_once(
     // Both runs score their own predictions: the traced run exports
     // the accuracy gauges/histograms, and the decision comparison
     // below then also re-checks that scoring is bit-inert.
-    .with_scorer(ScorerConfig::default());
+    .with_scorer();
     let mut daemon = ResilientDaemon::new(inner, SupervisorConfig::new(table.lowest()));
     let mut decisions = Vec::with_capacity(intervals);
     for step in 0..intervals {

@@ -14,7 +14,7 @@
 //! - [`DriftDetector`] maintains two EWMAs of the error series — a
 //!   short window that follows the present and a long window that
 //!   remembers the run — and trips when the short window exceeds the
-//!   long baseline by a configured ratio, i.e. when the predictor is
+//!   long baseline by a fixed ratio, i.e. when the predictor is
 //!   suddenly much worse than it has historically been.
 //!
 //! Scoring is strictly observational: nothing here feeds back into
@@ -27,38 +27,22 @@
 use crate::metrics::Histogram;
 use crate::RecorderHandle;
 
-/// Tuning for the error EWMAs and the drift trip-wire.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScorerConfig {
-    /// Smoothing factor of the short (reactive) error EWMA.
-    pub short_alpha: f64,
-    /// Smoothing factor of the long (baseline) error EWMA.
-    pub long_alpha: f64,
-    /// Trip when `short > trip_ratio * max(long, error_floor)`.
-    pub trip_ratio: f64,
-    /// Observations before the trip-wire arms (warmup).
-    pub min_samples: u64,
-    /// Baseline floor in percent, so a near-perfect history does not
-    /// make the ratio test hair-triggered.
-    pub error_floor_pct: f64,
-}
-
-impl Default for ScorerConfig {
-    fn default() -> Self {
-        Self {
-            short_alpha: 0.3,
-            long_alpha: 0.02,
-            trip_ratio: 3.0,
-            min_samples: 8,
-            error_floor_pct: 2.0,
-        }
-    }
-}
+/// Smoothing factor of the short (reactive) error EWMA.
+const SHORT_ALPHA: f64 = 0.3;
+/// Smoothing factor of the long (baseline) error EWMA.
+const LONG_ALPHA: f64 = 0.02;
+/// Trip when `short > TRIP_RATIO * max(long, ERROR_FLOOR_PCT)`.
+const TRIP_RATIO: f64 = 3.0;
+/// Observations before the trip-wire arms (warmup).
+const MIN_SAMPLES: u64 = 8;
+/// Baseline floor in percent, so a near-perfect history does not make
+/// the ratio test hair-triggered.
+const ERROR_FLOOR_PCT: f64 = 2.0;
 
 /// EWMA-vs-long-run drift trip-wire over an error series (percent).
-#[derive(Debug, Clone, PartialEq)]
+/// The default detector has no history.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DriftDetector {
-    config: ScorerConfig,
     short: f64,
     long: f64,
     samples: u64,
@@ -67,18 +51,6 @@ pub struct DriftDetector {
 }
 
 impl DriftDetector {
-    /// A detector with no history.
-    pub fn new(config: ScorerConfig) -> Self {
-        Self {
-            config,
-            short: 0.0,
-            long: 0.0,
-            samples: 0,
-            tripped: false,
-            trips: 0,
-        }
-    }
-
     /// Feeds one error observation (percent). Non-finite values are
     /// ignored — they are counted upstream as invalid scores.
     pub fn observe(&mut self, error_pct: f64) {
@@ -90,8 +62,8 @@ impl DriftDetector {
             self.short = error_pct;
             self.long = error_pct;
         } else {
-            self.short += self.config.short_alpha * (error_pct - self.short);
-            self.long += self.config.long_alpha * (error_pct - self.long);
+            self.short += SHORT_ALPHA * (error_pct - self.short);
+            self.long += LONG_ALPHA * (error_pct - self.long);
         }
         let was = self.tripped;
         self.tripped = self.evaluate();
@@ -101,8 +73,7 @@ impl DriftDetector {
     }
 
     fn evaluate(&self) -> bool {
-        self.samples >= self.config.min_samples
-            && self.short > self.config.trip_ratio * self.long.max(self.config.error_floor_pct)
+        self.samples >= MIN_SAMPLES && self.short > TRIP_RATIO * self.long.max(ERROR_FLOOR_PCT)
     }
 
     /// The short (reactive) error EWMA, percent.
@@ -159,19 +130,21 @@ pub struct ErrorTrack {
     drift: DriftDetector,
 }
 
-impl ErrorTrack {
+impl Default for ErrorTrack {
     /// An empty track.
-    pub fn new(config: ScorerConfig) -> Self {
+    fn default() -> Self {
         Self {
             scored: 0,
             invalid: 0,
             sum_pct: 0.0,
             max_pct: 0.0,
             histogram: Histogram::error_pct(),
-            drift: DriftDetector::new(config),
+            drift: DriftDetector::default(),
         }
     }
+}
 
+impl ErrorTrack {
     /// Scores one predicted-vs-measured pair and returns the APE in
     /// percent, or `None` when the pair is unscorable (missing,
     /// non-finite, or a ~zero measurement that would blow the ratio
@@ -251,7 +224,6 @@ impl ErrorTrack {
 /// Per-core CPI and chip-power APE scorekeeping for one daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictionScorer {
-    config: ScorerConfig,
     cores: Vec<ErrorTrack>,
     power: ErrorTrack,
     intervals: u64,
@@ -260,19 +232,13 @@ pub struct PredictionScorer {
 
 impl PredictionScorer {
     /// A scorer for a chip with `core_count` cores.
-    pub fn new(core_count: usize, config: ScorerConfig) -> Self {
+    pub fn new(core_count: usize) -> Self {
         Self {
-            config,
-            cores: (0..core_count).map(|_| ErrorTrack::new(config)).collect(),
-            power: ErrorTrack::new(config),
+            cores: (0..core_count).map(|_| ErrorTrack::default()).collect(),
+            power: ErrorTrack::default(),
             intervals: 0,
             stale_drops: 0,
         }
-    }
-
-    /// The configuration the tracks run under.
-    pub fn config(&self) -> ScorerConfig {
-        self.config
     }
 
     /// Scores one core's predicted CPI against the measured one
@@ -383,8 +349,7 @@ mod tests {
 
     #[test]
     fn drift_trips_on_a_sustained_error_rise_and_not_during_warmup() {
-        let config = ScorerConfig::default();
-        let mut d = DriftDetector::new(config);
+        let mut d = DriftDetector::default();
         // A long clean history around 2%.
         for _ in 0..50 {
             d.observe(2.0);
@@ -399,8 +364,8 @@ mod tests {
         assert!(saw_trip, "a 15x error rise must trip the wire");
         assert_eq!(d.trips(), 1);
         // Warmup: the same spike with too few samples stays silent.
-        let mut cold = DriftDetector::new(config);
-        for _ in 0..(config.min_samples - 1) {
+        let mut cold = DriftDetector::default();
+        for _ in 0..(MIN_SAMPLES - 1) {
             cold.observe(50.0);
         }
         assert!(!cold.tripped(), "trip-wire must stay disarmed in warmup");
@@ -410,7 +375,7 @@ mod tests {
     fn uniformly_bad_history_never_trips() {
         // Drift is error *relative to the run's own baseline*: a model
         // that was always 20% wrong is inaccurate, not drifting.
-        let mut d = DriftDetector::new(ScorerConfig::default());
+        let mut d = DriftDetector::default();
         for _ in 0..100 {
             d.observe(20.0);
         }
@@ -420,7 +385,7 @@ mod tests {
 
     #[test]
     fn unscorable_pairs_count_invalid_not_error() {
-        let mut t = ErrorTrack::new(ScorerConfig::default());
+        let mut t = ErrorTrack::default();
         assert_eq!(t.score(1.0, None), None);
         assert_eq!(t.score(1.0, Some(0.0)), None);
         assert_eq!(t.score(f64::NAN, Some(1.0)), None);
@@ -437,7 +402,7 @@ mod tests {
 
     #[test]
     fn scorer_aggregates_across_cores() {
-        let mut s = PredictionScorer::new(2, ScorerConfig::default());
+        let mut s = PredictionScorer::new(2);
         s.score_core_cpi(0, 1.1, Some(1.0)); // 10%
         s.score_core_cpi(1, 1.2, Some(1.0)); // 20%
         s.score_core_cpi(7, 9.9, Some(1.0)); // out of range: ignored
@@ -451,9 +416,8 @@ mod tests {
 
     #[test]
     fn merge_is_order_insensitive() {
-        let config = ScorerConfig::default();
         let mk = |errs: &[f64]| {
-            let mut s = PredictionScorer::new(1, config);
+            let mut s = PredictionScorer::new(1);
             for &e in errs {
                 s.score_core_cpi(0, 1.0 + e / 100.0, Some(1.0));
                 s.score_power(100.0 + e, 100.0);
@@ -483,7 +447,7 @@ mod tests {
 
     #[test]
     fn export_is_inert_on_a_disabled_recorder() {
-        let s = PredictionScorer::new(1, ScorerConfig::default());
+        let s = PredictionScorer::new(1);
         s.export(&RecorderHandle::noop());
     }
 }

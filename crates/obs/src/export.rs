@@ -7,23 +7,30 @@
 use crate::span::{EventRecord, SpanRecord};
 use crate::trace::TraceSnapshot;
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Displays a string as a quoted JSON string literal: `"` and `\`
+/// are backslash-escaped, `\n`, `\r` and `\t` take their short forms
+/// and any other control character becomes `\u00XX`. The one JSON
+/// string writer of the workspace's hand-rolled (serde-free) exports.
+#[derive(Debug)]
+pub struct JsonStr<'a>(pub &'a str);
+
+impl std::fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use std::fmt::Write as _;
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
             }
-            c => out.push(c),
         }
+        f.write_char('"')
     }
-    out
 }
 
 /// Formats nanoseconds as fractional microseconds with fixed
@@ -64,9 +71,9 @@ fn span_and_event_entries(spans: &[SpanRecord], events: &[EventRecord]) -> Vec<S
     }
     for e in events {
         entries.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"ppep\",\"ph\":\"i\",\"ts\":{},\"s\":\"g\",\
+            "{{\"name\":{},\"cat\":\"ppep\",\"ph\":\"i\",\"ts\":{},\"s\":\"g\",\
              \"pid\":1,\"tid\":1,\"args\":{{\"interval\":{}}}}}",
-            esc(&e.name),
+            JsonStr(&e.name),
             us(e.at_ns),
             e.interval,
         ));
@@ -114,9 +121,9 @@ pub fn chrome_trace_snapshot(snap: &TraceSnapshot) -> String {
         .unwrap_or(0);
     for (name, value) in &snap.gauges {
         entries.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"ppep\",\"ph\":\"C\",\"ts\":{},\
+            "{{\"name\":{},\"cat\":\"ppep\",\"ph\":\"C\",\"ts\":{},\
              \"pid\":1,\"tid\":1,\"args\":{{\"value\":{}}}}}",
-            esc(name),
+            JsonStr(name),
             us(end_ns),
             num(*value),
         ));
@@ -133,22 +140,22 @@ pub fn metrics_jsonl(snap: &TraceSnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snap.counters {
         out.push_str(&format!(
-            "{{\"kind\":\"counter\",\"name\":\"{}\",\"value\":{value}}}\n",
-            esc(name),
+            "{{\"kind\":\"counter\",\"name\":{},\"value\":{value}}}\n",
+            JsonStr(name),
         ));
     }
     for (name, value) in &snap.gauges {
         out.push_str(&format!(
-            "{{\"kind\":\"gauge\",\"name\":\"{}\",\"value\":{}}}\n",
-            esc(name),
+            "{{\"kind\":\"gauge\",\"name\":{},\"value\":{}}}\n",
+            JsonStr(name),
             num(*value),
         ));
     }
     for (name, h) in &snap.histograms {
         out.push_str(&format!(
-            "{{\"kind\":\"histogram\",\"name\":\"{}\",\"count\":{},\"p50\":{},\
+            "{{\"kind\":\"histogram\",\"name\":{},\"count\":{},\"p50\":{},\
              \"p95\":{},\"p99\":{},\"max\":{}}}\n",
-            esc(name),
+            JsonStr(name),
             h.count(),
             num(h.percentile(0.50)),
             num(h.percentile(0.95)),
@@ -285,5 +292,20 @@ mod tests {
         }];
         let json = chrome_trace(&[], &events);
         assert!(json.contains("weird\\\"name\\n"));
+    }
+
+    #[test]
+    fn strings_are_quoted_and_escaped() {
+        for (s, want) in [
+            ("plain", r#""plain""#),
+            ("with \"quotes\"", r#""with \"quotes\"""#),
+            ("back\\slash", r#""back\\slash""#),
+            ("tab\there", r#""tab\there""#),
+            ("new\nline\r", r#""new\nline\r""#),
+            ("bell\u{7}", r#""bell\u0007""#),
+            ("μW·s", "\"μW·s\""),
+        ] {
+            assert_eq!(JsonStr(s).to_string(), want);
+        }
     }
 }

@@ -54,7 +54,7 @@ pub mod overhead;
 pub mod span;
 pub mod trace;
 
-pub use accuracy::{DriftDetector, ErrorTrack, PredictionScorer, ScorerConfig};
+pub use accuracy::{DriftDetector, ErrorTrack, PredictionScorer};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use overhead::OverheadProfile;
 pub use span::{EventRecord, SpanRecord, SpanRing, Stage};

@@ -233,7 +233,7 @@ pub fn run(ppep: &Ppep, config: &ChaosConfig) -> Result<ChaosReport> {
     // the accuracy/drift columns. Scoring is deterministic for a
     // deterministic workload — the byte-equality test below depends
     // on that.
-    serve_config.scorer = Some(ppep_obs::ScorerConfig::default());
+    serve_config.scorer = true;
     let service = Arc::new(CappingService::new(ppep.clone(), serve_config));
     let topology = service.topology().clone();
     // Frames travel over the configured lane; ticks stay in-process

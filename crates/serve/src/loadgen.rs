@@ -136,9 +136,9 @@ impl LoadGenReport {
     }
 }
 
-/// Records a replay trace by sampling a fault-free simulated chip for
-/// `intervals` intervals — the in-memory equivalent of
-/// `ppep-experiments record`.
+/// Records a replay trace by sampling a fault-free simulated chip
+/// (FX-8320 with power gating, the Fig. 7 mix) for `intervals`
+/// intervals, in memory.
 pub fn synthesize_trace(intervals: u64, seed: u64) -> Vec<TraceEvent> {
     let mut sim = ChipSimulator::new(SimConfig::fx8320_pg(seed));
     sim.load_workload(&fig7_workload(seed));

@@ -62,10 +62,11 @@ use std::sync::{Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 use ppep_core::daemon::{DvfsController, PpepDaemon};
-use ppep_core::resilient::{HealthState, ResilientDaemon, RetryPolicy, SupervisorConfig};
+use ppep_core::resilient::{HealthState, ResilientDaemon, SupervisorConfig};
 use ppep_core::Ppep;
 use ppep_dvfs::{EpochArbiter, GrantSnapshot, OneStepCapping};
-use ppep_obs::{RecorderHandle, ScorerConfig, Stage};
+use ppep_obs::export::JsonStr;
+use ppep_obs::{RecorderHandle, Stage};
 use ppep_telemetry::session::{decode_frame, encode_frame, SessionFrame};
 use ppep_telemetry::IntervalRecord;
 use ppep_types::{Error, RejectReason, Result, Topology, Watts};
@@ -91,19 +92,15 @@ pub struct ServeConfig {
     pub max_sessions: u32,
     /// Consecutive missed interval deadlines tolerated before the
     /// session is evicted with [`Error::DeadlineExceeded`]. Kept above
-    /// the supervisor's three-strike failsafe so a silent tenant is
-    /// first degraded, then failsafed, then evicted.
+    /// the supervisor's
+    /// [`MAX_CONSECUTIVE_FAULTS`](ppep_core::resilient::MAX_CONSECUTIVE_FAULTS)
+    /// so a silent tenant is first degraded, then failsafed, then
+    /// evicted.
     pub deadline_miss_limit: u32,
-    /// In-interval retry policy handed to each tenant's supervisor.
-    pub retry: RetryPolicy,
     /// When set, every tenant's daemon scores its own predictions
-    /// against the next measured interval with this configuration
-    /// (see `ppep_obs::PredictionScorer`). Scoring is bit-inert.
-    pub scorer: Option<ScorerConfig>,
-    /// Hands `degrade_on_drift` to every tenant's supervisor: a
-    /// drifting predictor holds the tenant in Degraded (health only —
-    /// decisions are untouched). Requires `scorer` to have any effect.
-    pub degrade_on_drift: bool,
+    /// against the next measured interval (see
+    /// `ppep_obs::PredictionScorer`). Scoring is bit-inert.
+    pub scorer: bool,
     /// Worker shards the tenant population is partitioned across.
     /// `1` (the default) is single-lock-compat mode: every tenant on
     /// one shard, serialized exactly like the pre-sharding service.
@@ -120,9 +117,7 @@ impl ServeConfig {
             min_grant: Watts::new(5.0),
             max_sessions: 16,
             deadline_miss_limit: 5,
-            retry: RetryPolicy::new(),
-            scorer: None,
-            degrade_on_drift: false,
+            scorer: false,
             shards: 1,
         }
     }
@@ -233,7 +228,7 @@ impl TenantStatus {
             None => self.health.to_string(),
         };
         let evicted = match &self.evicted {
-            Some(e) => format!("\"{}\"", e.to_string().replace('"', "'")),
+            Some(e) => JsonStr(&e.to_string()).to_string(),
             None => "null".to_string(),
         };
         format!(
@@ -479,18 +474,15 @@ impl CappingService {
         let slot = control.next_slot;
         control.next_slot += 1;
 
-        let table = self.ppep.models().vf_table().clone();
-        let mut supervisor = SupervisorConfig::new(table.lowest());
-        supervisor.retry = self.config.retry;
-        supervisor.degrade_on_drift = self.config.degrade_on_drift;
         let platform = SessionPlatform::new(self.topology.clone());
         let label = format!("tenant.{tenant}.");
         let mut daemon = PpepDaemon::new(self.ppep.clone(), platform, controller)
             .with_recorder(self.recorder.labeled(&label));
-        if let Some(cfg) = self.config.scorer {
-            daemon = daemon.with_scorer(cfg);
+        if self.config.scorer {
+            daemon = daemon.with_scorer();
         }
-        let mut daemon = ResilientDaemon::new(daemon, supervisor);
+        let failsafe_vf = self.ppep.models().vf_table().lowest();
+        let mut daemon = ResilientDaemon::new(daemon, SupervisorConfig::new(failsafe_vf));
         daemon
             .inner_mut()
             .controller_mut()
@@ -1110,7 +1102,7 @@ mod tests {
     #[test]
     fn scorer_wires_accuracy_into_status_jsonl_and_snapshots() {
         let mut cfg = ServeConfig::new(Watts::new(100.0));
-        cfg.scorer = Some(ScorerConfig::default());
+        cfg.scorer = true;
         let svc = service(cfg);
         svc.connect(5, Watts::new(60.0)).unwrap();
         for r in records(6, 17) {
@@ -1163,6 +1155,31 @@ mod tests {
         plain.connect(1, Watts::new(40.0)).unwrap();
         assert!(plain.metrics_snapshots().is_empty());
         assert_eq!(plain.status()[0].cpi_err_pct, 0.0);
+    }
+
+    #[test]
+    fn eviction_reason_is_json_escaped_in_health_jsonl() {
+        let svc = service(ServeConfig::new(Watts::new(100.0)));
+        svc.connect(1, Watts::new(40.0)).unwrap();
+        svc.connect(2, Watts::new(40.0)).unwrap();
+        // A client-chosen fault text is fatal: the tenant is evicted
+        // with it as the reason.
+        let reply = svc.report_fault(1, Error::Device("a\"b\\c\nd".into()));
+        assert!(
+            matches!(reply, Ok(SessionFrame::Evicted { tenant: 1, .. })),
+            "{reply:?}"
+        );
+        let jsonl = svc.health_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), 2, "one line per tenant: {jsonl}");
+        let evicted = lines
+            .iter()
+            .find(|l| l.starts_with("{\"tenant\":1,"))
+            .expect("tenant 1 reported");
+        assert!(
+            evicted.contains(r#""evicted":"device error: a\"b\\c\nd""#),
+            "{evicted}"
+        );
     }
 
     #[test]

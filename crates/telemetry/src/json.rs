@@ -1,8 +1,9 @@
-//! JSON token writers for the trace's JSON Lines dump.
+//! The JSON number writer for the trace's JSON Lines dump.
 //!
 //! [`crate::trace::TraceReader::to_jsonl`] renders a trace as JSON
-//! Lines for humans; the workspace is offline-only (no serde), so this
-//! module hand-rolls the two token writers the dump needs. Nothing
+//! Lines for humans; the workspace is offline-only (no serde), so the
+//! dump's tokens are hand-rolled: strings through
+//! [`ppep_obs::export::JsonStr`], numbers through [`push_f64`]. Nothing
 //! reads JSON back. Non-finite numbers are written as the strings
 //! `"NaN"`, `"inf"` and `"-inf"`; finite values are exact because
 //! Rust's `Display` for `f64` emits the shortest decimal form that
@@ -22,26 +23,6 @@ pub fn push_f64(out: &mut String, v: f64) {
     } else {
         let _ = write!(out, "{v}");
     }
-}
-
-/// Appends `s` to `out` as a quoted, escaped JSON string.
-pub fn push_str(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -83,23 +64,6 @@ mod tests {
             let mut s = String::new();
             push_f64(&mut s, v);
             assert_eq!(s, want);
-        }
-    }
-
-    #[test]
-    fn strings_are_quoted_and_escaped() {
-        for (s, want) in [
-            ("plain", r#""plain""#),
-            ("with \"quotes\"", r#""with \"quotes\"""#),
-            ("back\\slash", r#""back\\slash""#),
-            ("tab\there", r#""tab\there""#),
-            ("new\nline\r", r#""new\nline\r""#),
-            ("bell\u{7}", r#""bell\u0007""#),
-            ("μW·s", "\"μW·s\""),
-        ] {
-            let mut out = String::new();
-            push_str(&mut out, s);
-            assert_eq!(out, want);
         }
     }
 }

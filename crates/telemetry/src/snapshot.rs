@@ -217,7 +217,6 @@ pub fn decode_snapshot(src: &[u8]) -> Result<(MetricsSnapshot, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppep_obs::ScorerConfig;
 
     fn sample() -> MetricsSnapshot {
         MetricsSnapshot {
@@ -279,7 +278,7 @@ mod tests {
 
     #[test]
     fn from_scorer_summarizes_the_live_tracks() {
-        let mut scorer = PredictionScorer::new(2, ScorerConfig::default());
+        let mut scorer = PredictionScorer::new(2);
         for _ in 0..10 {
             scorer.score_core_cpi(0, 1.03, Some(1.0));
             scorer.score_core_cpi(1, 2.0, Some(1.0));

@@ -26,9 +26,10 @@
 
 use crate::binary::TraceWriter;
 use crate::decision::DecisionRecord;
-use crate::json::{push_f64, push_str};
+use crate::json::push_f64;
 use crate::platform::Platform;
 use crate::record::IntervalRecord;
+use ppep_obs::export::JsonStr;
 use ppep_obs::RecorderHandle;
 use ppep_pmc::EventCounts;
 use ppep_types::time::IntervalIndex;
@@ -67,7 +68,7 @@ fn push_meta(out: &mut String, topology: &Topology) {
     out.push_str("{\"type\":\"meta\",\"version\":");
     let _ = write!(out, "{TRACE_VERSION}");
     out.push_str(",\"name\":");
-    push_str(out, topology.name());
+    let _ = write!(out, "{}", JsonStr(topology.name()));
     let _ = write!(
         out,
         ",\"cu_count\":{},\"cores_per_cu\":{}",
@@ -187,12 +188,12 @@ fn push_fault(out: &mut String, index: IntervalIndex, error: &Error) {
     match error {
         Error::SensorDropout { sensor } => {
             out.push_str("{\"kind\":\"sensor-dropout\",\"sensor\":");
-            push_str(out, sensor);
+            let _ = write!(out, "{}", JsonStr(sensor));
             out.push('}');
         }
         Error::SensorImplausible { sensor, value } => {
             out.push_str("{\"kind\":\"sensor-implausible\",\"sensor\":");
-            push_str(out, sensor);
+            let _ = write!(out, "{}", JsonStr(sensor));
             out.push_str(",\"value\":");
             push_f64(out, *value);
             out.push('}');
@@ -205,7 +206,7 @@ fn push_fault(out: &mut String, index: IntervalIndex, error: &Error) {
         }
         other => {
             out.push_str("{\"kind\":\"other\",\"message\":");
-            push_str(out, &other.to_string());
+            let _ = write!(out, "{}", JsonStr(&other.to_string()));
             out.push('}');
         }
     }

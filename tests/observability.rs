@@ -8,11 +8,11 @@
 //! and bit-identical measured power.
 
 use ppep_core::daemon::PpepDaemon;
-use ppep_core::resilient::{ResilientDaemon, SupervisorConfig};
+use ppep_core::resilient::{HealthState, ResilientDaemon, SupervisorConfig};
 use ppep_core::Ppep;
 use ppep_dvfs::capping::OneStepCapping;
 use ppep_models::trainer::TrainedModels;
-use ppep_obs::{PredictionScorer, RecorderHandle, ScorerConfig, Stage, TraceRecorder};
+use ppep_obs::{PredictionScorer, RecorderHandle, Stage, TraceRecorder};
 use ppep_rig::TrainingRig;
 use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_sim::fault::FaultPlan;
@@ -68,15 +68,24 @@ fn run_storm(
     (decisions, power_bits)
 }
 
-/// A recorded storm run: per-interval decisions, measured power bits,
-/// the v2 trace, and the number of scored CPI observations.
-type RecordedStorm = (Vec<Vec<VfStateId>>, Vec<Option<u64>>, Vec<u8>, u64);
+/// A recorded storm run.
+struct RecordedStorm {
+    decisions: Vec<Vec<VfStateId>>,
+    power_bits: Vec<Option<u64>>,
+    /// The supervisor's state after each interval.
+    states: Vec<HealthState>,
+    /// The health report's transitions and its fresh, held and
+    /// failsafe counts.
+    health: (Vec<(u64, HealthState)>, u64, u64, u64),
+    /// The recorded v2 trace.
+    trace: Vec<u8>,
+    /// Scored CPI observations (0 without the scorer).
+    scored: u64,
+}
 
 /// One supervised capping run under a seeded fault storm, recorded
 /// through a [`RecordingPlatform`], with or without a prediction
-/// scorer attached. Returns the per-interval decisions, the measured
-/// power bits, the recorded v2 trace, and the number of scored CPI
-/// observations (0 without the scorer).
+/// scorer attached.
 fn run_storm_recorded(seed: u64, rate: f64, intervals: usize, with_scorer: bool) -> RecordedStorm {
     let ppep = Ppep::new(models().clone());
     let table = ppep.models().vf_table().clone();
@@ -88,11 +97,12 @@ fn run_storm_recorded(seed: u64, rate: f64, intervals: usize, with_scorer: bool)
     let recording = RecordingPlatform::new(SimPlatform::new(sim));
     let mut inner = PpepDaemon::new(ppep, recording, controller);
     if with_scorer {
-        inner = inner.with_scorer(ScorerConfig::default());
+        inner = inner.with_scorer();
     }
     let mut daemon = ResilientDaemon::new(inner, SupervisorConfig::new(table.lowest()));
     let mut decisions = Vec::with_capacity(intervals);
     let mut power_bits = Vec::with_capacity(intervals);
+    let mut states = Vec::with_capacity(intervals);
     for _ in 0..intervals {
         let s = daemon.step().expect("storm faults are transient");
         power_bits.push(
@@ -101,20 +111,32 @@ fn run_storm_recorded(seed: u64, rate: f64, intervals: usize, with_scorer: bool)
                 .map(|r| r.true_power.total().as_watts().to_bits()),
         );
         decisions.push(s.decision.clone());
+        states.push(s.state);
     }
-    let scored = daemon
-        .inner()
-        .scorer()
-        .map_or(0, |s| s.cores().iter().map(|t| t.scored()).sum());
-    let trace = daemon.inner().platform().trace();
-    (decisions, power_bits, trace, scored)
+    let report = daemon.report();
+    RecordedStorm {
+        decisions,
+        power_bits,
+        states,
+        health: (
+            report.transitions.clone(),
+            report.fresh_decisions,
+            report.held_decisions,
+            report.failsafe_intervals,
+        ),
+        trace: daemon.inner().platform().trace(),
+        scored: daemon
+            .inner()
+            .scorer()
+            .map_or(0, |s| s.cores().iter().map(|t| t.scored()).sum()),
+    }
 }
 
 /// Builds a scorer over 2 cores from a stream of observation seeds:
 /// each seed derives a (core, predicted CPI, measured CPI) triple and
 /// a chip-power observation.
 fn scorer_from(seeds: &[u64]) -> PredictionScorer {
-    let mut scorer = PredictionScorer::new(2, ScorerConfig::default());
+    let mut scorer = PredictionScorer::new(2);
     for &s in seeds {
         let core = (s % 2) as usize;
         let predicted = 0.2 + ((s >> 8) % 1_000) as f64 / 125.0;
@@ -180,8 +202,8 @@ proptest! {
 
     /// Attaching a prediction scorer is bit-inert: scorer-on and
     /// scorer-off storms make identical decisions, measure identical
-    /// power, and record byte-identical traces — while the scorer-on
-    /// run really scored something.
+    /// power, walk the same health states and record byte-identical
+    /// traces — while the scorer-on run really scored something.
     #[test]
     fn scoring_is_inert(
         seed in 0u64..10_000,
@@ -191,11 +213,13 @@ proptest! {
         let off = run_storm_recorded(seed, rate, intervals, false);
         let on = run_storm_recorded(seed, rate, intervals, true);
 
-        prop_assert_eq!(&off.0, &on.0, "decisions diverged under scoring");
-        prop_assert_eq!(&off.1, &on.1, "measured power diverged under scoring");
-        prop_assert_eq!(&off.2, &on.2, "trace bytes diverged under scoring");
-        prop_assert_eq!(off.3, 0u64);
-        prop_assert!(on.3 > 0, "the scorer-on run never scored a pair");
+        prop_assert_eq!(&off.decisions, &on.decisions, "decisions diverged under scoring");
+        prop_assert_eq!(&off.power_bits, &on.power_bits, "measured power diverged under scoring");
+        prop_assert_eq!(&off.states, &on.states, "health states diverged under scoring");
+        prop_assert_eq!(&off.health, &on.health, "health report diverged under scoring");
+        prop_assert_eq!(&off.trace, &on.trace, "trace bytes diverged under scoring");
+        prop_assert_eq!(off.scored, 0u64);
+        prop_assert!(on.scored > 0, "the scorer-on run never scored a pair");
     }
 
     /// Scorer merging is order-insensitive: folding B into A and A
