@@ -37,6 +37,7 @@ impl HwCounter {
     }
 
     /// Advances the counter by `delta` events, wrapping at 48 bits.
+    #[inline]
     pub fn advance(&mut self, delta: u64) {
         self.raw = (self.raw.wrapping_add(delta)) & COUNTER_MASK;
     }

@@ -106,6 +106,7 @@ impl MsrDevice {
     }
 
     /// Number of armed counter-read failures remaining.
+    #[inline]
     pub fn pending_read_failures(&self) -> u32 {
         self.fail_reads.get()
     }
@@ -205,6 +206,7 @@ impl MsrDevice {
 
     /// Loads all six `PERF_CTL` registers at once, as six `wrmsr`s to
     /// CTL0..CTL5 would. Counter values are untouched.
+    #[inline]
     pub(crate) fn program_all(&mut self, ctl: &[u64; SLOT_COUNT]) {
         self.ctl = *ctl;
     }
@@ -219,24 +221,38 @@ impl MsrDevice {
 
     /// Every slot's raw counter value, bypassing fault injection like
     /// [`MsrDevice::peek_slot`].
+    #[inline]
     pub(crate) fn peek_all(&self) -> [u64; SLOT_COUNT] {
         self.ctr.map(HwCounter::read)
     }
 
-    /// [`MsrDevice::count_events`] then [`MsrDevice::read_slot`] for a
-    /// slot the caller knows is in range: an enabled slot advances by
-    /// `events`, then the counter is read through the modelled
-    /// `msr-tools` path, so an armed read failure fails this read with
-    /// the slot's `PERF_CTR` address.
+    /// [`MsrDevice::count_events`] for every slot, then every
+    /// counter's value: each enabled slot advances by its entry of
+    /// `events`. For a caller that knows no read failure is armed this
+    /// is six `count_events` and `read_slot` pairs, since no read can
+    /// fail and slots count independently.
     #[inline]
-    pub(crate) fn count_and_read(&mut self, slot: usize, events: u64) -> Result<u64> {
-        let counter = &mut self.ctr[slot];
-        if self.ctl[slot] & CTL_ENABLE_BIT != 0 {
+    pub(crate) fn count_all(&mut self, events: &[u64; SLOT_COUNT]) -> [u64; SLOT_COUNT] {
+        for ((counter, ctl), &n) in self.ctr.iter_mut().zip(&self.ctl).zip(events) {
+            if ctl & CTL_ENABLE_BIT != 0 {
+                counter.advance(n);
+            }
+        }
+        self.peek_all()
+    }
+
+    /// [`MsrDevice::count_events`] then a failed [`MsrDevice::read_slot`]
+    /// on slot 0, while a read failure is armed: an enabled slot 0
+    /// advances by `events`, one armed failure is used up, and the
+    /// read's error, with `PERF_CTR0`'s address, is returned.
+    #[cold]
+    pub(crate) fn count_and_fail_first_read(&mut self, events: u64) -> Error {
+        let ([counter, ..], [ctl, ..]) = (&mut self.ctr, self.ctl);
+        if ctl & CTL_ENABLE_BIT != 0 {
             counter.advance(events);
         }
-        let now = counter.read();
-        self.check_read_fault(PERF_CTR_BASE + 2 * slot as u32)?;
-        Ok(now)
+        self.fail_reads.set(self.fail_reads.get().saturating_sub(1));
+        Error::MsrReadFailed { msr: PERF_CTR_BASE }
     }
 
     fn classify(address: u32) -> Result<Register> {

@@ -57,6 +57,7 @@ impl MuxGroup {
 
     /// The other group.
     #[must_use]
+    #[inline]
     pub fn toggled(self) -> Self {
         match self {
             MuxGroup::A => MuxGroup::B,
@@ -64,39 +65,41 @@ impl MuxGroup {
         }
     }
 
-    fn layout(self) -> &'static SlotLayout {
+    /// The group's `PERF_CTL` values, one per slot: event select,
+    /// enable bit set.
+    #[inline]
+    fn ctl(self) -> &'static [u64; SLOT_COUNT] {
         match self {
-            MuxGroup::A => &LAYOUT_A,
-            MuxGroup::B => &LAYOUT_B,
+            MuxGroup::A => &CTL_A,
+            MuxGroup::B => &CTL_B,
         }
     }
 }
 
 /// A group's slot programming, worked out at compile time so that
 /// reprogramming every sub-tick is a six-word copy.
-struct SlotLayout {
-    /// The event each slot counts.
-    event: [EventId; SLOT_COUNT],
-    /// The `PERF_CTL` value of each slot: event select, enable bit set.
-    ctl: [u64; SLOT_COUNT],
-}
-
-impl SlotLayout {
-    const fn of(group: MuxGroup) -> Self {
-        let event = group.events();
-        let [e0, e1, e2, e3, e4, e5] = event;
-        const fn ctl(e: EventId) -> u64 {
-            encode_ctl(e.code(), true)
-        }
-        Self {
-            event,
-            ctl: [ctl(e0), ctl(e1), ctl(e2), ctl(e3), ctl(e4), ctl(e5)],
-        }
+const fn group_ctl(group: MuxGroup) -> [u64; SLOT_COUNT] {
+    const fn ctl(e: EventId) -> u64 {
+        encode_ctl(e.code(), true)
     }
+    let [e0, e1, e2, e3, e4, e5] = group.events();
+    [ctl(e0), ctl(e1), ctl(e2), ctl(e3), ctl(e4), ctl(e5)]
 }
 
-static LAYOUT_A: SlotLayout = SlotLayout::of(MuxGroup::A);
-static LAYOUT_B: SlotLayout = SlotLayout::of(MuxGroup::B);
+static CTL_A: [u64; SLOT_COUNT] = group_ctl(MuxGroup::A);
+static CTL_B: [u64; SLOT_COUNT] = group_ctl(MuxGroup::B);
+
+// `Pmu::tick` takes a group's counts and accumulators as one half of
+// the event-indexed arrays: group A's slots count events 0–5 in order,
+// group B's events 6–11.
+const _: () = {
+    let [a0, a1, a2, a3, a4, a5] = MuxGroup::A.events();
+    let [b0, b1, b2, b3, b4, b5] = MuxGroup::B.events();
+    assert!(a0.index() == 0 && a1.index() == 1 && a2.index() == 2);
+    assert!(a3.index() == 3 && a4.index() == 4 && a5.index() == 5);
+    assert!(b0.index() == 6 && b1.index() == 7 && b2.index() == 8);
+    assert!(b3.index() == 9 && b4.index() == 10 && b5.index() == 11);
+};
 
 /// `x.round().max(0.0) as u64`, exactly, for a count [`Pmu::tick`] has
 /// validated (finite, `>= 0`), without the call `round` compiles to or
@@ -238,11 +241,48 @@ impl Pmu {
     }
 
     fn program_active_group(&mut self) {
-        self.device.program_all(&self.active_group.layout().ctl);
+        self.device.program_all(self.active_group.ctl());
         // Backstage peek: baseline re-sync is simulator bookkeeping,
         // not a modelled msr-tools read, so injected read failures
         // must not corrupt it.
         self.slot_baseline = self.device.peek_all();
+    }
+
+    /// Whether a tick that counts nothing would only keep time (see
+    /// [`IntervalSampler::is_quiet`]).
+    ///
+    /// [`IntervalSampler::is_quiet`]: crate::sampler::IntervalSampler::is_quiet
+    #[inline]
+    pub(crate) fn is_quiet(&self) -> bool {
+        !self.multiplexing
+            || self.device.pending_read_failures() == 0
+                && self.device.peek_all() == self.slot_baseline
+    }
+
+    /// `ticks` ticks of all-zero counts lasting `dt` each, on a quiet
+    /// PMU: the time accounting and group toggles those ticks make,
+    /// then the one reprogramming that leaves the slots as the last of
+    /// them would. Every addition keeps its order, so the accumulated
+    /// times are the ticks' bit for bit.
+    #[inline]
+    pub(crate) fn tick_quiet(&mut self, ticks: usize, dt: f64) {
+        let [a_time, b_time] = &mut self.active_time;
+        for _ in 0..ticks {
+            self.total_time += dt;
+            if !self.multiplexing {
+                *a_time += dt;
+                *b_time += dt;
+                continue;
+            }
+            match self.active_group {
+                MuxGroup::A => *a_time += dt,
+                MuxGroup::B => *b_time += dt,
+            }
+            self.active_group = self.active_group.toggled();
+        }
+        if self.multiplexing && ticks > 0 {
+            self.device.program_all(self.active_group.ctl());
+        }
     }
 
     /// Feeds one sub-tick of ground-truth event counts into the PMU.
@@ -254,13 +294,18 @@ impl Pmu {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidInput`] for non-positive `dt` or
-    /// non-finite/negative counts.
+    /// Returns [`Error::InvalidInput`] for a `dt` that is not positive
+    /// and finite, or for non-finite/negative counts, and
+    /// [`Error::MsrReadFailed`] when an armed read failure fails the
+    /// tick's first counter read.
     #[inline]
     pub fn tick(&mut self, true_counts: &EventCounts, dt: Seconds) -> Result<()> {
         let dt = dt.as_secs();
-        if dt <= 0.0 {
-            return Err(Error::InvalidInput("PMU tick needs positive dt".into()));
+        // NaN fails the first comparison, ±∞ the second.
+        if !(dt > 0.0 && dt <= f64::MAX) {
+            return Err(Error::InvalidInput(
+                "PMU tick needs a positive, finite dt".into(),
+            ));
         }
         // Finite and non-negative is `0 <= x <= MAX` (NaN fails both,
         // -0.0 passes), checked in one pass without short-circuiting so
@@ -278,38 +323,45 @@ impl Pmu {
         self.total_time += dt;
 
         if self.multiplexing {
-            // Only the active group's slots count this sub-tick.
-            let layout = self.active_group.layout();
-            // A silent tick: every active count is ±0, no read can fail
-            // and every counter still sits at its baseline, so each
-            // count-and-read below would advance a counter by 0, read
-            // back its baseline and add a delta of 0. Skip them.
-            let silent = layout.event.iter().all(|&e| true_counts.get(e) == 0.0)
-                && self.device.pending_read_failures() == 0
-                && self.device.peek_all() == self.slot_baseline;
-            if !silent {
-                for (slot, &event) in layout.event.iter().enumerate() {
-                    // Count, then read back through the MSR interface, as
-                    // msr-tools would.
-                    let now = self
-                        .device
-                        .count_and_read(slot, round_count(true_counts.get(event)))?;
-                    // Counters are 48 bits wide: a mid-interval wrap makes
-                    // `now < baseline`, and the delta must be taken modulo
-                    // 2⁴⁸ (a plain u64 subtraction would inflate it by
-                    // 2⁶⁴ − 2⁴⁸).
-                    let delta = now.wrapping_sub(self.slot_baseline[slot]) & COUNTER_MASK;
-                    self.slot_baseline[slot] = now;
-                    self.accumulated[event.index()] += delta;
-                }
+            // Only the active group's slots count this sub-tick. Its
+            // counts and accumulators are one half of the event-indexed
+            // arrays, slot order being event order (asserted at compile
+            // time).
+            let (a_counts, b_counts) = counts.split_at(SLOT_COUNT);
+            let (a_acc, b_acc) = self.accumulated.split_at_mut(SLOT_COUNT);
+            let [a_time, b_time] = &mut self.active_time;
+            let (group_counts, group_acc, group_time) = match self.active_group {
+                MuxGroup::A => (a_counts, a_acc, a_time),
+                MuxGroup::B => (b_counts, b_acc, b_time),
+            };
+            let mut events = [0; SLOT_COUNT];
+            for (n, &x) in events.iter_mut().zip(group_counts) {
+                *n = round_count(x);
             }
-            self.active_time[self.active_group as usize] += dt;
+            if self.device.pending_read_failures() > 0 {
+                // An armed failure fails the tick's first read: slot
+                // 0's, after its counter has counted.
+                let [first, ..] = events;
+                return Err(self.device.count_and_fail_first_read(first));
+            }
+            // No read can fail, so count every slot, then read every
+            // counter back, as msr-tools would slot by slot.
+            let now = self.device.count_all(&events);
+            for ((acc, baseline), now) in group_acc.iter_mut().zip(&mut self.slot_baseline).zip(now)
+            {
+                // Counters are 48 bits wide: a mid-interval wrap makes
+                // `now < baseline`, and the delta must be taken modulo
+                // 2⁴⁸ (a plain u64 subtraction would inflate it by
+                // 2⁶⁴ − 2⁴⁸).
+                *acc += now.wrapping_sub(*baseline) & COUNTER_MASK;
+                *baseline = now;
+            }
+            *group_time += dt;
             // Reprogram the slots for the other group. Every baseline
-            // now equals its counter's value (just set, or already
-            // equal on a silent tick) and programming does not move
-            // counters, so no re-sync is needed.
+            // now equals its counter's value and programming does not
+            // move counters, so no re-sync is needed.
             self.active_group = self.active_group.toggled();
-            self.device.program_all(&self.active_group.layout().ctl);
+            self.device.program_all(self.active_group.ctl());
         } else {
             for (acc, &x) in self.accumulated.iter_mut().zip(counts) {
                 *acc += round_count(x);
@@ -464,7 +516,19 @@ mod tests {
     #[test]
     fn tick_validates_inputs() {
         let mut pmu = Pmu::new();
-        assert!(pmu.tick(&steady_counts(1.0), Seconds::new(0.0)).is_err());
+        for dt in [0.0, -0.0, -0.02, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let ticked = pmu.tick(&steady_counts(1.0), Seconds::new(dt));
+            assert!(
+                matches!(ticked, Err(Error::InvalidInput(_))),
+                "dt {dt}: {ticked:?}"
+            );
+        }
+        // A rejected tick changes nothing.
+        assert_eq!(pmu.active_group(), MuxGroup::A);
+        assert!(pmu.drain_interval().is_err());
+        assert!(pmu
+            .tick(&steady_counts(1.0), Seconds::new(f64::MAX))
+            .is_ok());
         for (value, valid) in [
             (f64::NAN, false),
             (-5.0, false),

@@ -70,13 +70,17 @@ impl IntervalSampler {
     /// # Panics
     ///
     /// Panics when `ticks_per_interval` is zero or the period is not
-    /// positive.
+    /// positive and finite.
     pub fn with_schedule(pmu: Pmu, ticks_per_interval: usize, tick_period: Seconds) -> Self {
         assert!(
             ticks_per_interval > 0,
             "need at least one tick per interval"
         );
-        assert!(tick_period.as_secs() > 0.0, "tick period must be positive");
+        let period = tick_period.as_secs();
+        assert!(
+            period > 0.0 && period <= f64::MAX,
+            "tick period must be positive and finite"
+        );
         Self {
             pmu,
             ticks_in_interval: ticks_per_interval,
@@ -128,18 +132,76 @@ impl IntervalSampler {
         }
         self.ticks_seen += 1;
         if self.ticks_seen == self.ticks_in_interval {
-            self.ticks_seen = 0;
-            let counts = match self.pmu.drain_interval() {
-                Ok(counts) => counts,
-                Err(e) => {
-                    self.recorder.incr("fault.detected.pmc");
-                    return Err(e);
-                }
-            };
-            let duration = self.tick_period * self.ticks_in_interval as f64;
-            return Ok(Some(IntervalSample { counts, duration }));
+            return self.close_interval().map(Some);
         }
         Ok(None)
+    }
+
+    /// Whether the wrapped PMU is quiet: a tick that counts nothing
+    /// would only keep time, so [`tick_silent`] runs without ticking
+    /// it. The ideal PMU never touches its counters. A multiplexed one
+    /// is quiet when no read failure is armed and every counter still
+    /// equals its baseline, so each of a tick's six count → read →
+    /// delta steps would advance a counter by 0, read back its baseline
+    /// and add 0. Such a tick leaves the PMU quiet.
+    ///
+    /// [`tick_silent`]: IntervalSampler::tick_silent
+    #[inline]
+    pub fn is_quiet(&self) -> bool {
+        self.pmu.is_quiet()
+    }
+
+    /// Feeds `ticks` sub-ticks of all-zero counts: exactly what `ticks`
+    /// calls of [`tick`] with [`EventCounts::zero`] would do, returning
+    /// the last sample they close (`None` if they close none).
+    ///
+    /// A silent tick on a quiet PMU only keeps time and toggles the
+    /// multiplexing group, and leaves the PMU quiet. So while the PMU
+    /// is quiet, the ticks up to each interval end cost their time
+    /// accounting and one reprogramming, not a [`tick`] each. A PMU
+    /// that is not quiet is ticked.
+    ///
+    /// # Errors
+    ///
+    /// Those of the [`tick`]s it stands for; a quiet PMU's silent
+    /// ticks never fail.
+    ///
+    /// [`tick`]: IntervalSampler::tick
+    // No `#[inline]`: a copy inlined into a caller that also calls
+    // `tick` gives `tick` a second call site there (DESIGN §13.4).
+    pub fn tick_silent(&mut self, ticks: usize) -> Result<Option<IntervalSample>> {
+        let mut closed = None;
+        let mut left = ticks;
+        while left > 0 {
+            let run = left.min(self.ticks_in_interval - self.ticks_seen);
+            left -= run;
+            if !self.pmu.is_quiet() {
+                for _ in 0..run {
+                    closed = self.tick(&EventCounts::zero())?.or(closed);
+                }
+                continue;
+            }
+            self.pmu.tick_quiet(run, self.tick_period.as_secs());
+            self.ticks_seen += run;
+            if self.ticks_seen == self.ticks_in_interval {
+                closed = Some(self.close_interval()?);
+            }
+        }
+        Ok(closed)
+    }
+
+    /// Drains the PMU into the sample of the interval just completed.
+    fn close_interval(&mut self) -> Result<IntervalSample> {
+        self.ticks_seen = 0;
+        let counts = match self.pmu.drain_interval() {
+            Ok(counts) => counts,
+            Err(e) => {
+                self.recorder.incr("fault.detected.pmc");
+                return Err(e);
+            }
+        };
+        let duration = self.tick_period * self.ticks_in_interval as f64;
+        Ok(IntervalSample { counts, duration })
     }
 }
 
@@ -207,6 +269,44 @@ mod tests {
     #[should_panic(expected = "at least one tick")]
     fn zero_tick_schedule_rejected() {
         let _ = IntervalSampler::with_schedule(Pmu::new(), 0, Seconds::new(0.02));
+    }
+
+    #[test]
+    fn non_finite_tick_periods_are_rejected() {
+        for period in [0.0, -0.02, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let built = std::panic::catch_unwind(|| {
+                IntervalSampler::with_schedule(Pmu::new(), 10, Seconds::new(period))
+            });
+            assert!(built.is_err(), "period {period} accepted");
+        }
+    }
+
+    #[test]
+    fn a_quiet_interval_is_skipped_whole() {
+        let mut skipped = IntervalSampler::new(Pmu::new());
+        let mut ticked = IntervalSampler::new(Pmu::new());
+        assert!(skipped.is_quiet());
+        let sample = skipped
+            .tick_silent(10)
+            .unwrap()
+            .expect("closes the interval");
+        let mut expected = None;
+        for _ in 0..10 {
+            expected = ticked.tick(&EventCounts::zero()).unwrap().or(expected);
+        }
+        assert_eq!(Some(sample), expected);
+        assert_eq!(sample.counts, EventCounts::zero());
+        assert_eq!(sample.duration, Seconds::new(0.02) * 10.0);
+        // Three more leave group B active, as three ticks would.
+        assert!(skipped.tick_silent(3).unwrap().is_none());
+        assert_eq!(skipped.ticks_seen(), 3);
+        assert_eq!(skipped.pmu.active_group(), crate::pmu::MuxGroup::B);
+        // An armed failure makes the PMU loud: the first silent tick
+        // fails like a ticked one.
+        skipped.pmu_mut().msr_mut().inject_read_failures(1);
+        assert!(!skipped.is_quiet());
+        assert!(skipped.tick_silent(1).is_err());
+        assert_eq!(skipped.ticks_seen(), 3);
     }
 
     #[test]

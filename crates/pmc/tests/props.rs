@@ -4,13 +4,14 @@ use ppep_pmc::counter::{HwCounter, COUNTER_MASK};
 use ppep_pmc::events::{EventId, ALL_EVENTS, EVENT_COUNT};
 use ppep_pmc::msr::{decode_ctl, encode_ctl, MsrDevice, PERF_CTL_BASE, PERF_CTR_BASE, SLOT_COUNT};
 use ppep_pmc::pmu::MuxGroup;
+use ppep_pmc::sampler::{IntervalSample, IntervalSampler};
 use ppep_pmc::{EventCounts, Pmu};
 use ppep_types::{Error, Result, Seconds};
 use proptest::prelude::*;
 
-/// The multiplexed PMU as it was before silent ticks were skipped:
-/// every tick counts and reads back all six slots through the public
-/// MSR interface. It is the oracle for `Pmu`'s multiplexing path.
+/// The multiplexed PMU ticked slot by slot: every tick counts and reads
+/// back all six slots through the public MSR interface. It is the
+/// oracle for `Pmu`'s multiplexing path.
 struct PerSlotPmu {
     device: MsrDevice,
     group: MuxGroup,
@@ -142,16 +143,43 @@ fn tick_counts(word: u64) -> EventCounts {
     counts
 }
 
-/// The two PMUs' results must agree, errors in value and in text.
+/// Two results must agree, errors in value and in text.
 fn same_result<T: PartialEq + std::fmt::Debug>(
     new: &Result<T>,
     old: &Result<T>,
 ) -> std::result::Result<(), String> {
     let text = |r: &Result<T>| r.as_ref().map_err(ToString::to_string).err();
     if new != old || text(new) != text(old) {
-        return Err(format!("Pmu {new:?} vs per-slot oracle {old:?}"));
+        return Err(format!("{new:?} vs oracle {old:?}"));
     }
     Ok(())
+}
+
+/// What `ticks` calls of `IntervalSampler::tick` with all-zero counts
+/// return: the last sample they close, or the first error.
+fn tick_zeros(sampler: &mut IntervalSampler, ticks: usize) -> Result<Option<IntervalSample>> {
+    let mut closed = None;
+    for _ in 0..ticks {
+        if let Some(sample) = sampler.tick(&EventCounts::zero())? {
+            closed = Some(sample);
+        }
+    }
+    Ok(closed)
+}
+
+/// A sampler's result with every f64 as its bits, so `-0.0` and NaN
+/// compare exactly.
+type SampleBits = Option<([u64; EVENT_COUNT], u64)>;
+
+fn bits(ticked: Result<Option<IntervalSample>>) -> Result<SampleBits> {
+    ticked.map(|closed| {
+        closed.map(|s| {
+            (
+                s.counts.as_array().map(f64::to_bits),
+                s.duration.as_secs().to_bits(),
+            )
+        })
+    })
 }
 
 proptest! {
@@ -315,5 +343,95 @@ proptest! {
                 prop_assert_eq!(new.msr().slot_config(slot).unwrap(), old.device.slot_config(slot).unwrap());
             }
         }
+    }
+
+    /// Skipping silent sub-ticks changes nothing: two samplers driven
+    /// through the same random script, one taking every run of
+    /// all-zero sub-ticks through `tick_silent` (a whole interval, the
+    /// rest of one, a run across interval ends, or a partial run then
+    /// a reset, as an abandoned interval does) and one ticking them,
+    /// return the same `Result` from every call and keep the same
+    /// registers. The script mixes in busy ticks, armed read failures,
+    /// preloads near the 2⁴⁸ wrap and raw `PERF_CTR`/`PERF_CTL`
+    /// writes that move a counter off its baseline or disable a slot.
+    #[test]
+    fn skipped_silent_ticks_match_ticked_ones(
+        script in prop::collection::vec(any::<u64>(), 1..160),
+        ticks_per_interval in 1usize..=12,
+        ideal in any::<bool>(),
+    ) {
+        let sampler = || {
+            let pmu = if ideal { Pmu::new_ideal() } else { Pmu::new() };
+            IntervalSampler::with_schedule(pmu, ticks_per_interval, Seconds::new(0.02))
+        };
+        let (mut skipping, mut ticking) = (sampler(), sampler());
+        for &word in &script {
+            let arg = mix(word);
+            let slot = (arg % SLOT_COUNT as u64) as usize;
+            match word % 12 {
+                0..=3 => {
+                    let counts = tick_counts(arg);
+                    same_result(&bits(skipping.tick(&counts)), &bits(ticking.tick(&counts)))?;
+                }
+                4..=6 => {
+                    let left = ticks_per_interval - ticking.ticks_seen();
+                    let ticks = match (arg >> 8) % 3 {
+                        0 => ticks_per_interval,
+                        1 => left,
+                        _ => (arg >> 10) as usize % (3 * ticks_per_interval + 1),
+                    };
+                    same_result(
+                        &bits(skipping.tick_silent(ticks)),
+                        &bits(tick_zeros(&mut ticking, ticks)),
+                    )?;
+                }
+                7 => {
+                    let ticks = (arg >> 8) as usize % (ticks_per_interval + 1);
+                    same_result(
+                        &bits(skipping.tick_silent(ticks)),
+                        &bits(tick_zeros(&mut ticking, ticks)),
+                    )?;
+                    skipping.reset();
+                    ticking.reset();
+                }
+                8 => {
+                    let reads = 1 + (arg >> 8) as u32 % 3;
+                    skipping.pmu_mut().msr_mut().inject_read_failures(reads);
+                    ticking.pmu_mut().msr_mut().inject_read_failures(reads);
+                }
+                9 => {
+                    let raw = COUNTER_MASK - (arg >> 8) % 3000;
+                    skipping.pmu_mut().preload_counters(raw);
+                    ticking.pmu_mut().preload_counters(raw);
+                }
+                10 => {
+                    let address = PERF_CTR_BASE + 2 * slot as u32;
+                    let raw = if arg & 0x100 != 0 { COUNTER_MASK - (arg >> 9) % 100 } else { arg >> 9 };
+                    skipping.pmu_mut().msr_mut().wrmsr(address, raw).unwrap();
+                    ticking.pmu_mut().msr_mut().wrmsr(address, raw).unwrap();
+                }
+                _ => {
+                    let event = ALL_EVENTS[(arg >> 8) as usize % EVENT_COUNT];
+                    let ctl = encode_ctl(event.code(), arg & 0x8000 != 0);
+                    let address = PERF_CTL_BASE + 2 * slot as u32;
+                    skipping.pmu_mut().msr_mut().wrmsr(address, ctl).unwrap();
+                    ticking.pmu_mut().msr_mut().wrmsr(address, ctl).unwrap();
+                }
+            }
+            prop_assert_eq!(skipping.ticks_seen(), ticking.ticks_seen());
+            prop_assert_eq!(skipping.is_quiet(), ticking.is_quiet());
+            let (new, old) = (skipping.pmu_mut().clone(), ticking.pmu_mut().clone());
+            prop_assert_eq!(new.active_group(), old.active_group());
+            prop_assert_eq!(new.msr().pending_read_failures(), old.msr().pending_read_failures());
+            for slot in 0..SLOT_COUNT {
+                prop_assert_eq!(new.msr().peek_slot(slot).unwrap(), old.msr().peek_slot(slot).unwrap());
+                prop_assert_eq!(new.msr().slot_config(slot).unwrap(), old.msr().slot_config(slot).unwrap());
+            }
+        }
+        // Whatever the script left accumulated drains the same.
+        let drain = |s: &mut IntervalSampler| {
+            s.pmu_mut().drain_interval().map(|c| c.as_array().map(f64::to_bits))
+        };
+        same_result(&drain(&mut skipping), &drain(&mut ticking))?;
     }
 }

@@ -139,6 +139,10 @@ pub struct ChipSimulator {
     /// core that counted anything (`None` for the rest).
     subtick_counts: Vec<EventCounts>,
     subtick_switching: Vec<Option<f64>>,
+    /// Per-core scratch of the interval step: the cores that skip the
+    /// sub-tick loop. They count nothing, and their sampler takes the
+    /// interval's silent sub-ticks in one step after the loop.
+    skipped: Vec<bool>,
 }
 
 impl ChipSimulator {
@@ -184,6 +188,7 @@ impl ChipSimulator {
             recorder: RecorderHandle::noop(),
             subtick_counts: vec![EventCounts::zero(); cores],
             subtick_switching: vec![None; cores],
+            skipped: vec![false; cores],
             config,
         }
     }
@@ -480,7 +485,27 @@ impl ChipSimulator {
         let mut acc_nb_dyn = 0.0_f64;
         let mut acc_nb_idle = 0.0_f64;
 
-        for reading in sensor_readings.iter_mut() {
+        // A core with no runnable thread counts nothing all interval (no
+        // core becomes busy mid-interval), and a tick that counts
+        // nothing leaves a quiet PMU quiet. Such a core skips the loop:
+        // its counts would add +0.0 to its true totals (reset to +0.0)
+        // and to the miss sum (never -0.0), it has no dynamic power,
+        // and its sampler takes the loop's ticks in one step afterwards.
+        for (((skip, slot), sampler), switching) in self
+            .skipped
+            .iter_mut()
+            .zip(&self.slots)
+            .zip(&self.samplers)
+            .zip(self.subtick_switching.iter_mut())
+        {
+            let runnable = slot.as_ref().is_some_and(|s| !s.cursor.is_finished());
+            *skip = !runnable && sampler.is_quiet();
+            if *skip {
+                *switching = None;
+            }
+        }
+
+        for (subtick, reading) in sensor_readings.iter_mut().enumerate() {
             let temperature = self.thermal.temperature();
             let leak_temp_factor = physics.leak_temp_factor(temperature);
             let contention = self.nb.contention_multiplier();
@@ -488,6 +513,9 @@ impl ChipSimulator {
             let mut total_misses = 0.0;
 
             for core in 0..cores {
+                if self.skipped[core] {
+                    continue;
+                }
                 let cu = core / per_cu;
                 let ctx = ExecutionContext {
                     vf: vf_table.point(self.cu_vf[cu]),
@@ -596,22 +624,51 @@ impl ChipSimulator {
                 .iter_mut()
                 .zip(&self.subtick_counts)
                 .zip(samples.iter_mut())
-                .try_for_each(|((sampler, counts), sample)| {
-                    if let Some(closed) = sampler.tick(counts)? {
+                .zip(&self.skipped)
+                .enumerate()
+                .try_for_each(|(core, (((sampler, counts), sample), &skip))| {
+                    if skip {
+                        return Ok(());
+                    }
+                    if let Some(closed) = sampler.tick(counts).map_err(|e| (core, e))? {
                         *sample = closed;
                     }
                     Ok(())
                 });
-            if let Err(e) = ticked {
+            if let Err((failed, e)) = ticked {
                 // A mid-interval MSR failure poisons the whole
                 // measurement: every core's partial sample is
                 // discarded so nothing stale leaks into the next
-                // interval, and the fault surfaces.
-                for s in self.samplers.iter_mut() {
+                // interval, and the fault surfaces. A skipped core
+                // first takes the silent ticks it missed: one per
+                // sub-tick so far, and this one's too if it comes
+                // before the failing core. The reset keeps the
+                // multiplexing group, so its parity must be right.
+                for (core, (s, &skip)) in self.samplers.iter_mut().zip(&self.skipped).enumerate() {
+                    if skip {
+                        // A quiet sampler's silent ticks cannot fail,
+                        // and the reset drops any sample they close.
+                        let _ = s.tick_silent(subtick + usize::from(core < failed));
+                    }
                     s.reset();
                 }
                 self.interval = self.interval.next();
                 return Err(e);
+            }
+        }
+
+        // The skipped cores' sub-ticks, one step each. A quiet
+        // sampler's silent ticks cannot fail.
+        for ((sampler, sample), &skip) in self
+            .samplers
+            .iter_mut()
+            .zip(samples.iter_mut())
+            .zip(&self.skipped)
+        {
+            if skip {
+                if let Some(closed) = sampler.tick_silent(SAMPLES_PER_INTERVAL)? {
+                    *sample = closed;
+                }
             }
         }
 

@@ -10,7 +10,11 @@
 //! (an ideal PMU without count jitter, and a storm that faults every
 //! other interval) before the PMU tick was rewritten, so any change to
 //! an operand or to the evaluation order of the physics, or to how the
-//! PMU rounds, wraps or fails, shows up here.
+//! PMU rounds, wraps or fails, shows up here. The seventh (six idle
+//! cores under a dense storm, then a full load) was recorded before
+//! idle cores skipped their silent sub-ticks: a failed read abandons
+//! intervals the idle cores' samplers had not ticked through, and they
+//! must leave with the multiplexing group ticking would have left.
 //!
 //! Every script also runs through `Platform::sample_into`, refilling
 //! one record for all 300 intervals, and must fold to the same digest:
@@ -82,32 +86,47 @@ fn fold(h: &mut Fnv, step: Result<&IntervalRecord, &Error>) {
     h.bytes(&r.core_busy.iter().map(|&b| u8::from(b)).collect::<Vec<_>>());
 }
 
-/// Runs the shared script over one preset, stepping either through
-/// `step_interval_checked` or through `sample_into` on one reused
-/// record, and returns its digest.
-fn digest_via(config: SimConfig, workload: &WorkloadSpec, faults: FaultPlan, reuse: bool) -> u64 {
-    let mut sim = SimPlatform::from_config(config);
-    let mut record = IntervalRecord::default();
-    sim.load_workload(workload);
-    sim.set_fault_plan(faults);
+/// What a script does to the chip before stepping interval `i`.
+type Script = fn(&mut SimPlatform, u64);
+
+/// The shared script: per-CU VF changes, an all-CU change and an NB
+/// switch to `Low`.
+fn vf_script(sim: &mut SimPlatform, i: u64) {
     let table = sim.topology().vf_table().clone();
     let states = table.len();
     let vf = |i: usize| table.state(i).unwrap();
     let cus = sim.topology().cu_count();
+    match i {
+        60 => sim.set_cu_vf(CuId(0), vf(0)).unwrap(),
+        100 => sim.set_cu_vf(CuId(cus - 1), vf(states / 2)).unwrap(),
+        150 => sim.set_nb_state(NbVfState::Low),
+        200 => sim.set_all_vf(vf(1)),
+        240 => {
+            for cu in 0..cus {
+                sim.set_cu_vf(CuId(cu), vf((cu + 2) % states)).unwrap();
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Runs `script` over one preset, stepping either through
+/// `step_interval_checked` or through `sample_into` on one reused
+/// record, and returns its digest.
+fn digest_via(
+    config: SimConfig,
+    workload: &WorkloadSpec,
+    faults: FaultPlan,
+    script: Script,
+    reuse: bool,
+) -> u64 {
+    let mut sim = SimPlatform::from_config(config);
+    let mut record = IntervalRecord::default();
+    sim.load_workload(workload);
+    sim.set_fault_plan(faults);
     let mut h = Fnv::new();
     for i in 0..INTERVALS {
-        match i {
-            60 => sim.set_cu_vf(CuId(0), vf(0)).unwrap(),
-            100 => sim.set_cu_vf(CuId(cus - 1), vf(states / 2)).unwrap(),
-            150 => sim.set_nb_state(NbVfState::Low),
-            200 => sim.set_all_vf(vf(1)),
-            240 => {
-                for cu in 0..cus {
-                    sim.set_cu_vf(CuId(cu), vf((cu + 2) % states)).unwrap();
-                }
-            }
-            _ => {}
-        }
+        script(&mut sim, i);
         if reuse {
             let step = sim.sample_into(&mut record);
             fold(&mut h, step.as_ref().map(|()| &record));
@@ -118,10 +137,21 @@ fn digest_via(config: SimConfig, workload: &WorkloadSpec, faults: FaultPlan, reu
     h.0
 }
 
-/// The script's digest, checked to be the same through both paths.
+/// The shared script's digest, checked to be the same through both
+/// paths.
 fn digest(config: SimConfig, workload: &WorkloadSpec, faults: FaultPlan) -> u64 {
-    let fresh = digest_via(config.clone(), workload, faults.clone(), false);
-    let reused = digest_via(config, workload, faults, true);
+    scripted_digest(config, workload, faults, vf_script)
+}
+
+/// `script`'s digest, checked to be the same through both paths.
+fn scripted_digest(
+    config: SimConfig,
+    workload: &WorkloadSpec,
+    faults: FaultPlan,
+    script: Script,
+) -> u64 {
+    let fresh = digest_via(config.clone(), workload, faults.clone(), script, false);
+    let reused = digest_via(config, workload, faults, script, true);
     assert_eq!(
         fresh, reused,
         "sample_into into a reused record diverged from step_interval_checked"
@@ -201,4 +231,27 @@ fn fx8320_under_a_dense_fault_storm_is_pinned() {
     );
     let d = digest(SimConfig::fx8320(17), &fig7_workload(17), storm);
     check("fx8320 dense storm", d, 0x25da_967d_cfe4_794a);
+}
+
+#[test]
+fn fx8320_pg_idle_cores_under_a_dense_storm_are_pinned() {
+    // Six of the eight cores stay idle for the first 150 intervals, so
+    // failed MSR reads abandon intervals that idle cores skipped the
+    // ticks of; then all eight run.
+    let storm = FaultPlan::storm(23, INTERVALS, 0.5, 8);
+    let d = scripted_digest(
+        SimConfig::fx8320_pg(23),
+        &instances("429.mcf", 2, 23),
+        storm,
+        |sim, i| {
+            if i == 150 {
+                sim.load_workload(&instances("458.sjeng", 8, 23));
+            }
+        },
+    );
+    check(
+        "fx8320_pg idle cores, dense storm",
+        d,
+        0xf7b0_a308_22e4_8736,
+    );
 }
