@@ -35,6 +35,11 @@ pub fn default_jobs() -> usize {
 /// workers claim indices from a shared cursor, so *which* worker runs
 /// a given index — and in what order — is nondeterministic, but the
 /// assembled output is not. `jobs` is clamped to `1..=items`.
+///
+/// # Panics
+///
+/// Re-raises the panic of a task that panics, once every worker has
+/// stopped, so the results are never short of an index.
 pub fn map_indexed<T, F>(items: usize, jobs: usize, task: F) -> (Vec<T>, TraceSnapshot)
 where
     T: Send,
@@ -66,9 +71,12 @@ where
                 })
             })
             .collect();
+        // A task's panic is the sweep's: re-raised rather than
+        // returned as a result vector with that index missing.
         for worker in workers {
-            if let Ok(snapshot) = worker.join() {
-                merged.absorb(&snapshot);
+            match worker.join() {
+                Ok(snapshot) => merged.absorb(&snapshot),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
     });
@@ -99,6 +107,15 @@ mod tests {
     fn worker_recorders_merge_at_join() {
         let (_, snapshot) = map_indexed(10, 4, |_, rec| rec.add("fleet.cells", 1));
         assert_eq!(snapshot.counter("fleet.cells"), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 5 failed")]
+    fn a_panicking_task_panics_the_sweep() {
+        let _ = map_indexed(12, 3, |i, _| {
+            assert!(i != 5, "task {i} failed");
+            i
+        });
     }
 
     #[test]

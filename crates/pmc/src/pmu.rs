@@ -254,9 +254,8 @@ impl Pmu {
     /// [`IntervalSampler::is_quiet`]: crate::sampler::IntervalSampler::is_quiet
     #[inline]
     pub(crate) fn is_quiet(&self) -> bool {
-        !self.multiplexing
-            || self.device.pending_read_failures() == 0
-                && self.device.peek_all() == self.slot_baseline
+        self.device.pending_read_failures() == 0
+            && (!self.multiplexing || self.device.peek_all() == self.slot_baseline)
     }
 
     /// `ticks` ticks of all-zero counts lasting `dt` each, on a quiet
@@ -363,6 +362,12 @@ impl Pmu {
             self.active_group = self.active_group.toggled();
             self.device.program_all(self.active_group.ctl());
         } else {
+            if self.device.pending_read_failures() > 0 {
+                // The ideal PMU counts outside the MSRs, but its tick
+                // still reads them the way the multiplexed one does, so
+                // an armed failure fails it on slot 0's read.
+                return Err(self.device.count_and_fail_first_read(0));
+            }
             for (acc, &x) in self.accumulated.iter_mut().zip(counts) {
                 *acc += round_count(x);
             }
@@ -600,6 +605,34 @@ mod tests {
                 "{e} after recovery: {}",
                 est.get(e)
             );
+        }
+    }
+
+    #[test]
+    fn injected_read_failure_fails_the_ideal_pmu_tick() {
+        let mut pmu = Pmu::new_ideal();
+        let dt = Seconds::new(0.020);
+        pmu.tick(&steady_counts(1000.0), dt).unwrap();
+        pmu.msr_mut().inject_read_failures(2);
+        assert!(!pmu.is_quiet(), "an armed failure makes the PMU loud");
+        for _ in 0..2 {
+            let err = pmu.tick(&steady_counts(1000.0), dt).unwrap_err();
+            assert_eq!(
+                err,
+                Error::MsrReadFailed {
+                    msr: crate::msr::PERF_CTR_BASE
+                }
+            );
+        }
+        assert_eq!(pmu.msr().pending_read_failures(), 0);
+        assert!(pmu.is_quiet());
+        pmu.reset_interval();
+        for _ in 0..10 {
+            pmu.tick(&steady_counts(500.0), dt).unwrap();
+        }
+        let est = pmu.drain_interval().unwrap();
+        for e in ALL_EVENTS {
+            assert!((est.get(e) - 5_000.0).abs() < 1e-9, "{e}: {}", est.get(e));
         }
     }
 

@@ -139,11 +139,12 @@ impl IntervalSampler {
 
     /// Whether the wrapped PMU is quiet: a tick that counts nothing
     /// would only keep time, so [`tick_silent`] runs without ticking
-    /// it. The ideal PMU never touches its counters. A multiplexed one
-    /// is quiet when no read failure is armed and every counter still
-    /// equals its baseline, so each of a tick's six count → read →
-    /// delta steps would advance a counter by 0, read back its baseline
-    /// and add 0. Such a tick leaves the PMU quiet.
+    /// it. No PMU with an armed read failure is quiet: its next tick
+    /// fails. The ideal PMU never counts through its counters, so it is
+    /// quiet otherwise. A multiplexed one is quiet when, besides, every
+    /// counter still equals its baseline, so each of a tick's six count
+    /// → read → delta steps would advance a counter by 0, read back its
+    /// baseline and add 0. Such a tick leaves the PMU quiet.
     ///
     /// [`tick_silent`]: IntervalSampler::tick_silent
     #[inline]

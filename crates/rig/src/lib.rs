@@ -20,6 +20,12 @@
 //! 4. **Green Governors baseline** — same data, single `IPS·V²f`
 //!    regressor and a temperature-blind static table.
 //! 5. **PG decomposition** (optional) — the Fig. 4 busy-CU sweep.
+//!
+//! Only step 3's runs ([`TrainingRig::collect_run`]) regress on counter
+//! rates. Steps 1, 2 and 5 read only the power sensor and the thermal
+//! diode, so they step the chip with [`ChipSimulator::step_power`]: the
+//! PMUs do not observe those intervals, and each keeps only its
+//! [`PowerReading`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,10 +36,10 @@ use ppep_models::idle::{IdlePowerModel, IdleSample};
 use ppep_models::pg::{PgIdleModel, PgSweepPoint};
 use ppep_models::trainer::{ComboTrace, TrainedModels, TrainingBudget, DEFAULT_RIDGE_LAMBDA};
 use ppep_models::ChipPowerModel;
-use ppep_sim::chip::{ChipSimulator, SimConfig};
+use ppep_sim::chip::{ChipSimulator, PowerReading, SimConfig};
 use ppep_telemetry::IntervalRecord;
 use ppep_types::{Result, VfStateId, VfTable, Watts};
-use ppep_workloads::combos::{instances, spec_combos};
+use ppep_workloads::combos::{instances, spec_combo, SPEC_QUADS, SPEC_SINGLES};
 use ppep_workloads::suites::bench_a;
 use ppep_workloads::{Suite, WorkloadSpec};
 
@@ -104,13 +110,13 @@ impl TrainingRig {
     }
 
     /// Heat-then-cool at one VF state. Returns the idle samples (from
-    /// the cooling portion) and the full interval records of the whole
+    /// the cooling portion) and the power readings of the whole
     /// experiment, which Fig. 1 plots.
     pub fn collect_idle_trace_at(
         &self,
         vf: VfStateId,
         budget: &TrainingBudget,
-    ) -> (Vec<IdleSample>, Vec<IntervalRecord>) {
+    ) -> (Vec<IdleSample>, Vec<PowerReading>) {
         let mut sim = self.new_sim();
         sim.set_power_gating(false);
         sim.set_all_vf(vf);
@@ -119,27 +125,27 @@ impl TrainingRig {
         // temperature"; emulate the long wait by jumping to the
         // thermal equilibrium of the measured load power, then letting
         // the remaining heat intervals settle any residual error.
-        let probe = sim.run_intervals(5.min(budget.heat_intervals));
-        if let Some(last) = probe.last() {
+        let mut trace = sim.run_power_intervals(5.min(budget.heat_intervals));
+        if let Some(last) = trace.last() {
             let steady = self.config.thermal.ambient.as_kelvin()
                 + self.config.thermal.r_th * last.measured_power.as_watts();
             sim.set_temperature(ppep_types::Kelvin::new(steady));
         }
-        let mut records = probe;
-        records.extend(sim.run_intervals(budget.heat_intervals.saturating_sub(5)));
+        trace.extend(sim.run_power_intervals(budget.heat_intervals.saturating_sub(5)));
         sim.clear_workload();
         let voltage = self.config.topology.vf_table().point(vf).voltage;
-        let cooling = sim.run_intervals(budget.cool_intervals);
-        let samples = cooling
+        let cooling_start = trace.len();
+        trace.extend(sim.run_power_intervals(budget.cool_intervals));
+        let samples = trace
             .iter()
+            .skip(cooling_start)
             .map(|r| IdleSample {
                 voltage,
                 temperature: r.temperature,
                 power: r.measured_power,
             })
             .collect();
-        records.extend(cooling);
-        (samples, records)
+        (samples, trace)
     }
 
     /// Calibrates α from `bench_a` runs at every VF state, using the
@@ -156,15 +162,15 @@ impl TrainingRig {
             sim.set_power_gating(false);
             sim.set_all_vf(vf);
             sim.load_workload(&self.bench_a_all_cores());
-            let _ = sim.run_intervals(budget.warmup_intervals);
-            let records = sim.run_intervals(budget.record_intervals);
+            let _ = sim.run_power_intervals(budget.warmup_intervals);
+            let readings = sim.run_power_intervals(budget.record_intervals);
             let point = table.point(vf);
             let mut dyn_sum = 0.0;
-            for r in &records {
+            for r in &readings {
                 dyn_sum += r.measured_power.as_watts()
                     - idle.estimate(point.voltage, r.temperature)?.as_watts();
             }
-            let mean_dyn = dyn_sum / records.len().max(1) as f64;
+            let mean_dyn = dyn_sum / readings.len().max(1) as f64;
             points.push((
                 point.voltage,
                 point.frequency,
@@ -250,13 +256,13 @@ impl TrainingRig {
                         );
                         sim.load_workload(&spec);
                     }
-                    let _ = sim.run_intervals(budget.warmup_intervals);
-                    let records = sim.run_intervals(budget.record_intervals);
-                    let mean = records
+                    let _ = sim.run_power_intervals(budget.warmup_intervals);
+                    let readings = sim.run_power_intervals(budget.record_intervals);
+                    let mean = readings
                         .iter()
                         .map(|r| r.measured_power.as_watts())
                         .sum::<f64>()
-                        / records.len() as f64;
+                        / readings.len() as f64;
                     out.push(PgSweepPoint {
                         vf,
                         busy_cus,
@@ -342,13 +348,14 @@ impl TrainingRig {
         // codes, several memory-boundedness levels, and several
         // busy-core counts — a regression with nine event regressors
         // needs every event class exercised.
-        let spec = spec_combos(self.seed);
-        let mut specs: Vec<WorkloadSpec> = spec.iter().take(4).cloned().collect();
+        let mut specs: Vec<WorkloadSpec> = SPEC_SINGLES
+            .iter()
+            .take(4)
+            .map(|&n| spec_combo(&[n], self.seed))
+            .collect();
         specs.push(instances("410.bwaves", 1, self.seed)); // FP, memory-bound
         specs.push(instances("453.povray", 1, self.seed)); // FP, CPU-bound
-        if let Some(quad) = spec.get(55) {
-            specs.push(quad.clone()); // a quad-programmed combination
-        }
+        specs.push(spec_combo(&SPEC_QUADS[1], self.seed)); // a quad-programmed combination
         let threads = self.config.topology.core_count().min(4);
         specs.push(instances("462.libquantum", 2, self.seed));
         specs.push(instances("canneal", threads, self.seed));

@@ -8,7 +8,10 @@
 //! [`ChipSimulator::step_interval`] advances ten 20 ms sub-ticks and
 //! returns the [`IntervalRecord`] a PPEP daemon would see for that
 //! 200 ms decision interval — plus the hidden ground truth that the
-//! experiments use for validation.
+//! experiments use for validation. [`ChipSimulator::step_power`]
+//! advances the same interval unobserved by the PMUs and returns only
+//! the sensor's and the diode's [`PowerReading`], which is all the
+//! power-only training runs read.
 
 use crate::engine::{event_counts, plan_subtick, ExecutionContext};
 use crate::fault::{FaultKind, FaultPlan};
@@ -106,6 +109,17 @@ impl SimConfig {
 // here so `ppep_sim::chip::IntervalRecord` keeps working.
 pub use ppep_telemetry::record::{IntervalRecord, PowerBreakdown};
 
+/// What the power sensor and the thermal diode report for one interval
+/// that the PMUs did not observe (see [`ChipSimulator::step_power`]):
+/// the two observables of an [`IntervalRecord`] that need no counter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerReading {
+    /// Mean of the interval's ten sensor readings.
+    pub measured_power: Watts,
+    /// What the diode reports at the end of the interval.
+    pub temperature: Kelvin,
+}
+
 struct CoreSlot {
     program: ThreadProgram,
     cursor: ThreadCursor,
@@ -143,6 +157,11 @@ pub struct ChipSimulator {
     /// sub-tick loop. They count nothing, and their sampler takes the
     /// interval's silent sub-ticks in one step after the loop.
     skipped: Vec<bool>,
+    /// Where [`ChipSimulator::step_power`] writes the interval's truth
+    /// (power breakdown, counts, busy flags), which it does not return;
+    /// kept so a warm power step allocates nothing. Its `samples` stay
+    /// empty.
+    power_truth: IntervalRecord,
 }
 
 impl ChipSimulator {
@@ -189,6 +208,7 @@ impl ChipSimulator {
             subtick_counts: vec![EventCounts::zero(); cores],
             subtick_switching: vec![None; cores],
             skipped: vec![false; cores],
+            power_truth: IntervalRecord::default(),
             config,
         }
     }
@@ -414,6 +434,52 @@ impl ChipSimulator {
     ///
     /// [`step_interval_checked`]: ChipSimulator::step_interval_checked
     pub fn step_interval_into(&mut self, record: &mut IntervalRecord) -> Result<()> {
+        self.step::<true>(record)
+    }
+
+    /// Advances the chip by one 200 ms decision interval that the PMUs
+    /// do not observe, and returns what the power sensor and the
+    /// thermal diode report for it.
+    ///
+    /// The physics, every random draw, the sensor, the diode, the NB
+    /// and the sensor and thermal faults run exactly as in
+    /// [`step_interval_into`], so the reading is bit-identical to that
+    /// step's `measured_power` and `temperature`, and the chip is left
+    /// in the same physical state. No core's sampler ticks and no
+    /// sample closes: a PMU is exactly as the previous interval left
+    /// it. An MSR read failure or a counter preload the fault plan
+    /// schedules for this interval is armed as usual and stays pending
+    /// in the PMU until a sampled step ticks it, so such an interval
+    /// fails no power step, and the physics of the rest of it run where
+    /// a sampled step would abandon them.
+    ///
+    /// The interval's truth goes into a buffer the simulator keeps, so
+    /// a warm call allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`step_interval_into`] other than a failed MSR read:
+    /// a sensor dropout or a missed interval.
+    ///
+    /// [`step_interval_into`]: ChipSimulator::step_interval_into
+    pub fn step_power(&mut self) -> Result<PowerReading> {
+        let mut truth = std::mem::take(&mut self.power_truth);
+        let stepped = self.step::<false>(&mut truth);
+        let reading = PowerReading {
+            measured_power: truth.measured_power,
+            temperature: truth.temperature,
+        };
+        self.power_truth = truth;
+        stepped.map(|()| reading)
+    }
+
+    /// The interval step behind [`step_interval_into`] (`SAMPLE`) and
+    /// [`step_power`] (not `SAMPLE`): one sub-tick loop, in which the
+    /// PMUs see each sub-tick only when `SAMPLE` is set.
+    ///
+    /// [`step_interval_into`]: ChipSimulator::step_interval_into
+    /// [`step_power`]: ChipSimulator::step_power
+    fn step<const SAMPLE: bool>(&mut self, record: &mut IntervalRecord) -> Result<()> {
         let faults = self.faults.events_at(self.interval.0);
         if self.recorder.enabled() {
             for e in faults {
@@ -468,14 +534,16 @@ impl ChipSimulator {
         reset(busy_any, cores, false);
         let mut sensor_readings = [0.0_f64; SAMPLES_PER_INTERVAL];
         // A core whose sampler closes no interval reports zero counts.
-        reset(
-            samples,
-            cores,
-            IntervalSample {
-                counts: EventCounts::zero(),
-                duration: ppep_types::time::DECISION_INTERVAL,
-            },
-        );
+        if SAMPLE {
+            reset(
+                samples,
+                cores,
+                IntervalSample {
+                    counts: EventCounts::zero(),
+                    duration: ppep_types::time::DECISION_INTERVAL,
+                },
+            );
+        }
         // The per-core and per-CU power sums accumulate in the
         // breakdown's own vectors and are averaged in place at the end.
         let acc_core_dyn = &mut true_power.core_dynamic;
@@ -491,6 +559,7 @@ impl ChipSimulator {
         // its counts would add +0.0 to its true totals (reset to +0.0)
         // and to the miss sum (never -0.0), it has no dynamic power,
         // and its sampler takes the loop's ticks in one step afterwards.
+        // Without sampling, every core with no runnable thread skips.
         for (((skip, slot), sampler), switching) in self
             .skipped
             .iter_mut()
@@ -499,7 +568,7 @@ impl ChipSimulator {
             .zip(self.subtick_switching.iter_mut())
         {
             let runnable = slot.as_ref().is_some_and(|s| !s.cursor.is_finished());
-            *skip = !runnable && sampler.is_quiet();
+            *skip = !runnable && (!SAMPLE || sampler.is_quiet());
             if *skip {
                 *switching = None;
             }
@@ -618,6 +687,9 @@ impl ChipSimulator {
             self.thermal
                 .step_decayed(Watts::new(subtick_power), thermal_decay);
 
+            if !SAMPLE {
+                continue;
+            }
             // PMU sees the sub-tick.
             let ticked = self
                 .samplers
@@ -665,7 +737,7 @@ impl ChipSimulator {
             .zip(samples.iter_mut())
             .zip(&self.skipped)
         {
-            if skip {
+            if SAMPLE && skip {
                 if let Some(closed) = sampler.tick_silent(SAMPLES_PER_INTERVAL)? {
                     *sample = closed;
                 }
@@ -754,6 +826,25 @@ impl ChipSimulator {
     /// Runs `n` intervals and collects the records.
     pub fn run_intervals(&mut self, n: usize) -> Vec<IntervalRecord> {
         (0..n).map(|_| self.step_interval()).collect()
+    }
+
+    /// Runs `n` intervals the PMUs do not observe (see
+    /// [`step_power`]) and collects their power readings.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the installed [`FaultPlan`] schedules a sensor
+    /// dropout or a missed interval for one of them.
+    ///
+    /// [`step_power`]: ChipSimulator::step_power
+    pub fn run_power_intervals(&mut self, n: usize) -> Vec<PowerReading> {
+        (0..n)
+            .map(|_| {
+                self.step_power()
+                    // ppep-lint: allow(expect)
+                    .expect("no erroring fault scheduled for this interval")
+            })
+            .collect()
     }
 
     /// Runs intervals until every loaded thread finishes, up to `max`
@@ -1150,6 +1241,25 @@ mod tests {
             let b = wrapped.step_interval_checked().unwrap();
             // The modulo-2^48 delta logic makes the wrap invisible.
             assert_eq!(a.samples, b.samples, "wrap must not corrupt PMU samples");
+        }
+
+        #[test]
+        fn msr_read_failures_surface_on_an_ideal_pmu() {
+            let mut sim = ChipSimulator::new(SimConfig {
+                ideal_pmu: true,
+                ..SimConfig::fx8320(17)
+            });
+            sim.load_workload(&ppep_workloads::combos::fig7_workload(17));
+            sim.set_fault_plan(FaultPlan::storm(17, 300, 0.5, 8));
+            let failed = (0..300)
+                .filter(|_| {
+                    matches!(
+                        sim.step_interval_checked(),
+                        Err(ppep_types::Error::MsrReadFailed { .. })
+                    )
+                })
+                .count();
+            assert!(failed > 0, "no failed MSR read surfaced");
         }
 
         #[test]
