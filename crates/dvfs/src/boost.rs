@@ -12,7 +12,7 @@
 //! (`ppep_sim::chip::SimConfig::fx8320_boost`) and models trained on
 //! its seven-state ladder.
 
-use crate::capping::{ips_at, GUARD_BAND};
+use crate::capping::{ascend, cu_gain, GUARD_BAND};
 use ppep_core::daemon::DvfsController;
 use ppep_core::ppe::PpeProjection;
 use ppep_core::Ppep;
@@ -65,18 +65,15 @@ impl BoostController {
     pub fn nominal_top(&self) -> VfStateId {
         self.nominal_top
     }
+}
 
+impl DvfsController for BoostController {
     /// The boost decision: start everyone at the nominal top, then
-    /// greedily promote CUs into boost bins while the predicted chip
-    /// power stays under the guarded TDP and the chip is cool enough.
-    ///
-    /// # Errors
-    ///
-    /// Propagates projection-evaluation errors.
-    pub fn choose(&self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
-        let table = self.ppep.models().vf_table();
-        let cu_count = projection.source_vf.len();
-        let mut assignment = vec![self.nominal_top; cu_count];
+    /// greedily promote CUs into boost bins (most predicted throughput
+    /// gain first) while the predicted chip power stays under the
+    /// guarded TDP and the chip is cool enough.
+    fn decide(&mut self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
+        let mut assignment = vec![self.nominal_top; projection.source_vf.len()];
 
         // Thermal veto: no boosting on a hot chip.
         if projection.temperature > self.thermal_limit {
@@ -85,59 +82,23 @@ impl BoostController {
         let budget = self.tdp * (1.0 - GUARD_BAND);
         // Nominal must fit; otherwise this is a capping problem, not a
         // boosting one — stay nominal and let a capping policy demote.
-        if self
+        let nominal = self
             .ppep
-            .chip_power_with_assignment(projection, &assignment)?
-            > budget
-        {
+            .chip_power_with_assignment(projection, &assignment)?;
+        if nominal > budget {
             return Ok(assignment);
         }
         let cores_per_cu = self.ppep.models().topology().cores_per_cu();
-        let n_vf = projection.row_len();
-        loop {
-            let mut best: Option<(usize, VfStateId, f64)> = None;
-            for cu in 0..cu_count {
-                let from = assignment[cu];
-                let Some(up) = table.step_up(from) else {
-                    continue;
-                };
-                // Try the step in place, then undo it.
-                assignment[cu] = up;
-                let power = self
-                    .ppep
-                    .chip_power_with_assignment(projection, &assignment);
-                assignment[cu] = from;
-                if power? > budget {
-                    continue;
-                }
-                // Promote the CU with the most predicted throughput gain.
-                let gain: f64 =
-                    projection
-                        .cells
-                        .chunks(cores_per_cu * n_vf)
-                        .nth(cu)
-                        .map_or(0.0, |cells| {
-                            cells
-                                .chunks(n_vf)
-                                .map(|row| ips_at(row, up) - ips_at(row, from))
-                                .sum()
-                        });
-                if best.as_ref().is_none_or(|(_, _, g)| gain > *g) {
-                    best = Some((cu, up, gain));
-                }
-            }
-            match best {
-                Some((cu, up, gain)) if gain > 0.0 => assignment[cu] = up,
-                _ => break,
-            }
-        }
+        ascend(
+            &self.ppep,
+            projection,
+            &mut assignment,
+            budget,
+            nominal,
+            |cu, from, up| cu_gain(projection, cores_per_cu, cu, from, up),
+            |gain, _| gain,
+        )?;
         Ok(assignment)
-    }
-}
-
-impl DvfsController for BoostController {
-    fn decide(&mut self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
-        self.choose(projection)
     }
 }
 
@@ -252,7 +213,7 @@ mod tests {
         sim.set_temperature(Kelvin::new(341.0));
         let record = sim.step_interval();
         let projection = ppep.project(&record).expect("projection");
-        let decision = controller(125.0).choose(&projection).expect("decision");
+        let decision = controller(125.0).decide(&projection).expect("decision");
         assert!(
             decision.iter().all(|vf| vf.index() < 5),
             "hot chip must not boost: {decision:?}"

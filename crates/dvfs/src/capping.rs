@@ -36,16 +36,137 @@ fn count_transitions(from: &[VfStateId], to: &[VfStateId]) -> u64 {
     from.iter().zip(to).filter(|(a, b)| a != b).count() as u64
 }
 
+/// Counts a predictive controller's `dvfs.cap_violations` (the
+/// source-state power exceeded `cap`) and `dvfs.vf_transitions` (CUs
+/// the decision moves) when `recorder` is enabled.
+fn record_decision(
+    recorder: &RecorderHandle,
+    ppep: &Ppep,
+    cap: Watts,
+    projection: &PpeProjection,
+    decision: &[VfStateId],
+) -> Result<()> {
+    if recorder.enabled() {
+        let source = ppep.chip_power_with_assignment(projection, &projection.source_vf)?;
+        if source > cap {
+            recorder.incr("dvfs.cap_violations");
+        }
+        recorder.add(
+            "dvfs.vf_transitions",
+            count_transitions(&projection.source_vf, decision),
+        );
+    }
+    Ok(())
+}
+
 /// A core's predicted throughput at `vf`, from its row of
 /// [`PpeProjection::cells`]; 0 for a state past the row's end.
-pub(crate) fn ips_at(row: &[CoreAtVf], vf: VfStateId) -> f64 {
+fn ips_at(row: &[CoreAtVf], vf: VfStateId) -> f64 {
     row.get(vf.index()).map_or(0.0, |c| c.ips)
+}
+
+/// The predicted throughput CU `cu` gains moving from `from` to `to`:
+/// `Σ (ips(to) − ips(from))` over its cores; 0 for a CU past the end.
+pub(crate) fn cu_gain(
+    projection: &PpeProjection,
+    cores_per_cu: usize,
+    cu: usize,
+    from: VfStateId,
+    to: VfStateId,
+) -> f64 {
+    let n_vf = projection.row_len();
+    projection
+        .cells
+        .chunks(cores_per_cu * n_vf)
+        .nth(cu)
+        .map_or(0.0, |cells| {
+            cells
+                .chunks(n_vf)
+                .map(|row| ips_at(row, to) - ips_at(row, from))
+                .sum()
+        })
 }
 
 /// Sets one CU's state in an assignment; a CU past its end is ignored.
 fn set_cu(assignment: &mut [VfStateId], cu: usize, vf: VfStateId) {
     if let Some(slot) = assignment.get_mut(cu) {
         *slot = vf;
+    }
+}
+
+/// The predicted chip power with CU `cu` moved from `from` to `to`.
+/// The step is tried in place and undone, error or not.
+fn price_step(
+    ppep: &Ppep,
+    projection: &PpeProjection,
+    assignment: &mut [VfStateId],
+    cu: usize,
+    from: VfStateId,
+    to: VfStateId,
+) -> Result<Watts> {
+    set_cu(assignment, cu, to);
+    let power = ppep.chip_power_with_assignment(projection, assignment);
+    set_cu(assignment, cu, from);
+    power
+}
+
+/// The greedy ascent the predictive controllers share.
+///
+/// Each round tries every CU's step up, prices it with
+/// [`Ppep::chip_power_with_assignment`], drops the steps over
+/// `budget` and those whose `gain(cu, from, up)` is not positive, and
+/// applies the first step with the highest `score(gain, added)`, where
+/// `added` is its price minus the current power. The applied step's
+/// price is the next round's current power; `current` is the price of
+/// the entry assignment, which the caller already holds. The ascent
+/// stops when no step is left.
+///
+/// Skipping a non-positive gain is the same rule as picking the best
+/// step and stopping unless its gain is positive, for every finite
+/// gain. The supervisor hands controllers only finite projections
+/// (`projection_is_finite` in `ppep_core::resilient`), so the gains it
+/// sees are finite.
+///
+/// # Errors
+///
+/// Propagates the first pricing error.
+pub(crate) fn ascend(
+    ppep: &Ppep,
+    projection: &PpeProjection,
+    assignment: &mut [VfStateId],
+    budget: Watts,
+    mut current: Watts,
+    gain: impl Fn(usize, VfStateId, VfStateId) -> f64,
+    score: impl Fn(f64, Watts) -> f64,
+) -> Result<()> {
+    let table = ppep.models().vf_table();
+    loop {
+        let mut best: Option<(usize, VfStateId, f64, Watts)> = None;
+        for cu in 0..assignment.len() {
+            let Some(from) = assignment.get(cu).copied() else {
+                continue;
+            };
+            let Some(up) = table.step_up(from) else {
+                continue;
+            };
+            let power = price_step(ppep, projection, assignment, cu, from, up)?;
+            if power > budget {
+                continue;
+            }
+            let gain = gain(cu, from, up);
+            if gain <= 0.0 {
+                continue;
+            }
+            let score = score(gain, power - current);
+            if best.as_ref().is_none_or(|(_, _, s, _)| score > *s) {
+                best = Some((cu, up, score, power));
+            }
+        }
+        let Some((cu, up, _, power)) = best else {
+            return Ok(());
+        };
+        set_cu(assignment, cu, up);
+        current = power;
     }
 }
 
@@ -81,115 +202,6 @@ impl OneStepCapping {
     pub fn set_cap(&mut self, cap: Watts) {
         self.cap = cap;
     }
-
-    /// The current cap.
-    pub fn cap(&self) -> Watts {
-        self.cap
-    }
-
-    /// The single-step search: start from the fastest uniform state
-    /// that fits, then greedily raise individual CUs (most projected
-    /// throughput gain per watt first) while the assignment still
-    /// fits the cap.
-    ///
-    /// # Errors
-    ///
-    /// Propagates projection-evaluation errors.
-    pub fn choose(&self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
-        let mut assignment = Vec::new();
-        self.choose_into(projection, &mut assignment)?;
-        Ok(assignment)
-    }
-
-    /// [`choose`](Self::choose) into a caller-owned assignment, which
-    /// is cleared and refilled in place.
-    ///
-    /// # Errors
-    ///
-    /// Propagates projection-evaluation errors.
-    pub fn choose_into(
-        &self,
-        projection: &PpeProjection,
-        assignment: &mut Vec<VfStateId>,
-    ) -> Result<()> {
-        let table = self.ppep.models().vf_table();
-        let cu_count = projection.source_vf.len();
-        let target = self.cap * (1.0 - GUARD_BAND);
-
-        // Fastest uniform state under the target (fall back to lowest).
-        let uniform = projection
-            .fastest_under_cap(target)
-            .unwrap_or_else(|| table.lowest());
-        assignment.clear();
-        assignment.resize(cu_count, uniform);
-
-        // Greedy refinement: repeatedly raise the CU whose step-up
-        // still fits and adds the most predicted throughput. Each
-        // step-up is tried in place and undone before the next; the
-        // applied step's price is the next round's current power.
-        let mut current_power = self
-            .ppep
-            .chip_power_with_assignment(projection, assignment)?;
-        loop {
-            let mut best: Option<(usize, VfStateId, f64, Watts)> = None;
-            for cu in 0..cu_count {
-                let Some(from) = assignment.get(cu).copied() else {
-                    continue;
-                };
-                let Some(up) = table.step_up(from) else {
-                    continue;
-                };
-                set_cu(assignment, cu, up);
-                let power = self.ppep.chip_power_with_assignment(projection, assignment);
-                set_cu(assignment, cu, from);
-                let power = power?;
-                if power > target {
-                    continue;
-                }
-                let gain = self.cu_throughput_gain(projection, cu, from, up);
-                if gain <= 0.0 {
-                    // Idle (possibly gated) CUs gain nothing from a
-                    // faster state; promoting them only misstates the
-                    // decision (and wastes power on non-gating parts).
-                    continue;
-                }
-                let watts = (power - current_power).as_watts().max(1e-9);
-                let score = gain / watts;
-                if best.as_ref().is_none_or(|(_, _, s, _)| score > *s) {
-                    best = Some((cu, up, score, power));
-                }
-            }
-            match best {
-                Some((cu, up, _, power)) => {
-                    set_cu(assignment, cu, up);
-                    current_power = power;
-                }
-                None => break,
-            }
-        }
-        Ok(())
-    }
-
-    fn cu_throughput_gain(
-        &self,
-        projection: &PpeProjection,
-        cu: usize,
-        from: VfStateId,
-        to: VfStateId,
-    ) -> f64 {
-        let cores_per_cu = self.ppep.models().topology().cores_per_cu();
-        let n_vf = projection.row_len();
-        projection
-            .cells
-            .chunks(cores_per_cu * n_vf)
-            .nth(cu)
-            .map_or(0.0, |cells| {
-                cells
-                    .chunks(n_vf)
-                    .map(|row| ips_at(row, to) - ips_at(row, from))
-                    .sum()
-            })
-    }
 }
 
 impl DvfsController for OneStepCapping {
@@ -199,25 +211,36 @@ impl DvfsController for OneStepCapping {
         Ok(decision)
     }
 
+    /// The single-step search: start from the fastest uniform state
+    /// that fits, then greedily raise individual CUs (most projected
+    /// throughput gain per watt first) while the assignment still
+    /// fits the cap. `decision` is cleared and refilled in place.
     fn decide_into(
         &mut self,
         projection: &PpeProjection,
         decision: &mut Vec<VfStateId>,
     ) -> Result<()> {
-        self.choose_into(projection, decision)?;
-        if self.recorder.enabled() {
-            let source = self
-                .ppep
-                .chip_power_with_assignment(projection, &projection.source_vf)?;
-            if source > self.cap {
-                self.recorder.incr("dvfs.cap_violations");
-            }
-            self.recorder.add(
-                "dvfs.vf_transitions",
-                count_transitions(&projection.source_vf, decision),
-            );
-        }
-        Ok(())
+        let target = self.cap * (1.0 - GUARD_BAND);
+        // Fastest uniform state under the target (fall back to lowest).
+        let uniform = projection
+            .fastest_under_cap(target)
+            .unwrap_or_else(|| self.ppep.models().vf_table().lowest());
+        decision.clear();
+        decision.resize(projection.source_vf.len(), uniform);
+        let current = self.ppep.chip_power_with_assignment(projection, decision)?;
+        // Idle (possibly gated) CUs gain nothing from a faster state;
+        // the ascent never promotes them.
+        let cores_per_cu = self.ppep.models().topology().cores_per_cu();
+        ascend(
+            &self.ppep,
+            projection,
+            decision,
+            target,
+            current,
+            |cu, from, up| cu_gain(projection, cores_per_cu, cu, from, up),
+            |gain, added| gain / added.as_watts().max(1e-9),
+        )?;
+        record_decision(&self.recorder, &self.ppep, self.cap, projection, decision)
     }
 
     fn enforced_cap(&self) -> Option<Watts> {
@@ -271,11 +294,6 @@ impl IterativeCapping {
     /// Changes the enforced cap.
     pub fn set_cap(&mut self, cap: Watts) {
         self.cap = cap;
-    }
-
-    /// The current cap.
-    pub fn cap(&self) -> Watts {
-        self.cap
     }
 
     /// Feeds the measured chip power of the last interval — the only
@@ -385,16 +403,13 @@ impl SteepestDrop {
     pub fn set_cap(&mut self, cap: Watts) {
         self.cap = cap;
     }
+}
 
+impl DvfsController for SteepestDrop {
     /// One full descent/ascent pass from the measured assignment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates projection-evaluation errors.
-    pub fn choose(&self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
+    fn decide(&mut self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
         let table = self.ppep.models().vf_table();
         let cores_per_cu = self.ppep.models().topology().cores_per_cu();
-        let cu_count = projection.source_vf.len();
         let target = self.cap * (1.0 - GUARD_BAND);
         let mut assignment = projection.source_vf.clone();
 
@@ -409,14 +424,6 @@ impl SteepestDrop {
                     cells.chunks(n_vf).map(|row| ips_at(row, vf)).sum()
                 })
         };
-        // The predicted power with `cu` moved to `vf`: the step is
-        // tried in place and undone.
-        let priced_with = |assignment: &mut [VfStateId], cu: usize, vf: VfStateId| {
-            let from = std::mem::replace(&mut assignment[cu], vf);
-            let power = self.ppep.chip_power_with_assignment(projection, assignment);
-            assignment[cu] = from;
-            power
-        };
 
         // Descend: drop the CU with the steepest watts-per-lost-ips.
         // The applied step's price is the next round's current power.
@@ -425,12 +432,14 @@ impl SteepestDrop {
             .chip_power_with_assignment(projection, &assignment)?;
         while current > target {
             let mut best: Option<(usize, VfStateId, f64, Watts)> = None;
-            for cu in 0..cu_count {
-                let from = assignment[cu];
+            for cu in 0..assignment.len() {
+                let Some(from) = assignment.get(cu).copied() else {
+                    continue;
+                };
                 let Some(down) = table.step_down(from) else {
                     continue;
                 };
-                let power = priced_with(&mut assignment, cu, down)?;
+                let power = price_step(&self.ppep, projection, &mut assignment, cu, from, down)?;
                 let saved = (current - power).as_watts();
                 let lost = (cu_ips(cu, from) - cu_ips(cu, down)).max(1.0);
                 let steepness = saved / lost;
@@ -438,56 +447,30 @@ impl SteepestDrop {
                     best = Some((cu, down, steepness, power));
                 }
             }
-            match best {
-                Some((cu, down, _, power)) => {
-                    assignment[cu] = down;
-                    current = power;
-                }
-                None => break, // floor reached: nothing left to drop
-            }
+            let Some((cu, down, _, power)) = best else {
+                break; // floor reached: nothing left to drop
+            };
+            set_cu(&mut assignment, cu, down);
+            current = power;
         }
         // Ascend while there is headroom (mirrors the descent).
-        loop {
-            let mut best: Option<(usize, VfStateId, f64)> = None;
-            for cu in 0..cu_count {
-                let from = assignment[cu];
-                let Some(up) = table.step_up(from) else {
-                    continue;
-                };
-                let power = priced_with(&mut assignment, cu, up)?;
-                if power > target {
-                    continue;
-                }
-                let gain = cu_ips(cu, up) - cu_ips(cu, from);
-                if best.as_ref().is_none_or(|(_, _, g)| gain > *g) {
-                    best = Some((cu, up, gain));
-                }
-            }
-            match best {
-                Some((cu, up, gain)) if gain > 0.0 => assignment[cu] = up,
-                _ => break,
-            }
-        }
+        ascend(
+            &self.ppep,
+            projection,
+            &mut assignment,
+            target,
+            current,
+            |cu, from, up| cu_ips(cu, up) - cu_ips(cu, from),
+            |gain, _| gain,
+        )?;
+        record_decision(
+            &self.recorder,
+            &self.ppep,
+            self.cap,
+            projection,
+            &assignment,
+        )?;
         Ok(assignment)
-    }
-}
-
-impl DvfsController for SteepestDrop {
-    fn decide(&mut self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
-        let decision = self.choose(projection)?;
-        if self.recorder.enabled() {
-            let source = self
-                .ppep
-                .chip_power_with_assignment(projection, &projection.source_vf)?;
-            if source > self.cap {
-                self.recorder.incr("dvfs.cap_violations");
-            }
-            self.recorder.add(
-                "dvfs.vf_transitions",
-                count_transitions(&projection.source_vf, &decision),
-            );
-        }
-        Ok(decision)
     }
 
     fn enforced_cap(&self) -> Option<Watts> {
@@ -680,8 +663,8 @@ mod tests {
         sim.load_workload(&ppep_workloads::combos::instances("458.sjeng", 2, 42));
         let record = sim.run_intervals(5).pop().unwrap();
         let projection = ppep.project(&record).unwrap();
-        let controller = OneStepCapping::new(ppep.clone(), Watts::new(500.0));
-        let decision = controller.choose(&projection).unwrap();
+        let mut controller = OneStepCapping::new(ppep.clone(), Watts::new(500.0));
+        let decision = controller.decide(&projection).unwrap();
         // Busy CUs 0 and 1 run fast; idle CUs 2 and 3 stay where the
         // uniform baseline put them (the top fits under 500 W, so the
         // baseline is already VF5 — but no *step-up churn* happens).
@@ -689,8 +672,8 @@ mod tests {
         assert_eq!(decision[0], table.highest());
         // Under a cap that forces a low uniform baseline, the idle CUs
         // must remain at that baseline instead of being promoted.
-        let tight = OneStepCapping::new(ppep.clone(), Watts::new(40.0));
-        let tight_decision = tight.choose(&projection).unwrap();
+        let mut tight = OneStepCapping::new(ppep.clone(), Watts::new(40.0));
+        let tight_decision = tight.decide(&projection).unwrap();
         assert_eq!(
             tight_decision[2], tight_decision[3],
             "idle CUs move together (not at all): {tight_decision:?}"
@@ -730,8 +713,8 @@ mod tests {
         let record = sim.step_interval();
         let projection = ppep.project(&record).unwrap();
         // Tight cap: must descend below the source assignment.
-        let tight = SteepestDrop::new(ppep.clone(), Watts::new(50.0));
-        let decision = tight.choose(&projection).unwrap();
+        let mut tight = SteepestDrop::new(ppep.clone(), Watts::new(50.0));
+        let decision = tight.decide(&projection).unwrap();
         let predicted = ppep
             .chip_power_with_assignment(&projection, &decision)
             .unwrap();
@@ -741,14 +724,14 @@ mod tests {
         );
         assert!(decision.iter().any(|vf| *vf < projection.source_vf[0]));
         // Generous cap: must not descend at all (and may climb).
-        let loose = SteepestDrop::new(ppep.clone(), Watts::new(500.0));
-        let decision = loose.choose(&projection).unwrap();
+        let mut loose = SteepestDrop::new(ppep.clone(), Watts::new(500.0));
+        let decision = loose.decide(&projection).unwrap();
         for (d, s) in decision.iter().zip(&projection.source_vf) {
             assert!(d >= s, "loose cap must not demote: {decision:?}");
         }
         // Impossible cap: descends to the floor without panicking.
-        let impossible = SteepestDrop::new(ppep.clone(), Watts::new(1.0));
-        let decision = impossible.choose(&projection).unwrap();
+        let mut impossible = SteepestDrop::new(ppep.clone(), Watts::new(1.0));
+        let decision = impossible.decide(&projection).unwrap();
         let table = ppep.models().vf_table().clone();
         assert_eq!(decision, vec![table.lowest(); 4]);
     }
@@ -765,10 +748,10 @@ mod tests {
         let cap = Watts::new(60.0);
         for decision in [
             OneStepCapping::new(ppep.clone(), cap)
-                .choose(&projection)
+                .decide(&projection)
                 .unwrap(),
             SteepestDrop::new(ppep.clone(), cap)
-                .choose(&projection)
+                .decide(&projection)
                 .unwrap(),
         ] {
             let predicted = ppep

@@ -1,26 +1,13 @@
-//! Reference governors for context and ablation.
+//! A reference governor for context and ablation.
 //!
-//! Neither of these uses PPEP's predictions: the pinned governor is
-//! the paper's "static VF policy" (§V-C1 shows it is near-optimal for
-//! energy), and the utilisation governor approximates a commodity
-//! ondemand policy, which reacts to load rather than predicting PPE.
+//! The utilisation governor approximates a commodity ondemand policy,
+//! which reacts to load rather than predicting PPE. The paper's other
+//! prediction-free baseline, the "static VF policy" (§V-C1 shows it is
+//! near-optimal for energy), is [`ppep_core::daemon::StaticController`].
 
 use ppep_core::daemon::DvfsController;
 use ppep_core::ppe::PpeProjection;
 use ppep_types::{Result, VfStateId, VfTable};
-
-/// Pins all CUs to one state forever.
-#[derive(Debug, Clone, Copy)]
-pub struct PinnedGovernor {
-    /// The pinned state.
-    pub vf: VfStateId,
-}
-
-impl DvfsController for PinnedGovernor {
-    fn decide(&mut self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
-        Ok(vec![self.vf; projection.source_vf.len()])
-    }
-}
 
 /// An ondemand-style governor: jump to the highest state when any
 /// core is busy, fall one rung per idle interval otherwise.
@@ -89,18 +76,6 @@ mod tests {
             cells: vec![],
             chip,
             work_instructions: 0.0,
-        }
-    }
-
-    #[test]
-    fn pinned_governor_never_moves() {
-        let table = VfTable::fx8320();
-        let mut g = PinnedGovernor { vf: table.lowest() };
-        for busy in [0, 4, 8] {
-            assert_eq!(
-                g.decide(&projection(busy)).unwrap(),
-                vec![table.lowest(); 4]
-            );
         }
     }
 

@@ -7,8 +7,9 @@
 //! * [`optimal`] — energy-optimal and EDP-optimal state selection
 //!   (§V-C1), plus the per-thread energy/EDP metrics behind Figs. 8
 //!   and 9.
-//! * [`governor`] — simple reference governors (static pin,
-//!   ondemand-style utilisation reactive) for context.
+//! * [`governor`] — an ondemand-style utilisation-reactive reference
+//!   governor for context; the static pin is
+//!   [`ppep_core::daemon::StaticController`].
 //! * [`boost`] — the §IV-E extension: a firmware-style predictive
 //!   boost controller over the FX-8320's (normally hidden) boost
 //!   states.

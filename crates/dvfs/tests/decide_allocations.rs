@@ -3,7 +3,7 @@
 //! A policy prices many candidate assignments per decision. Each one
 //! tries its step in place and undoes it, and borrows the engine's VF
 //! table, so once warm a decision allocates only the assignment it
-//! returns, and `OneStepCapping::choose_into` into a warm buffer
+//! returns, and `OneStepCapping::decide_into` into a warm buffer
 //! allocates nothing.
 
 use ppep_core::daemon::DvfsController;
@@ -51,11 +51,8 @@ fn steepest_drop_allocates_only_its_decision() {
     let (ppep, projections) = capping_engine();
     for cap in CAPS.map(Watts::new) {
         let mut policy = SteepestDrop::new(ppep.clone(), cap);
-        policy.choose(&projections[0]).expect("decides");
+        policy.decide(&projections[0]).expect("decides");
         for projection in &projections {
-            let (n, decision) = allocations(|| policy.choose(projection));
-            decision.expect("decides");
-            assert_eq!(n, 1, "cap {cap}: choose made {n} allocations");
             let (n, decision) = allocations(|| policy.decide(projection));
             decision.expect("decides");
             assert_eq!(n, 1, "cap {cap}: decide made {n} allocations");
@@ -70,7 +67,7 @@ fn one_step_into_a_warm_buffer_allocates_nothing() {
     for cap in CAPS.map(Watts::new) {
         let mut policy = OneStepCapping::new(ppep.clone(), cap);
         policy
-            .choose_into(&projections[0], &mut decision)
+            .decide_into(&projections[0], &mut decision)
             .expect("decides");
         for projection in &projections {
             let (n, decided) = allocations(|| policy.decide_into(projection, &mut decision));
@@ -97,7 +94,7 @@ fn boost_allocates_only_its_decision() {
                 Kelvin::new(400.0),
             )
             .expect("valid controller");
-            policy.choose(&projections[0]).expect("decides");
+            policy.decide(&projections[0]).expect("decides");
             for projection in &projections {
                 let (n, decision) = allocations(|| policy.decide(projection));
                 decision.expect("decides");

@@ -7,18 +7,14 @@
 //! assignment per candidate, so a change to which candidates are
 //! priced, in what order, or how a tie is broken shows up here.
 
-use ppep_core::ppe::PpeProjection;
-use ppep_core::Ppep;
+use ppep_core::daemon::DvfsController;
 use ppep_dvfs::{BoostController, OneStepCapping, SteepestDrop};
-use ppep_rig::TrainingRig;
-use ppep_sim::chip::{ChipSimulator, SimConfig};
 use ppep_types::vf::VfTable;
-use ppep_types::{CuId, Kelvin, VfStateId, Watts};
-use ppep_workloads::combos::{fig7_workload, instances};
-use ppep_workloads::WorkloadSpec;
+use ppep_types::{Kelvin, VfStateId, Watts};
 use std::collections::BTreeSet;
 
-const SEED: u64 = 42;
+mod cases;
+use cases::{boost_case, capping_case};
 
 /// An FNV-1a 64 fold of decisions, which also keeps the distinct
 /// ones, so a case can show that it exercises more than one outcome.
@@ -46,46 +42,6 @@ impl Fnv {
     }
 }
 
-/// Projections of `intervals` intervals of each workload on a chip
-/// built by `config`, stepping CU `i` to state `(i + interval) % n`
-/// before every interval so the source assignments cover the ladder.
-fn projections(
-    ppep: &Ppep,
-    config: fn(u64) -> SimConfig,
-    workloads: &[WorkloadSpec],
-    intervals: usize,
-) -> Vec<PpeProjection> {
-    let table = ppep.models().vf_table().clone();
-    let mut out = Vec::new();
-    for workload in workloads {
-        let mut sim = ChipSimulator::new(config(SEED));
-        sim.load_workload(workload);
-        let cus = sim.topology().cu_count();
-        for interval in 0..intervals {
-            for cu in 0..cus {
-                let state = table
-                    .state((cu + interval) % table.len())
-                    .expect("in range");
-                sim.set_cu_vf(CuId(cu), state).expect("in range");
-            }
-            let record = sim.step_interval();
-            out.push(ppep.project(&record).expect("projects"));
-        }
-    }
-    out
-}
-
-fn capping_case() -> (Ppep, Vec<PpeProjection>) {
-    let ppep = Ppep::new(TrainingRig::fx8320(SEED).train_quick().expect("trains"));
-    let workloads = [
-        fig7_workload(SEED),
-        instances("458.sjeng", 2, SEED),
-        instances("433.milc", 8, SEED),
-    ];
-    let projections = projections(&ppep, SimConfig::fx8320_pg, &workloads, 8);
-    (ppep, projections)
-}
-
 const CAPS: [f64; 7] = [1.0, 40.0, 50.0, 60.0, 70.0, 95.0, 500.0];
 
 #[test]
@@ -94,11 +50,11 @@ fn capping_decisions_are_pinned() {
     let mut steepest = Fnv::new();
     let mut one_step = Fnv::new();
     for cap in CAPS.map(Watts::new) {
-        let drop = SteepestDrop::new(ppep.clone(), cap);
-        let greedy = OneStepCapping::new(ppep.clone(), cap);
+        let mut drop = SteepestDrop::new(ppep.clone(), cap);
+        let mut greedy = OneStepCapping::new(ppep.clone(), cap);
         for projection in &projections {
-            steepest.decision(&drop.choose(projection).expect("decides"));
-            one_step.decision(&greedy.choose(projection).expect("decides"));
+            steepest.decision(&drop.decide(projection).expect("decides"));
+            one_step.decision(&greedy.decide(projection).expect("decides"));
         }
     }
     // 58 and 19 distinct decisions when recorded.
@@ -114,22 +70,11 @@ fn capping_decisions_are_pinned() {
 
 #[test]
 fn boost_decisions_are_pinned() {
-    let ppep = Ppep::new(
-        TrainingRig::with_config(SimConfig::fx8320_boost(SEED), SEED)
-            .train_quick()
-            .expect("trains"),
-    );
-    let workloads = [
-        instances("458.sjeng", 1, SEED),
-        instances("458.sjeng", 4, SEED),
-        instances("458.sjeng", 8, SEED),
-        fig7_workload(SEED),
-    ];
-    let projections = projections(&ppep, SimConfig::fx8320_boost, &workloads, 6);
+    let (ppep, projections) = boost_case();
     let mut digest = Fnv::new();
     for tdp in [10.0, 60.0, 90.0, 125.0, 152.0, 300.0] {
         for limit in [320.0, 335.0, 400.0] {
-            let controller = BoostController::new(
+            let mut controller = BoostController::new(
                 ppep.clone(),
                 VfTable::FX8320_SOFTWARE_STATES,
                 Watts::new(tdp),
@@ -137,7 +82,7 @@ fn boost_decisions_are_pinned() {
             )
             .expect("valid controller");
             for projection in &projections {
-                digest.decision(&controller.choose(projection).expect("decides"));
+                digest.decision(&controller.decide(projection).expect("decides"));
             }
         }
     }

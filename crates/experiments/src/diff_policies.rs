@@ -32,6 +32,7 @@ use ppep_core::daemon::{DvfsController, PpepDaemon};
 use ppep_core::resilient::{ResilientDaemon, SupervisorConfig};
 use ppep_core::{PpeProjection, Ppep};
 use ppep_dvfs::capping::{IterativeCapping, OneStepCapping, SteepestDrop};
+use ppep_dvfs::EnergyOptimalController;
 use ppep_telemetry::{ReplayPlatform, TraceReader};
 use ppep_types::{Error, Joules, Result, Seconds, VfStateId, Watts};
 
@@ -63,62 +64,24 @@ impl PolicyKind {
     }
 }
 
-/// A live controller for any replayable [`PolicyKind`].
-enum PolicyController {
-    OneStep(OneStepCapping),
-    Iterative(IterativeCapping),
-    Steepest(SteepestDrop),
-    EnergyOptimal,
-}
-
-impl PolicyController {
-    fn build(kind: PolicyKind, ppep: &Ppep, cap: Watts) -> Result<Self> {
-        match kind {
-            PolicyKind::OneStep => Ok(Self::OneStep(OneStepCapping::new(ppep.clone(), cap))),
-            PolicyKind::Iterative => Ok(Self::Iterative(IterativeCapping::new(
-                cap,
-                ppep.models().vf_table(),
-            ))),
-            PolicyKind::SteepestDrop => Ok(Self::Steepest(SteepestDrop::new(ppep.clone(), cap))),
-            PolicyKind::EnergyOptimal => Ok(Self::EnergyOptimal),
-            PolicyKind::Recorded => Err(Error::InvalidInput(
+/// A live controller for any replayable [`PolicyKind`], enforcing
+/// `cap` if it has one.
+///
+/// # Errors
+///
+/// [`PolicyKind::Recorded`] has no live controller.
+fn controller(kind: PolicyKind, ppep: &Ppep, cap: Watts) -> Result<Box<dyn DvfsController>> {
+    Ok(match kind {
+        PolicyKind::OneStep => Box::new(OneStepCapping::new(ppep.clone(), cap)),
+        PolicyKind::Iterative => Box::new(IterativeCapping::new(cap, ppep.models().vf_table())),
+        PolicyKind::SteepestDrop => Box::new(SteepestDrop::new(ppep.clone(), cap)),
+        PolicyKind::EnergyOptimal => Box::new(EnergyOptimalController),
+        PolicyKind::Recorded => {
+            return Err(Error::InvalidInput(
                 "the recorded decision stream cannot drive a live replay".into(),
-            )),
+            ))
         }
-    }
-
-    /// Tracks the cap schedule; the uncapped policy ignores it.
-    fn set_cap(&mut self, cap: Watts) {
-        match self {
-            Self::OneStep(c) => c.set_cap(cap),
-            Self::Iterative(c) => c.set_cap(cap),
-            Self::Steepest(c) => c.set_cap(cap),
-            Self::EnergyOptimal => {}
-        }
-    }
-}
-
-impl DvfsController for PolicyController {
-    fn decide(&mut self, projection: &PpeProjection) -> Result<Vec<VfStateId>> {
-        match self {
-            Self::OneStep(c) => c.decide(projection),
-            Self::Iterative(c) => c.decide(projection),
-            Self::Steepest(c) => c.decide(projection),
-            Self::EnergyOptimal => Ok(vec![
-                projection.best_energy_vf();
-                projection.source_vf.len()
-            ]),
-        }
-    }
-
-    fn enforced_cap(&self) -> Option<Watts> {
-        match self {
-            Self::OneStep(c) => c.enforced_cap(),
-            Self::Iterative(c) => c.enforced_cap(),
-            Self::Steepest(c) => c.enforced_cap(),
-            Self::EnergyOptimal => None,
-        }
-    }
+    })
 }
 
 /// One interval of a side-by-side comparison.
@@ -280,7 +243,7 @@ impl ReplayDiff {
     fn drive_policy(&self, trace: &TraceReader, kind: PolicyKind) -> Result<Track> {
         let steps = trace.interval_count() + trace.fault_count();
         let table = self.ppep.models().vf_table().clone();
-        let controller = PolicyController::build(kind, &self.ppep, cap_schedule(0, self.period))?;
+        let controller = controller(kind, &self.ppep, cap_schedule(0, self.period))?;
         let replay = ReplayPlatform::new(trace.clone());
         let inner = PpepDaemon::new(self.ppep.clone(), replay, controller);
         let mut daemon = ResilientDaemon::new(inner, SupervisorConfig::new(table.lowest()));
@@ -289,23 +252,24 @@ impl ReplayDiff {
             caps: Vec::with_capacity(steps),
             projections: Some(Vec::with_capacity(steps)),
         };
-        let mut last_projection: Option<PpeProjection> = None;
         for step in 0..steps {
             daemon
                 .inner_mut()
                 .controller_mut()
-                .set_cap(cap_schedule(step, self.period));
+                .set_enforced_cap(cap_schedule(step, self.period));
             let s = daemon.step()?;
-            if let Some(p) = &s.projection {
-                last_projection = Some(p.clone());
-            }
             track.decisions.push(s.decision.clone());
+            // An interval without a fresh projection keeps the last one.
+            if let Some(projections) = &mut track.projections {
+                let projection = s
+                    .projection
+                    .clone()
+                    .or_else(|| projections.last().cloned().flatten());
+                projections.push(projection);
+            }
             track
                 .caps
                 .push(daemon.inner_mut().controller_mut().enforced_cap());
-            if let Some(projections) = &mut track.projections {
-                projections.push(last_projection.clone());
-            }
         }
         Ok(track)
     }

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let decision = if one_step {
                 predictive.set_cap(cap);
                 let projection = ppep.project(&record)?;
-                predictive.choose(&projection)?
+                predictive.decide(&projection)?
             } else {
                 reactive.set_cap(cap);
                 reactive.observe_power(record.measured_power);
